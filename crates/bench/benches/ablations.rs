@@ -57,7 +57,7 @@ fn bench_rgba_packing(c: &mut Criterion) {
     .unwrap();
     for (name, cb) in [("packed_rgba", &packed), ("one_band_per_texel", &unpacked)] {
         group.bench_with_input(BenchmarkId::from_parameter(name), cb, |b, cb| {
-            let amc = GpuAmc::new(se.clone(), KernelMode::Closure);
+            let amc = GpuAmc::new(se.clone(), KernelMode::Isa);
             let mut gpu = Gpu::new(GpuProfile::geforce_7800gtx());
             b.iter(|| amc.run(&mut gpu, cb).unwrap())
         });
@@ -75,7 +75,7 @@ fn bench_chunk_granularity(c: &mut Criterion) {
     let se = StructuringElement::square(3).unwrap();
     for lines in [6usize, 12, 48] {
         group.bench_with_input(BenchmarkId::from_parameter(lines), &lines, |b, &lines| {
-            let amc = GpuAmc::new(se.clone(), KernelMode::Closure);
+            let amc = GpuAmc::new(se.clone(), KernelMode::Isa);
             let mut gpu = Gpu::new(GpuProfile::geforce_7800gtx());
             let chunking = Chunking::new(lines, 2);
             b.iter(|| {

@@ -29,7 +29,7 @@ fn bench_size_scaling(c: &mut Criterion) {
         let cb = cube(side, 8);
         group.throughput(Throughput::Elements((side * side) as u64));
         group.bench_with_input(BenchmarkId::from_parameter(side), &side, |bench, _| {
-            let amc = GpuAmc::new(se.clone(), KernelMode::Closure);
+            let amc = GpuAmc::new(se.clone(), KernelMode::Isa);
             let mut gpu = Gpu::new(GpuProfile::geforce_7800gtx());
             bench.iter(|| amc.run(&mut gpu, &cb).unwrap())
         });
@@ -47,7 +47,7 @@ fn bench_band_scaling(c: &mut Criterion) {
         let cb = cube(20, bands);
         group.throughput(Throughput::Elements(bands as u64));
         group.bench_with_input(BenchmarkId::from_parameter(bands), &bands, |bench, _| {
-            let amc = GpuAmc::new(se.clone(), KernelMode::Closure);
+            let amc = GpuAmc::new(se.clone(), KernelMode::Isa);
             let mut gpu = Gpu::new(GpuProfile::geforce_7800gtx());
             bench.iter(|| amc.run(&mut gpu, &cb).unwrap())
         });

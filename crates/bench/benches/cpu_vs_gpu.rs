@@ -29,11 +29,6 @@ fn bench_implementations(c: &mut Criterion) {
 
     group.bench_function("cpu_scalar", |b| b.iter(|| cpu::run_scalar(&cb, &se)));
     group.bench_function("cpu_simd4", |b| b.iter(|| cpu::run_simd4(&cb, &se)));
-    group.bench_function("gpu_closure", |b| {
-        let amc = GpuAmc::new(se.clone(), KernelMode::Closure);
-        let mut gpu = Gpu::new(GpuProfile::geforce_7800gtx());
-        b.iter(|| amc.run(&mut gpu, &cb).unwrap())
-    });
     group.bench_function("gpu_isa_interpreted", |b| {
         let amc = GpuAmc::new(se.clone(), KernelMode::Isa);
         let mut gpu = Gpu::new(GpuProfile::geforce_7800gtx());

@@ -1,5 +1,5 @@
 //! Per-stage kernel benchmarks: wall-clock of each pipeline stage pass on
-//! the simulator, closure vs ISA kernel forms.
+//! the simulator.
 
 use amc_core::kernels;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
@@ -43,17 +43,6 @@ fn bench_stage_kernels(c: &mut Criterion) {
                 .unwrap()
         })
     });
-    group.bench_function("band_sum_closure", |bench| {
-        bench.iter(|| {
-            gpu.run_closure_pass(&[a, b], out, kernels::BAND_SUM_COST, None, |f, x, y| {
-                let t0 = f.fetch(0, x as i64, y as i64);
-                let t1 = f.fetch(1, x as i64, y as i64);
-                let d = t0[0] + t0[1] + t0[2] + t0[3];
-                [d + t1[0], d + t1[1], d + t1[2], d + t1[3]]
-            })
-            .unwrap()
-        })
-    });
     group.bench_function("sid_partial_isa", |bench| {
         let prog = kernels::sid_partial_program();
         let coords = [
@@ -63,18 +52,6 @@ fn bench_stage_kernels(c: &mut Criterion) {
         bench.iter(|| {
             gpu.run_pass(&prog, &[a, b], &[], &coords, out, None)
                 .unwrap()
-        })
-    });
-    group.bench_function("sid_partial_closure", |bench| {
-        bench.iter(|| {
-            gpu.run_closure_pass(&[a, b], out, kernels::SID_PARTIAL_COST, None, |f, x, y| {
-                let p = f.fetch(0, x as i64, y as i64);
-                let q = f.fetch(0, x as i64 + 1, y as i64 + 1);
-                let prev = f.fetch(1, x as i64, y as i64);
-                let acc = kernels::sid_partial_value(p, q);
-                [prev[0] + acc, prev[1] + acc, prev[2] + acc, prev[3] + acc]
-            })
-            .unwrap()
         })
     });
     group.bench_function("minmax_update_isa", |bench| {
@@ -105,15 +82,14 @@ fn bench_cache_ablation(c: &mut Criterion) {
             |bench, &enabled| {
                 let (mut gpu, a, b, out) = setup();
                 gpu.set_cache_model(enabled);
+                let prog = kernels::sid_partial_program();
+                let coords = [
+                    TexCoordSet::identity(),
+                    TexCoordSet::shifted_texels(1, 0, SIDE, SIDE),
+                ];
                 bench.iter(|| {
-                    gpu.run_closure_pass(&[a, b], out, 13, None, |f, x, y| {
-                        let p = f.fetch(0, x as i64, y as i64);
-                        let q = f.fetch(0, x as i64 + 1, y as i64);
-                        let prev = f.fetch(1, x as i64, y as i64);
-                        let acc = kernels::sid_partial_value(p, q);
-                        [prev[0] + acc, prev[1] + acc, prev[2] + acc, prev[3] + acc]
-                    })
-                    .unwrap()
+                    gpu.run_pass(&prog, &[a, b], &[], &coords, out, None)
+                        .unwrap()
                 })
             },
         );

@@ -301,7 +301,7 @@ fn run_analyze(trace_path: Option<&str>) {
     let scene = generate(&classes, &SceneConfig::reduced_indian_pines(2026));
     let amc = GpuAmc::new(
         AmcConfig::paper_default(classes.len()).se.clone(),
-        KernelMode::Closure,
+        KernelMode::Isa,
     );
     {
         // Shrink video memory so the cube cannot be resident at once: the

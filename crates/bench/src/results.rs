@@ -23,13 +23,13 @@
 //! [`opt_rollup`] of the shader optimizer over the six AMC kernels
 //! (per-kernel raw vs optimized instruction counts, dynamically shaded
 //! instruction totals, eliminated-op counters, modeled-ms deltas) plus a
-//! small measured ISA-mode A/B microbench (`GPU_SIM_OPT=0` vs default).
+//! small measured A/B microbench (optimizer off vs on).
 //!
 //! Since schema 5 it carries a `fusion` block: the render-graph compiler's
 //! pass-fusion attribution (committed producer→consumer inlines aggregated
 //! per kernel pair, eliminated passes, static normalize+distance texel
 //! fetches per fragment fused vs unfused) plus a measured unfused-oracle
-//! arm (`GPU_SIM_FUSE=0` equivalent) whose stage counters anchor the
+//! arm (`GpuAmc::set_fusion(false)`) whose stage counters anchor the
 //! ≥ 30% fetch-reduction gate CI enforces.
 //!
 //! Since schema 6 it carries a `fleet` block: the multi-device sharding
@@ -39,9 +39,7 @@
 //! assignment vs the chunks actually executed, steal counts, and modeled
 //! vs measured seconds. The modeled 2×7800GTX speedup over the single
 //! device anchors the ≥ 1.8× scaling gate CI enforces. The fleet arms run
-//! the closure kernel path — counters are identical to the ISA path by
-//! construction and the speedup is modeled, so the cheaper simulation
-//! changes nothing it reports.
+//! the same fused render graph as the headline arm.
 
 use amc_core::fleet::DeviceFleet;
 use amc_core::graph::CompiledGraph;
@@ -159,16 +157,15 @@ pub struct BenchRun {
     pub gpu_caches: GpuCacheCounters,
     /// Snapshot of the metrics registry taken after the run.
     pub metrics: Snapshot,
-    /// Measured wall seconds of the ISA-mode microbench with the shader
-    /// optimizer disabled (`GPU_SIM_OPT=0` path).
+    /// Measured wall seconds of the kernel microbench with the shader
+    /// optimizer disabled (`Gpu::set_optimizer(false)`).
     pub opt_wall_raw_s: f64,
     /// Measured wall seconds of the same microbench with the optimizer on
     /// (the default lowering path).
     pub opt_wall_opt_s: f64,
-    /// Which kernel implementation the benchmark executed. The headline
-    /// bench runs [`KernelMode::Isa`] — the path the verifier, optimizer
-    /// and batched executor actually exercise — so the device cache
-    /// counters above are meaningful.
+    /// Which kernel form the benchmark executed: [`KernelMode::Isa`], the
+    /// only one — the path the verifier, optimizer and batched executor
+    /// exercise.
     pub kernel_mode: KernelMode,
     /// Render-graph fusion attribution plus the measured unfused arm.
     pub fusion: FusionReport,
@@ -339,8 +336,7 @@ pub struct FusionPairRow {
 /// geometry plus the measured unfused-oracle arm.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FusionReport {
-    /// Whether the headline run executed the fused schedule (`GPU_SIM_FUSE`
-    /// unset or non-zero).
+    /// Whether the headline run executed the fused schedule.
     pub enabled: bool,
     /// Committed fusions aggregated per (producer, consumer, mode).
     pub pairs: Vec<FusionPairRow>,
@@ -812,10 +808,6 @@ pub fn run_benchmark_with_devices(seed: u64, extra_shape: Option<&[GpuProfile]>)
     let dims = scene.cube.dims();
 
     let config = AmcConfig::paper_default(classes.len());
-    // The ISA path is the benchmark's subject: it is what the verifier,
-    // the optimizer and the batched SoA executor run, and it populates the
-    // verify/lower cache counters the document reports. (The closure path
-    // used to be benchmarked here, which left those counters at zero.)
     let kernel_mode = KernelMode::Isa;
     let amc = GpuAmc::new(config.se.clone(), kernel_mode);
     let mut gpu = Gpu::new(GpuProfile::geforce_7800gtx());
@@ -830,7 +822,7 @@ pub fn run_benchmark_with_devices(seed: u64, extra_shape: Option<&[GpuProfile]>)
     let metrics = trace::metrics::snapshot();
     let zero_fill_skips = gpu.zero_fill_skips();
     let (opt_wall_raw_s, opt_wall_opt_s) = isa_microbench();
-    // The unfused-oracle arm (`GPU_SIM_FUSE=0` equivalent): same pipeline,
+    // The unfused-oracle arm: same pipeline,
     // same scene, fresh device, fusion pinned off — its stage counters
     // anchor the measured fetch-reduction attribution.
     let mut amc_unfused = GpuAmc::new(amc.se().clone(), kernel_mode);
@@ -847,10 +839,9 @@ pub fn run_benchmark_with_devices(seed: u64, extra_shape: Option<&[GpuProfile]>)
         zero_fill_skips,
         &unfused_arm,
     );
-    // Fleet scaling arms on the closure path: counters match the ISA path
-    // by construction and the speedup gate is on modeled time.
-    let amc_fleet = GpuAmc::new(amc.se().clone(), KernelMode::Closure);
-    let fleet = fleet_report(&scene.cube, &amc_fleet, extra_shape);
+    // Fleet scaling arms on the headline's fused graph; the speedup gate
+    // is on modeled time.
+    let fleet = fleet_report(&scene.cube, &amc, extra_shape);
 
     let analysis = analysis_report(&trace::snapshot_events());
     if !was_tracing {
@@ -2200,7 +2191,7 @@ pub(crate) mod tests {
     #[test]
     fn opt_rollup_attributes_stage_counters_exactly() {
         // A physically consistent run: 2 chunks, 3 band groups (G=3), 5
-        // minmax passes per chunk, 100 fragments per pass, closure arms
+        // minmax passes per chunk, 100 fragments per pass, unfused arms
         // counting the optimized per-fragment costs.
         let mut run = sample_run();
         run.chunks = 2;

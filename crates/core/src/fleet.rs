@@ -38,7 +38,9 @@
 
 use crate::layout;
 use crate::perf::{self, PredictConfig};
-use crate::pipeline::{ChunkScratch, GpuAmc, PipelineOutput, Result, StageStats, StageWall};
+use crate::pipeline::{
+    ChunkScratch, GpuAmc, KernelMode, PipelineOutput, Result, StageStats, StageWall,
+};
 use gpu_sim::device::GpuProfile;
 use gpu_sim::gpu::Gpu;
 use hsi::cube::{Chunk, Chunking, Cube};
@@ -355,11 +357,11 @@ impl DeviceFleet {
                 .map(|(me, profile)| {
                     let profile = profile.clone();
                     let se = amc.se().clone();
-                    let (mode, fuse) = (amc.mode(), amc.fusion());
+                    let fuse = amc.fusion();
                     let (chunks, cost, dispatch) = (&chunks, &cost, &dispatch);
                     s.spawn(move || {
                         rayon::with_threads(per_device_threads, || {
-                            run_device(me, profile, se, mode, fuse, chunks, cost, dispatch)
+                            run_device(me, profile, se, fuse, chunks, cost, dispatch)
                         })
                     })
                 })
@@ -460,12 +462,10 @@ impl DeviceFleet {
 /// One device's dispatch loop: pop (or steal) chunks until the fleet
 /// drains, shading each on this device while a reserved worker packs the
 /// next chunk at the head of the own queue.
-#[allow(clippy::too_many_arguments)]
 fn run_device(
     me: usize,
     profile: GpuProfile,
     se: hsi::morphology::StructuringElement,
-    mode: crate::pipeline::KernelMode,
     fuse: bool,
     chunks: &[Chunk],
     cost: &[Vec<f64>],
@@ -477,7 +477,7 @@ fn run_device(
         // is visible at a glance.
         trace::set_thread_name(&format!("device{me}.{}", profile.short_name()));
     }
-    let mut driver = GpuAmc::new(se, mode);
+    let mut driver = GpuAmc::new(se, KernelMode::Isa);
     driver.set_fusion(fuse);
     let mut gpu = Gpu::new(profile);
     let mut scratch = ChunkScratch::default();
@@ -540,7 +540,7 @@ fn run_device(
             });
             // The packer owns one of this device's workers while it runs.
             let _packer_core = packer.as_ref().map(|_| rayon::reserve_thread());
-            let result = driver.run_chunk_packed(
+            let result = driver.run_chunk_graph(
                 &mut gpu,
                 cd.width,
                 cd.height,
@@ -581,7 +581,6 @@ fn mei_bits(m: &MeiImage) -> Vec<u32> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pipeline::KernelMode;
     use hsi::cube::{Cube, CubeDims, Interleave};
     use hsi::morphology::StructuringElement;
     use proptest::prelude::*;
@@ -624,7 +623,7 @@ mod tests {
     #[test]
     fn chunk_plan_is_fleet_shape_independent() {
         let cube = test_cube(48, 40, 12);
-        let amc = GpuAmc::new(StructuringElement::square(3).unwrap(), KernelMode::Closure);
+        let amc = GpuAmc::new(StructuringElement::square(3).unwrap(), KernelMode::Isa);
         let plans: Vec<Chunking> = fleet_shapes()
             .into_iter()
             .map(|p| DeviceFleet::new(p).plan_chunking(&amc, &cube).unwrap())
@@ -639,7 +638,7 @@ mod tests {
     #[test]
     fn placement_is_proportional_to_modeled_throughput() {
         let cube = test_cube(64, 48, 8);
-        let amc = GpuAmc::new(StructuringElement::square(3).unwrap(), KernelMode::Closure);
+        let amc = GpuAmc::new(StructuringElement::square(3).unwrap(), KernelMode::Isa);
         let fleet = DeviceFleet::new(vec![
             GpuProfile::fx5950_ultra(),
             GpuProfile::geforce_7800gtx(),
@@ -711,7 +710,7 @@ mod tests {
         // Force all chunks onto device 0's queue; device 1 must steal to
         // participate, and the merged output must stay correct.
         let cube = test_cube(32, 36, 6);
-        let amc = GpuAmc::new(StructuringElement::square(3).unwrap(), KernelMode::Closure);
+        let amc = GpuAmc::new(StructuringElement::square(3).unwrap(), KernelMode::Isa);
         let chunking = Chunking::new(4, 1);
         let chunks: Vec<Chunk> = cube.chunks(chunking).collect();
         let fleet = DeviceFleet::new(vec![
@@ -742,7 +741,7 @@ mod tests {
         // geometry (160×128×96): two 7800GTXs on a shared PCIe x16 link
         // must model ≥ 1.8× the single-device throughput under the fleet
         // chunk plan.
-        let amc = GpuAmc::new(StructuringElement::square(3).unwrap(), KernelMode::Closure);
+        let amc = GpuAmc::new(StructuringElement::square(3).unwrap(), KernelMode::Isa);
         let cube = test_cube(160, 128, 96);
         let g70 = GpuProfile::geforce_7800gtx();
         let fleet = DeviceFleet::new(vec![g70.clone(), g70.clone()]);

@@ -1,7 +1,7 @@
 //! A declarative render graph with a compiling executor.
 //!
 //! The AMC pipeline is a fixed chain of fragment passes; instead of
-//! hand-wiring texture ping-pongs, the pipeline *declares* every pass —
+//! wiring texture ping-pongs by hand, the pipeline *declares* every pass —
 //! which textures it reads (in sampler order), which coordinate sets and
 //! pass constants it binds, and the single texture it writes — against
 //! SSA-style logical texture handles (each written by at most one pass).
@@ -55,8 +55,8 @@
 //! Every fused program is rebuilt by the exact-preserving `opt` framework
 //! (CSE, per-lane DCE, temp compaction) and statically re-verified against
 //! the device profile, so the fused graph renders bit-identically to the
-//! unfused one — which stays available behind `GPU_SIM_FUSE=0` as the
-//! oracle.
+//! unfused one — which stays available as the oracle through
+//! `GpuAmc::set_fusion(false)`.
 
 use gpu_sim::counters::PassStats;
 use gpu_sim::device::GpuProfile;

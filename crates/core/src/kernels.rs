@@ -1,26 +1,23 @@
 //! Fragment kernels for every AMC pipeline stage.
 //!
-//! Each stage exists in two forms with identical arithmetic:
-//!
-//! * an **ISA program** (fp30-style assembly, assembled once and executed by
-//!   the `gpu-sim` interpreter) — faithful to what the paper's Cg kernels
-//!   compiled to, with exact per-fragment instruction counts; and
-//! * a **closure twin** used as the fast execution path for large inputs.
+//! Each stage is an **ISA program** (fp30-style assembly, assembled once and
+//! executed by the `gpu-sim` interpreter) — faithful to what the paper's Cg
+//! kernels compiled to, with exact per-fragment instruction counts.
 //!
 //! The assembly below is written the way the Cg frontend emits it —
 //! compiler-temp copies, a separate multiply feeding the reduction `DP4`,
 //! results staged through a temp before the final output move. The
-//! `gpu_sim::opt` pass pipeline (on by default, `GPU_SIM_OPT=0` to disable)
-//! recovers the tight forms at lowering time; the `*_COST` constants below
-//! are the **optimized** per-fragment instruction counts the device actually
-//! shades, while `*_RAW_COST` are the as-assembled lengths.
+//! `gpu_sim::opt` pass pipeline (on by default, `Gpu::set_optimizer(false)`
+//! to disable) recovers the tight forms at lowering time; the `*_COST`
+//! constants below are the **optimized** per-fragment instruction counts the
+//! device actually shades (the analytic predictor in [`crate::perf`] charges
+//! them), while `*_RAW_COST` are the as-assembled lengths. Every optimizer
+//! rewrite is exact-preserving, so the raw programs produce the same bits.
 //!
-//! The twins mirror the optimized ISA instruction sequence
-//! operation-for-operation (`log2(x)·ln2` instead of `ln`, ε-guards via
-//! `max`, identical summation order), so `KernelMode::Isa` and
-//! `KernelMode::Closure` produce bit-equal streams — a property the
-//! integration tests assert. Every optimizer rewrite is exact-preserving,
-//! so `GPU_SIM_OPT=0` produces the same bits too.
+//! [`sid_partial_value`] is the scalar form of one partial-SID step,
+//! operation-for-operation equal to [`sid_partial_program`] (`log2(x)·ln2`
+//! instead of `ln`, ε-guards via `max`, lane-ordered summation); the SIMD4
+//! CPU baseline ([`crate::cpu::run_simd4`]) is built on it.
 
 use gpu_sim::asm::assemble;
 use gpu_sim::isa::Program;
@@ -229,32 +226,6 @@ pub fn offset_lut(offsets: &[(i32, i32)], width: usize, height: usize) -> Vec<f3
     out
 }
 
-/// All stage programs, assembled once.
-pub struct KernelSet {
-    /// Band-sum accumulation program.
-    pub band_sum: Program,
-    /// Normalization program.
-    pub normalize: Program,
-    /// Partial-SID accumulation program.
-    pub sid_partial: Program,
-    /// Min/max init program.
-    pub minmax_init: Program,
-    /// Min/max update program.
-    pub minmax_update: Program,
-    /// MEI partial program.
-    pub mei_partial: Program,
-}
-
-/// The lazily-assembled kernel set shared by every pipeline instance.
-pub static KERNEL_SET: std::sync::LazyLock<KernelSet> = std::sync::LazyLock::new(|| KernelSet {
-    band_sum: band_sum_program(),
-    normalize: normalize_program(),
-    sid_partial: sid_partial_program(),
-    minmax_init: minmax_init_program(),
-    minmax_update: minmax_update_program(),
-    mei_partial: mei_partial_program(),
-});
-
 /// One row of the stage-resource table: everything static about how the
 /// pipeline runs a kernel — the program, its exact [`PassBindings`], the
 /// pipeline stage it belongs to, and the abstract resources it samples and
@@ -358,10 +329,6 @@ pub fn stage_cases() -> Vec<(Program, gpu_sim::verify::PassBindings)> {
         .collect()
 }
 
-// ---------------------------------------------------------------------------
-// Closure twins: scalar helpers mirroring the ISA arithmetic exactly.
-// ---------------------------------------------------------------------------
-
 /// The partial SID of one 4-band group, computed with the exact operation
 /// sequence of [`sid_partial_program`] (ε-guard, reciprocal multiply,
 /// `log2·ln2`, lane-ordered `DP4` summation).
@@ -384,19 +351,6 @@ pub fn sid_partial_value(p: [f32; 4], q: [f32; 4]) -> f32 {
     acc
 }
 
-/// The min/max state update of [`minmax_update_program`] in closure form.
-#[inline]
-pub fn minmax_update_value(state: [f32; 4], cand: f32, k: f32) -> [f32; 4] {
-    let s_min = if cand < state[0] { 1.0f32 } else { 0.0 };
-    let s_max = if state[2] < cand { 1.0f32 } else { 0.0 };
-    [
-        state[0].min(cand),
-        s_min * k + (1.0 - s_min) * state[1],
-        state[2].max(cand),
-        s_max * k + (1.0 - s_max) * state[3],
-    ]
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -413,8 +367,8 @@ mod tests {
 
     #[test]
     fn optimizer_recovers_the_shaded_costs() {
-        // The `*_COST` constants the closure path charges must equal what
-        // the device actually shades: the optimized program lengths.
+        // The `*_COST` constants the analytic predictor charges must equal
+        // what the device actually shades: the optimized program lengths.
         let expected = [
             BAND_SUM_COST,
             NORMALIZE_COST,
@@ -435,7 +389,7 @@ mod tests {
             assert_eq!(report.before, prog.len());
             assert_eq!(report.after, opt.len());
             // No texture fetch may ever be optimized away: texel traffic
-            // (and the cache model it feeds) must match the closure path.
+            // (and the cache model it feeds) must match the raw program.
             assert_eq!(opt.tex_count(), prog.tex_count(), "`{}`", prog.name);
         }
     }
@@ -515,6 +469,25 @@ mod tests {
 
     #[test]
     fn minmax_update_tracks_extrema_and_ties() {
+        use gpu_sim::raster::TexCoordSet;
+        // One fragment of the update program: state and candidate field on
+        // 1x1 textures, neighbour index `k` as the pass constant.
+        let minmax_update_value = |state: [f32; 4], cand: f32, k: f32| {
+            let mut gpu = gpu_sim::Gpu::new(gpu_sim::GpuProfile::fx5950_ultra());
+            let (st, field, out) = (
+                gpu.alloc_texture(1, 1).unwrap(),
+                gpu.alloc_texture(1, 1).unwrap(),
+                gpu.alloc_texture(1, 1).unwrap(),
+            );
+            gpu.upload(st, &state).unwrap();
+            gpu.upload(field, &[cand; 4]).unwrap();
+            let sets = [TexCoordSet::identity(), TexCoordSet::identity()];
+            let prog = minmax_update_program();
+            gpu.run_pass(&prog, &[st, field], &[(0, [k; 4])], &sets, out, None)
+                .unwrap();
+            let t = gpu.download(out).unwrap();
+            [t[0], t[1], t[2], t[3]]
+        };
         let s0 = [5.0, 0.0, 5.0, 0.0];
         // Smaller candidate updates the min side.
         let s1 = minmax_update_value(s0, 3.0, 1.0);

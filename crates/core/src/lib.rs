@@ -8,10 +8,13 @@
 //!   RGBA textures, four consecutive bands per texel.
 //! * [`kernels`] — the fragment programs of every pipeline stage
 //!   (normalization, cumulative distance, min/max, SID), in fp30-style
-//!   assembly, with closure twins used as the fast execution path.
+//!   assembly.
+//! * [`graph`] — the declarative render graph and its compiler (dead-pass
+//!   elimination, texture aliasing, producer→consumer pass fusion).
 //! * [`pipeline`] — Fig. 4: the six-stage stream pipeline (upload →
-//!   normalize → cumulative distance → max/min → SID → download), with
-//!   chunking for cubes that exceed video memory.
+//!   normalize → cumulative distance → max/min → SID → download), declared
+//!   as a render graph and run chunk by chunk for cubes that exceed video
+//!   memory.
 //! * [`cpu`] — the hand-tuned CPU reference implementations (scalar "gcc"
 //!   shape and 4-lane "icc" shape) with exact operation counting.
 //! * [`perf`] — the analytic work model that regenerates Tables 4–5 and

@@ -53,7 +53,7 @@ pub fn predict_chunk_stats(
     let g = layout::band_groups(bands) as u64;
     let p_b = se.len() as u64;
 
-    // Pass structure mirrors `pipeline::run_chunk` exactly.
+    // Pass structure mirrors the unfused chunk graph exactly.
     let passes = g + g + (p_b - 1) * g + p_b + g;
     let instructions = frag
         * (g * kernels::BAND_SUM_COST
@@ -131,7 +131,7 @@ pub fn predict_gpu_time(
     profile: &GpuProfile,
     config: &PredictConfig,
 ) -> crate::pipeline::Result<(GpuTime, PassStats)> {
-    let amc = GpuAmc::new(se.clone(), KernelMode::Closure);
+    let amc = GpuAmc::new(se.clone(), KernelMode::Isa);
     let chunking = amc.plan_chunking_for_budget(
         profile.video_memory_bytes(),
         dims.width,
@@ -207,9 +207,10 @@ mod tests {
         .unwrap();
         let se = StructuringElement::square(3).unwrap();
         let mut gpu = Gpu::new(GpuProfile::geforce_7800gtx());
-        let out = GpuAmc::new(se.clone(), KernelMode::Closure)
-            .run_chunk(&mut gpu, &cube)
-            .unwrap();
+        // The model counts the unfused schedule, pass for pass.
+        let mut amc = GpuAmc::new(se.clone(), KernelMode::Isa);
+        amc.set_fusion(false);
+        let out = amc.run_chunk(&mut gpu, &cube).unwrap();
         let pred = predict_chunk_stats(14, 11, 10, &se, &PredictConfig::default());
         assert_eq!(pred.passes, out.stats.passes);
         assert_eq!(pred.fragments, out.stats.fragments);
@@ -230,7 +231,7 @@ mod tests {
         .unwrap();
         let se = StructuringElement::square(3).unwrap();
         let mut gpu = Gpu::new(GpuProfile::geforce_7800gtx());
-        let out = GpuAmc::new(se, KernelMode::Closure)
+        let out = GpuAmc::new(se, KernelMode::Isa)
             .run_chunk(&mut gpu, &cube)
             .unwrap();
         let measured = out.stats.cache_hit_rate();

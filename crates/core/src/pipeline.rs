@@ -24,7 +24,7 @@
 //! chunk-free.
 
 use crate::graph::{self, CompiledGraph, PassDecl, RenderGraph, TexHandle, TexKind};
-use crate::kernels::{self, KERNEL_SET};
+use crate::kernels;
 use crate::layout;
 use gpu_sim::counters::PassStats;
 use gpu_sim::device::GpuProfile;
@@ -40,16 +40,15 @@ use std::rc::Rc;
 use std::time::Instant;
 use trace::ArgValue;
 
-/// Which kernel implementation executes the pipeline.
+/// Which kernel form executes the pipeline. The assembled fp30 programs
+/// are the only form; the enum names it in the driver's constructor and in
+/// the benchmark document's `kernel_mode` field.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum KernelMode {
-    /// Assembled fp30-style programs through the ISA interpreter (faithful,
-    /// slower to simulate).
-    Isa,
-    /// Closure twins with identical arithmetic (fast path). Declared
-    /// instruction costs match the ISA programs, so counters agree.
+    /// Assembled fp30-style programs, compiled into the render graph and
+    /// shaded through the ISA interpreter.
     #[default]
-    Closure,
+    Isa,
 }
 
 impl KernelMode {
@@ -57,7 +56,6 @@ impl KernelMode {
     pub fn as_str(self) -> &'static str {
         match self {
             KernelMode::Isa => "isa",
-            KernelMode::Closure => "closure",
         }
     }
 
@@ -65,7 +63,6 @@ impl KernelMode {
     pub fn from_name(name: &str) -> Option<Self> {
         match name {
             "isa" => Some(KernelMode::Isa),
-            "closure" => Some(KernelMode::Closure),
             _ => None,
         }
     }
@@ -347,7 +344,6 @@ struct AmcGraph {
 #[derive(Debug, Clone)]
 pub struct GpuAmc {
     se: StructuringElement,
-    mode: KernelMode,
     fuse: bool,
     /// Compiled graphs cached per (device, chunk geometry): every full
     /// chunk of a run shares one compile, the ragged last chunk gets its
@@ -356,17 +352,13 @@ pub struct GpuAmc {
 }
 
 impl GpuAmc {
-    /// Create a driver for the given structuring element and kernel mode.
-    ///
-    /// Pass fusion for the ISA path follows `GPU_SIM_FUSE` (on unless
-    /// `"0"`, same pattern as `GPU_SIM_OPT`/`GPU_SIM_BATCH`); override per
-    /// instance with [`GpuAmc::set_fusion`].
-    pub fn new(se: StructuringElement, mode: KernelMode) -> Self {
-        let fuse = std::env::var("GPU_SIM_FUSE").map_or(true, |v| v != "0");
+    /// Create a driver for the given structuring element. Every chunk runs
+    /// through the compiled render graph, fused by default; switch to the
+    /// unfused oracle schedule with [`GpuAmc::set_fusion`].
+    pub fn new(se: StructuringElement, _mode: KernelMode) -> Self {
         Self {
             se,
-            mode,
-            fuse,
+            fuse: true,
             graphs: RefCell::new(HashMap::new()),
         }
     }
@@ -376,19 +368,13 @@ impl GpuAmc {
         &self.se
     }
 
-    /// Kernel mode in use.
-    pub fn mode(&self) -> KernelMode {
-        self.mode
-    }
-
-    /// Whether the ISA path runs the fused graph (`true`) or the unfused
+    /// Whether chunks run the fused graph (`true`) or the unfused
     /// pass-per-kernel oracle (`false`).
     pub fn fusion(&self) -> bool {
         self.fuse
     }
 
-    /// Force fusion on or off, overriding `GPU_SIM_FUSE`. Clears the
-    /// compiled-graph cache.
+    /// Turn fusion on or off. Clears the compiled-graph cache.
     pub fn set_fusion(&mut self, fuse: bool) {
         self.fuse = fuse;
         self.graphs.borrow_mut().clear();
@@ -412,7 +398,7 @@ impl GpuAmc {
 
     /// Video-memory bytes one chunk of `lines` lines needs.
     ///
-    /// The bound covers both executors: unfused, band and normalized
+    /// The bound covers both graph schedules: unfused, band and normalized
     /// planes coexist only pairwise (G + 1 data planes) plus 2 sum + 2
     /// field + 2 state + 2 MEI ping-pong planes; fused, the band planes
     /// stay resident through the distance and MEI stages (their fetches
@@ -424,10 +410,10 @@ impl GpuAmc {
         (groups + 12) * plane + self.se.len() * 16
     }
 
-    /// Declare the AMC chunk pipeline as a [`RenderGraph`]: the SSA form
-    /// of the hand-wired pass chain (each ping-pong buffer becomes a chain
-    /// of single-writer logical textures), with every program, coordinate
-    /// set, and pass constant drawn from [`kernels::stage_specs`].
+    /// Declare the AMC chunk pipeline as a [`RenderGraph`]: the Fig. 4
+    /// pass chain in SSA form (each accumulator is a chain of single-writer
+    /// logical textures), with every program, coordinate set, and pass
+    /// constant drawn from [`kernels::stage_specs`].
     fn declare_amc_graph(
         &self,
         w: usize,
@@ -757,14 +743,8 @@ impl GpuAmc {
                 // threads than the host advertises.
                 let _packer_core = packer.as_ref().map(|_| rayon::reserve_thread());
                 let cd = chunk.cube.dims();
-                let result = self.run_chunk_packed(
-                    gpu,
-                    cd.width,
-                    cd.height,
-                    cd.bands,
-                    &packed,
-                    &mut scratch,
-                );
+                let result =
+                    self.run_chunk_graph(gpu, cd.width, cd.height, cd.bands, &packed, &mut scratch);
                 let prepacked = packer.map(|h| h.join().expect("packer thread panicked"));
                 (result, prepacked)
             });
@@ -807,7 +787,7 @@ impl GpuAmc {
         let dims = cube.dims();
         let mut packed = Vec::new();
         layout::pack_cube_into(cube, &mut packed);
-        let out = self.run_chunk_packed(
+        let out = self.run_chunk_graph(
             gpu,
             dims.width,
             dims.height,
@@ -819,32 +799,12 @@ impl GpuAmc {
         out
     }
 
-    /// Execute the six stages on pre-packed band groups of a `w x h x bands`
-    /// chunk. Textures are drawn from (and returned to) the device pool;
-    /// readbacks land in `scratch` so repeat chunks allocate nothing on the
-    /// host either.
-    pub(crate) fn run_chunk_packed(
-        &self,
-        gpu: &mut Gpu,
-        w: usize,
-        h: usize,
-        bands: usize,
-        packed: &[Vec<f32>],
-        scratch: &mut ChunkScratch,
-    ) -> Result<PipelineOutput> {
-        match self.mode {
-            // The ISA path compiles and runs the declarative render graph
-            // (fused unless `GPU_SIM_FUSE=0`).
-            KernelMode::Isa => self.run_chunk_graph(gpu, w, h, bands, packed, scratch),
-            // Closure twins have no fp30 IR to fuse; they keep the
-            // hand-wired pass chain.
-            KernelMode::Closure => self.run_chunk_passes(gpu, w, h, bands, packed, scratch),
-        }
-    }
-
-    /// Run one chunk through the compiled render graph: upload, execute
-    /// the graph (normalize/distance/minmax/mei stages), download.
-    fn run_chunk_graph(
+    /// Run one chunk of pre-packed band groups (`w x h x bands`) through
+    /// the compiled render graph: upload, execute the graph
+    /// (normalize/distance/minmax/mei stages), download. Textures are drawn
+    /// from (and returned to) the device pool; readbacks land in `scratch`
+    /// so repeat chunks allocate nothing on the host either.
+    pub(crate) fn run_chunk_graph(
         &self,
         gpu: &mut Gpu,
         w: usize,
@@ -961,396 +921,6 @@ impl GpuAmc {
             chunks: 1,
         })
     }
-
-    /// The hand-wired pass-chain executor (closure twins).
-    fn run_chunk_passes(
-        &self,
-        gpu: &mut Gpu,
-        w: usize,
-        h: usize,
-        bands: usize,
-        packed: &[Vec<f32>],
-        scratch: &mut ChunkScratch,
-    ) -> Result<PipelineOutput> {
-        let groups = layout::band_groups(bands);
-        debug_assert_eq!(packed.len(), groups, "pre-packed group count");
-        let offsets = self.se.offsets();
-        let p_b = offsets.len();
-        let mut stages = StageStats::default();
-        let mut wall = StageWall::default();
-
-        // -- Stage 1: stream uploading ------------------------------------
-        let stage_span = trace::span("pipeline.stage", "upload");
-        let stage_start = Instant::now();
-        let before_upload = gpu.stats();
-        let mut band_tex: Vec<TextureId> = Vec::with_capacity(groups);
-        for plane in packed {
-            let t = gpu.alloc_pooled(w, h)?;
-            gpu.upload(t, plane)?;
-            band_tex.push(t);
-        }
-        let lut = gpu.alloc_pooled(p_b, 1)?;
-        gpu.upload(lut, &kernels::offset_lut(&offsets, w, h))?;
-        stages.upload = gpu.stats();
-        stages.upload.sub(&before_upload);
-        wall.upload_s = stage_start.elapsed().as_secs_f64();
-        drop(stage_span);
-
-        // -- Stage 2: normalization ---------------------------------------
-        let stage_span = trace::span("pipeline.stage", "normalize");
-        let stage_start = Instant::now();
-        let mut sum_a = gpu.alloc_pooled(w, h)?; // zero-initialised
-        let mut sum_b = gpu.alloc_pooled(w, h)?;
-        for &bt in &band_tex {
-            stages
-                .normalize
-                .add(&self.pass_band_sum(gpu, bt, sum_a, sum_b)?);
-            std::mem::swap(&mut sum_a, &mut sum_b);
-        }
-        // `sum_a` now holds the total band sum.
-        let mut norm_tex: Vec<TextureId> = Vec::with_capacity(groups);
-        for &bt in &band_tex {
-            let nt = gpu.alloc_pooled(w, h)?;
-            stages
-                .normalize
-                .add(&self.pass_normalize(gpu, bt, sum_a, nt)?);
-            gpu.release_pooled(bt)?;
-            norm_tex.push(nt);
-        }
-        gpu.release_pooled(sum_b)?;
-        wall.normalize_s = stage_start.elapsed().as_secs_f64();
-        drop(stage_span);
-
-        // -- Stage 3: cumulative distance (the D_B field) ------------------
-        let stage_span = trace::span("pipeline.stage", "distance");
-        let stage_start = Instant::now();
-        let mut d_a = gpu.alloc_pooled(w, h)?;
-        let mut d_b = gpu.alloc_pooled(w, h)?;
-        for &(dx, dy) in offsets.iter().filter(|&&o| o != (0, 0)) {
-            for &nt in &norm_tex {
-                stages
-                    .distance
-                    .add(&self.pass_sid_partial(gpu, nt, d_a, d_b, dx, dy, w, h)?);
-                std::mem::swap(&mut d_a, &mut d_b);
-            }
-        }
-        // `d_a` holds the field.
-        wall.distance_s = stage_start.elapsed().as_secs_f64();
-        drop(stage_span);
-
-        // -- Stage 4: maximum and minimum ----------------------------------
-        let stage_span = trace::span("pipeline.stage", "minmax");
-        let stage_start = Instant::now();
-        let mut st_a = gpu.alloc_pooled(w, h)?;
-        let mut st_b = gpu.alloc_pooled(w, h)?;
-        stages
-            .minmax
-            .add(&self.pass_minmax_init(gpu, d_a, st_a, offsets[0], w, h)?);
-        for (k, &(dx, dy)) in offsets.iter().enumerate().skip(1) {
-            stages.minmax.add(&self.pass_minmax_update(
-                gpu,
-                st_a,
-                d_a,
-                st_b,
-                k as f32,
-                (dx, dy),
-                w,
-                h,
-            )?);
-            std::mem::swap(&mut st_a, &mut st_b);
-        }
-        // `st_a` holds (minval, minidx, maxval, maxidx).
-        wall.minmax_s = stage_start.elapsed().as_secs_f64();
-        drop(stage_span);
-
-        // -- Stage 5: compute SID (MEI accumulation) -----------------------
-        let stage_span = trace::span("pipeline.stage", "mei");
-        let stage_start = Instant::now();
-        let mut mei_a = gpu.alloc_pooled(w, h)?;
-        let mut mei_b = gpu.alloc_pooled(w, h)?;
-        for &nt in &norm_tex {
-            stages
-                .mei
-                .add(&self.pass_mei_partial(gpu, nt, st_a, mei_a, lut, mei_b, p_b, &offsets)?);
-            std::mem::swap(&mut mei_a, &mut mei_b);
-        }
-        wall.mei_s = stage_start.elapsed().as_secs_f64();
-        drop(stage_span);
-
-        // -- Stage 6: stream downloading ------------------------------------
-        let stage_span = trace::span("pipeline.stage", "download");
-        let stage_start = Instant::now();
-        let before_download = gpu.stats();
-        gpu.download_into(mei_a, &mut scratch.mei_flat)?;
-        gpu.download_into(st_a, &mut scratch.state_flat)?;
-        stages.download = gpu.stats();
-        stages.download.sub(&before_download);
-        let mut scores = Vec::with_capacity(w * h);
-        let mut min_index = Vec::with_capacity(w * h);
-        let mut max_index = Vec::with_capacity(w * h);
-        for texel in scratch.mei_flat.chunks_exact(4) {
-            scores.push(texel[0]);
-        }
-        for texel in scratch.state_flat.chunks_exact(4) {
-            min_index.push(texel[1].round() as u32);
-            max_index.push(texel[3].round() as u32);
-        }
-
-        // Return every texture to the pool for the next chunk.
-        for nt in norm_tex {
-            gpu.release_pooled(nt)?;
-        }
-        for t in [sum_a, d_a, d_b, st_a, st_b, mei_a, mei_b, lut] {
-            gpu.release_pooled(t)?;
-        }
-        wall.download_s = stage_start.elapsed().as_secs_f64();
-        drop(stage_span);
-
-        Ok(PipelineOutput {
-            mei: MeiImage {
-                width: w,
-                height: h,
-                scores,
-            },
-            min_index,
-            max_index,
-            stats: stages.total(),
-            stages,
-            stage_wall: wall,
-            chunks: 1,
-        })
-    }
-
-    // -- individual passes ------------------------------------------------
-
-    fn pass_band_sum(
-        &self,
-        gpu: &mut Gpu,
-        band: TextureId,
-        sum_prev: TextureId,
-        sum_next: TextureId,
-    ) -> Result<PassStats> {
-        let stats = match self.mode {
-            KernelMode::Isa => gpu.run_pass(
-                &KERNEL_SET.band_sum,
-                &[band, sum_prev],
-                &[],
-                &[TexCoordSet::identity()],
-                sum_next,
-                None,
-            )?,
-            KernelMode::Closure => gpu.run_closure_pass(
-                &[band, sum_prev],
-                sum_next,
-                kernels::BAND_SUM_COST,
-                None,
-                |f, x, y| {
-                    let t0 = f.fetch(0, x as i64, y as i64);
-                    let t1 = f.fetch(1, x as i64, y as i64);
-                    let d = t0[0] * 1.0 + t0[1] * 1.0 + t0[2] * 1.0 + t0[3] * 1.0;
-                    [d + t1[0], d + t1[1], d + t1[2], d + t1[3]]
-                },
-            )?,
-        };
-        Ok(stats)
-    }
-
-    fn pass_normalize(
-        &self,
-        gpu: &mut Gpu,
-        band: TextureId,
-        sum: TextureId,
-        out: TextureId,
-    ) -> Result<PassStats> {
-        let stats = match self.mode {
-            KernelMode::Isa => gpu.run_pass(
-                &KERNEL_SET.normalize,
-                &[band, sum],
-                &[],
-                &[TexCoordSet::identity()],
-                out,
-                None,
-            )?,
-            KernelMode::Closure => gpu.run_closure_pass(
-                &[band, sum],
-                out,
-                kernels::NORMALIZE_COST,
-                None,
-                |f, x, y| {
-                    let t0 = f.fetch(0, x as i64, y as i64);
-                    let t1 = f.fetch(1, x as i64, y as i64);
-                    let s = t1[0].max(1e-30);
-                    let r = 1.0 / s;
-                    [t0[0] * r, t0[1] * r, t0[2] * r, t0[3] * r]
-                },
-            )?,
-        };
-        Ok(stats)
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn pass_sid_partial(
-        &self,
-        gpu: &mut Gpu,
-        norm: TextureId,
-        d_prev: TextureId,
-        d_next: TextureId,
-        dx: i32,
-        dy: i32,
-        w: usize,
-        h: usize,
-    ) -> Result<PassStats> {
-        let stats = match self.mode {
-            KernelMode::Isa => gpu.run_pass(
-                &KERNEL_SET.sid_partial,
-                &[norm, d_prev],
-                &[],
-                &[
-                    TexCoordSet::identity(),
-                    TexCoordSet::shifted_texels(dx, dy, w, h),
-                ],
-                d_next,
-                None,
-            )?,
-            KernelMode::Closure => gpu.run_closure_pass(
-                &[norm, d_prev],
-                d_next,
-                kernels::SID_PARTIAL_COST,
-                None,
-                move |f, x, y| {
-                    let p = f.fetch(0, x as i64, y as i64);
-                    let q = f.fetch(0, x as i64 + dx as i64, y as i64 + dy as i64);
-                    let prev = f.fetch(1, x as i64, y as i64);
-                    let acc = kernels::sid_partial_value(p, q);
-                    [prev[0] + acc, prev[1] + acc, prev[2] + acc, prev[3] + acc]
-                },
-            )?,
-        };
-        Ok(stats)
-    }
-
-    fn pass_minmax_init(
-        &self,
-        gpu: &mut Gpu,
-        field: TextureId,
-        state: TextureId,
-        delta0: (i32, i32),
-        w: usize,
-        h: usize,
-    ) -> Result<PassStats> {
-        let (dx, dy) = delta0;
-        let stats = match self.mode {
-            KernelMode::Isa => gpu.run_pass(
-                &KERNEL_SET.minmax_init,
-                &[field],
-                &[],
-                &[TexCoordSet::shifted_texels(dx, dy, w, h)],
-                state,
-                None,
-            )?,
-            KernelMode::Closure => gpu.run_closure_pass(
-                &[field],
-                state,
-                kernels::MINMAX_INIT_COST,
-                None,
-                move |f, x, y| {
-                    let d = f.fetch(0, x as i64 + dx as i64, y as i64 + dy as i64);
-                    [d[0], 0.0, d[0], 0.0]
-                },
-            )?,
-        };
-        Ok(stats)
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn pass_minmax_update(
-        &self,
-        gpu: &mut Gpu,
-        state_prev: TextureId,
-        field: TextureId,
-        state_next: TextureId,
-        k: f32,
-        delta: (i32, i32),
-        w: usize,
-        h: usize,
-    ) -> Result<PassStats> {
-        let (dx, dy) = delta;
-        let stats = match self.mode {
-            KernelMode::Isa => gpu.run_pass(
-                &KERNEL_SET.minmax_update,
-                &[state_prev, field],
-                &[(0, [k; 4])],
-                &[
-                    TexCoordSet::identity(),
-                    TexCoordSet::shifted_texels(dx, dy, w, h),
-                ],
-                state_next,
-                None,
-            )?,
-            KernelMode::Closure => gpu.run_closure_pass(
-                &[state_prev, field],
-                state_next,
-                kernels::MINMAX_UPDATE_COST,
-                None,
-                move |f, x, y| {
-                    let st = f.fetch(0, x as i64, y as i64);
-                    let d = f.fetch(1, x as i64 + dx as i64, y as i64 + dy as i64);
-                    kernels::minmax_update_value(st, d[0], k)
-                },
-            )?,
-        };
-        Ok(stats)
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn pass_mei_partial(
-        &self,
-        gpu: &mut Gpu,
-        norm: TextureId,
-        state: TextureId,
-        mei_prev: TextureId,
-        lut: TextureId,
-        mei_next: TextureId,
-        p_b: usize,
-        offsets: &[(i32, i32)],
-    ) -> Result<PassStats> {
-        let stats = match self.mode {
-            KernelMode::Isa => gpu.run_pass(
-                &KERNEL_SET.mei_partial,
-                &[norm, state, mei_prev, lut],
-                &[(2, [1.0 / p_b as f32, 0.5 / p_b as f32, 0.5, 0.0])],
-                &[TexCoordSet::identity()],
-                mei_next,
-                None,
-            )?,
-            KernelMode::Closure => {
-                let offsets = offsets.to_vec();
-                gpu.run_closure_pass(
-                    &[norm, state, mei_prev, lut],
-                    mei_next,
-                    kernels::MEI_PARTIAL_COST,
-                    None,
-                    move |f, x, y| {
-                        let st = f.fetch(1, x as i64, y as i64);
-                        let kmin = st[1].round() as usize;
-                        let kmax = st[3].round() as usize;
-                        // LUT fetches kept for counter parity with the ISA
-                        // path (which resolves offsets via dependent reads).
-                        let _ = f.fetch(3, kmin as i64, 0);
-                        let _ = f.fetch(3, kmax as i64, 0);
-                        let (mindx, mindy) = offsets[kmin.min(offsets.len() - 1)];
-                        let (maxdx, maxdy) = offsets[kmax.min(offsets.len() - 1)];
-                        let pmin = f.fetch(0, x as i64 + mindx as i64, y as i64 + mindy as i64);
-                        let pmax = f.fetch(0, x as i64 + maxdx as i64, y as i64 + maxdy as i64);
-                        let prev = f.fetch(2, x as i64, y as i64);
-                        let acc = kernels::sid_partial_value(pmax, pmin);
-                        [prev[0] + acc, prev[1] + acc, prev[2] + acc, prev[3] + acc]
-                    },
-                )?
-            }
-        };
-        Ok(stats)
-    }
 }
 
 #[cfg(test)]
@@ -1393,11 +963,11 @@ mod tests {
     }
 
     #[test]
-    fn closure_pipeline_matches_cpu_reference() {
+    fn pipeline_matches_cpu_reference() {
         let cube = test_cube(12, 9, 10, 7);
         let se = StructuringElement::square(3).unwrap();
         let mut gpu = Gpu::new(GpuProfile::geforce_7800gtx());
-        let amc = GpuAmc::new(se.clone(), KernelMode::Closure);
+        let amc = GpuAmc::new(se.clone(), KernelMode::Isa);
         let out = amc.run(&mut gpu, &cube).unwrap();
         let (ref_mei, ref_min, ref_max) = reference_mei(&cube, &se);
         assert_close(&out.mei.scores, &ref_mei.scores, 1e-4, "mei");
@@ -1415,7 +985,7 @@ mod tests {
         let cube = test_cube(12, 9, 8, 23);
         let se = StructuringElement::square(3).unwrap();
         let mut gpu = Gpu::new(GpuProfile::geforce_7800gtx());
-        let amc = GpuAmc::new(se, KernelMode::Closure);
+        let amc = GpuAmc::new(se, KernelMode::Isa);
         let classifier =
             hsi::classify::AmcClassifier::new(hsi::classify::AmcConfig::paper_default(3));
         let hybrid = amc.run_and_classify(&mut gpu, &cube, &classifier).unwrap();
@@ -1434,35 +1004,12 @@ mod tests {
     }
 
     #[test]
-    fn isa_pipeline_matches_closure_pipeline_exactly() {
-        let cube = test_cube(8, 6, 6, 3);
-        let se = StructuringElement::square(3).unwrap();
-        let mut gpu = Gpu::new(GpuProfile::fx5950_ultra());
-        // Pin fusion off: pass-for-pass work-count parity with the closure
-        // chain only holds for the unfused oracle schedule.
-        let mut isa_amc = GpuAmc::new(se.clone(), KernelMode::Isa);
-        isa_amc.set_fusion(false);
-        let isa = isa_amc.run(&mut gpu, &cube).unwrap();
-        let clo = GpuAmc::new(se, KernelMode::Closure)
-            .run(&mut gpu, &cube)
-            .unwrap();
-        assert_eq!(isa.mei.scores, clo.mei.scores, "bit-equal MEI streams");
-        assert_eq!(isa.min_index, clo.min_index);
-        assert_eq!(isa.max_index, clo.max_index);
-        // Work counts agree between the two kernel forms.
-        assert_eq!(isa.stats.instructions, clo.stats.instructions);
-        assert_eq!(isa.stats.texel_fetches, clo.stats.texel_fetches);
-        assert_eq!(isa.stats.fragments, clo.stats.fragments);
-        assert_eq!(isa.stats.passes, clo.stats.passes);
-    }
-
-    #[test]
     fn batched_isa_pipeline_matches_scalar_at_every_thread_count() {
         // Full ISA classification (GPU pipeline + CPU tail) with the
         // batched SoA executor vs the per-fragment oracle
-        // (`GPU_SIM_BATCH=0`), at one worker thread and at the default
-        // count: MEI scores, labels, and every PassStats field must be
-        // bit-identical.
+        // (`set_batch_execution(false)`), at one worker thread and at the
+        // default count: MEI scores, labels, and every PassStats field must
+        // be bit-identical.
         let cube = test_cube(21, 11, 6, 7); // ragged vs 64x4 tiles
         let se = StructuringElement::square(3).unwrap();
         let classifier =
@@ -1502,7 +1049,7 @@ mod tests {
 
     #[test]
     fn fused_pipeline_matches_unfused_at_every_thread_count() {
-        // The fused graph schedule vs the unfused oracle (`GPU_SIM_FUSE=0`):
+        // The fused graph schedule vs the unfused oracle (`set_fusion(false)`):
         // MEI scores and the min/max index maps must be bit-identical at one
         // worker thread and at the default count, while fusion strictly
         // reduces both passes and texel fetches.
@@ -1600,10 +1147,9 @@ mod tests {
 
     #[test]
     fn kernel_mode_names_round_trip() {
-        for mode in [KernelMode::Isa, KernelMode::Closure] {
-            assert_eq!(KernelMode::from_name(mode.as_str()), Some(mode));
-            assert_eq!(format!("{mode}"), mode.as_str());
-        }
+        let mode = KernelMode::Isa;
+        assert_eq!(KernelMode::from_name(mode.as_str()), Some(mode));
+        assert_eq!(format!("{mode}"), mode.as_str());
         assert_eq!(KernelMode::from_name("simd"), None);
     }
 
@@ -1612,9 +1158,10 @@ mod tests {
         let cube = test_cube(6, 5, 9, 1); // 9 bands → 3 groups
         let se = StructuringElement::square(3).unwrap();
         let mut gpu = Gpu::new(GpuProfile::geforce_7800gtx());
-        let out = GpuAmc::new(se, KernelMode::Closure)
-            .run(&mut gpu, &cube)
-            .unwrap();
+        // The unfused oracle runs one pass per Fig. 4 kernel invocation.
+        let mut amc = GpuAmc::new(se, KernelMode::Isa);
+        amc.set_fusion(false);
+        let out = amc.run(&mut gpu, &cube).unwrap();
         let groups = 3u64;
         let p_b = 9u64;
         // sums G + normalize G + sid (p_B−1)·G + minmax p_B + mei G.
@@ -1631,7 +1178,7 @@ mod tests {
         let cube = test_cube(10, 16, 8, 11);
         let se = StructuringElement::square(3).unwrap();
         let mut gpu = Gpu::new(GpuProfile::geforce_7800gtx());
-        let amc = GpuAmc::new(se, KernelMode::Closure);
+        let amc = GpuAmc::new(se, KernelMode::Isa);
         let whole = amc.run_chunk(&mut gpu, &cube).unwrap();
         // Force small chunks by processing via explicit chunking.
         let chunking = Chunking::new(3, 2 * amc.se().radius_y());
@@ -1658,7 +1205,7 @@ mod tests {
         // height 17 with 5-line chunks: 5+5+5+2 — the last chunk is ragged.
         let cube = test_cube(9, 17, 6, 19);
         let se = StructuringElement::square(3).unwrap();
-        let amc = GpuAmc::new(se, KernelMode::Closure);
+        let amc = GpuAmc::new(se, KernelMode::Isa);
         let mut gpu = Gpu::new(GpuProfile::geforce_7800gtx());
         let whole = amc.run_chunk(&mut gpu, &cube).unwrap();
         let chunked = amc
@@ -1673,35 +1220,12 @@ mod tests {
     }
 
     #[test]
-    fn isa_equals_closure_through_chunking() {
-        let cube = test_cube(8, 10, 6, 29);
-        let se = StructuringElement::square(3).unwrap();
-        let chunking = Chunking::new(4, 2);
-        let mut gpu = Gpu::new(GpuProfile::fx5950_ultra());
-        // Unfused oracle schedule, for pass-count parity with the closures.
-        let mut isa_amc = GpuAmc::new(se.clone(), KernelMode::Isa);
-        isa_amc.set_fusion(false);
-        let isa = isa_amc
-            .run_with_chunking(&mut gpu, &cube, chunking)
-            .unwrap();
-        let clo = GpuAmc::new(se, KernelMode::Closure)
-            .run_with_chunking(&mut gpu, &cube, chunking)
-            .unwrap();
-        assert!(isa.chunks > 1, "test must actually chunk");
-        assert_eq!(isa.mei.scores, clo.mei.scores, "bit-equal MEI streams");
-        assert_eq!(isa.min_index, clo.min_index);
-        assert_eq!(isa.max_index, clo.max_index);
-        assert_eq!(isa.stats.passes, clo.stats.passes);
-        assert_eq!(isa.stats.instructions, clo.stats.instructions);
-    }
-
-    #[test]
     fn pooled_chunks_do_not_multiply_allocations() {
         // height 12, 6-line chunks, halo 2 → two symmetric 8-line chunks:
         // the second chunk's textures all come from the pool.
         let cube = test_cube(10, 12, 8, 13);
         let se = StructuringElement::square(3).unwrap();
-        let amc = GpuAmc::new(se, KernelMode::Closure);
+        let amc = GpuAmc::new(se, KernelMode::Isa);
 
         let mut gpu_one = Gpu::new(GpuProfile::geforce_7800gtx());
         let one = amc
@@ -1753,7 +1277,10 @@ mod tests {
         let cube = test_cube(6, 9, 9, 17);
         let se = StructuringElement::square(3).unwrap();
         let mut gpu = Gpu::new(GpuProfile::geforce_7800gtx());
-        let out = GpuAmc::new(se, KernelMode::Closure)
+        // Unfused, so the stage pass counts follow the Fig. 4 structure.
+        let mut amc = GpuAmc::new(se, KernelMode::Isa);
+        amc.set_fusion(false);
+        let out = amc
             .run_with_chunking(&mut gpu, &cube, Chunking::new(4, 2))
             .unwrap();
         let st = &out.stages;
@@ -1775,7 +1302,7 @@ mod tests {
     #[test]
     fn plan_chunking_fits_video_memory() {
         let se = StructuringElement::square(3).unwrap();
-        let amc = GpuAmc::new(se, KernelMode::Closure);
+        let amc = GpuAmc::new(se, KernelMode::Isa);
         let gpu = Gpu::new(GpuProfile::fx5950_ultra());
         // Full AVIRIS frame: 2166 wide, 216 bands — must chunk.
         let cube_dims_bytes = amc.chunk_bytes(2166, 614, 216);
@@ -1789,7 +1316,7 @@ mod tests {
     #[test]
     fn plan_chunking_verifies_final_fit_and_reports_infeasible() {
         let se = StructuringElement::square(3).unwrap();
-        let amc = GpuAmc::new(se.clone(), KernelMode::Closure);
+        let amc = GpuAmc::new(se.clone(), KernelMode::Isa);
         // A profile so tiny even one line (plus its 4 halo lines) of a wide
         // cube cannot fit: structured error, not a bogus chunking. The old
         // halving probe would have returned lines=1 without re-checking.
@@ -1840,7 +1367,7 @@ mod tests {
             se_side in 1usize..3,
         ) {
             let se = StructuringElement::square(2 * se_side + 1).unwrap();
-            let amc = GpuAmc::new(se, KernelMode::Closure);
+            let amc = GpuAmc::new(se, KernelMode::Isa);
             let budget = budget_kib << 10;
             match amc.plan_chunking_for_budget(budget, width, height, bands) {
                 Ok(chunking) => {
@@ -1931,7 +1458,7 @@ mod tests {
         let cube = test_cube(11, 11, 5, 23);
         let se = StructuringElement::square(5).unwrap();
         let mut gpu = Gpu::new(GpuProfile::geforce_7800gtx());
-        let out = GpuAmc::new(se.clone(), KernelMode::Closure)
+        let out = GpuAmc::new(se.clone(), KernelMode::Isa)
             .run(&mut gpu, &cube)
             .unwrap();
         let (ref_mei, ref_min, ref_max) = reference_mei(&cube, &se);

@@ -2,25 +2,25 @@
 //!
 //! Owns textures under the profile's video-memory budget, executes render
 //! passes (fragment programs over full-screen quads) across parallel
-//! fragment pipes, and accumulates performance counters. Two kernel forms
-//! are supported:
+//! fragment pipes, and accumulates performance counters. A pass
+//! ([`Gpu::run_pass`]) executes an assembled fragment program through the
+//! interpreter — bit-faithful to what the modelled hardware would compute,
+//! with exact instruction/texel counts.
 //!
-//! * **ISA passes** ([`Gpu::run_pass`]) execute assembled fragment programs
-//!   through the interpreter — bit-faithful to what the modelled hardware
-//!   would compute, with exact instruction/texel counts.
-//! * **Closure passes** ([`Gpu::run_closure_pass`]) run a Rust closure per
-//!   fragment with a caller-declared instruction cost — the fast path for
-//!   large experiments, validated against the ISA path in tests.
-//!
-//! Both forms shade the render target as independent
+//! Passes shade the render target as independent
 //! [`TILE_W`](crate::raster::TILE_W)`x`[`TILE_ROWS`](crate::raster::TILE_ROWS)
 //! tiles dispatched on the host worker pool (one simulated fragment pipe per
 //! tile, each with its own texture-cache model). Per-tile counters are
 //! merged in tile order, so aggregate statistics and output texels are
-//! bit-identical at every thread count. ISA passes execute through a
+//! bit-identical at every thread count. Programs execute through a
 //! [`LoweredProgram`](crate::interp::LoweredProgram) — operands decoded and
 //! constants folded once per (program, constants) bind, cached on the device
 //! next to the verification cache.
+//!
+//! Two switches select the oracle forms parity tests compare against:
+//! [`Gpu::set_optimizer`] (`false` shades the raw, unoptimized programs) and
+//! [`Gpu::set_batch_execution`] (`false` shades fragment by fragment instead
+//! of through the batched SoA executor). Both default to on.
 
 use crate::counters::{PassStats, TileCounts};
 use crate::device::GpuProfile;
@@ -33,7 +33,6 @@ use crate::texcache::TextureCache;
 use crate::texture::{AddressMode, Texel, Texture2D};
 use crate::verify;
 use rayon::prelude::*;
-use std::cell::Cell;
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 use std::time::Instant;
@@ -42,50 +41,6 @@ use trace::ArgValue;
 /// Handle to a texture resident in simulated video memory.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct TextureId(pub(crate) u32);
-
-/// Counted texture access interface handed to closure kernels.
-pub struct Fetcher<'a> {
-    textures: &'a [&'a Texture2D],
-    fetches: Cell<u64>,
-    cache: Option<*mut TextureCache>,
-}
-
-impl<'a> Fetcher<'a> {
-    fn new(textures: &'a [&'a Texture2D], cache: Option<&mut TextureCache>) -> Self {
-        Self {
-            textures,
-            fetches: Cell::new(0),
-            cache: cache.map(|c| c as *mut _),
-        }
-    }
-
-    /// Integer texel fetch from bound sampler `sampler`, honouring the
-    /// texture's address mode. Counted.
-    pub fn fetch(&self, sampler: usize, x: i64, y: i64) -> Texel {
-        self.fetches.set(self.fetches.get() + 1);
-        let tex = self.textures[sampler];
-        if let Some(cache) = self.cache {
-            // Tag the cache with the texel the address mode actually routes
-            // the fetch to; a border fetch touches no texel and therefore
-            // generates no cache traffic.
-            if let Some((cx, cy)) = tex.resolve_coords(x, y) {
-                // SAFETY: the Fetcher lives inside one rayon task; the cache
-                // pointer targets that task's private cache.
-                unsafe { (*cache).access(sampler as u32, cx, cy) };
-            }
-        }
-        tex.fetch(x, y)
-    }
-
-    /// Number of samplers bound.
-    pub fn samplers(&self) -> usize {
-        self.textures.len()
-    }
-
-    fn take_count(&self) -> u64 {
-        self.fetches.get()
-    }
-}
 
 /// Key of the device-level verification cache: one entry per distinct
 /// (program text, pass bindings) pair already proven clean on this device.
@@ -111,12 +66,12 @@ struct LowerKey {
     constants: Vec<(u8, [u32; 4])>,
     /// `Some(bindings)` when the optimizer shaped this lowering (the
     /// optimized form depends on the pass bindings), `None` when the raw
-    /// program was lowered (`GPU_SIM_OPT=0`). Keying the flag into the
+    /// program was lowered (optimizer off). Keying the flag into the
     /// cache keeps optimized and raw lowerings from ever aliasing.
     opt: Option<verify::PassBindings>,
     /// Whether the lowering was scheduled for the batched executor
-    /// ([`opt::schedule_for_batch`]); keyed so scalar (`GPU_SIM_BATCH=0`)
-    /// and batched lowerings of the same program never alias.
+    /// ([`opt::schedule_for_batch`]); keyed so scalar and batched
+    /// lowerings of the same program never alias.
     batch: bool,
 }
 
@@ -209,13 +164,14 @@ pub struct Gpu {
     lowered_cache: HashMap<LowerKey, Arc<LoweredProgram>>,
     lower_runs: u64,
     lower_cache_hits: u64,
-    /// Whether ISA passes shade the statically optimized program form
-    /// (default; `GPU_SIM_OPT=0` disables).
+    /// Whether passes shade the statically optimized program form
+    /// (default; [`Gpu::set_optimizer`] disables).
     opt_enabled: bool,
     opt_runs: u64,
     opt_reports: Vec<opt::OptReport>,
-    /// Whether ISA passes shade tiles through the batched SoA executor
-    /// (default; `GPU_SIM_BATCH=0` falls back to the per-fragment oracle).
+    /// Whether passes shade tiles through the batched SoA executor
+    /// (default; [`Gpu::set_batch_execution`] falls back to the
+    /// per-fragment oracle).
     batch_enabled: bool,
 }
 
@@ -240,10 +196,10 @@ impl Gpu {
             lowered_cache: HashMap::new(),
             lower_runs: 0,
             lower_cache_hits: 0,
-            opt_enabled: std::env::var("GPU_SIM_OPT").map_or(true, |v| v != "0"),
+            opt_enabled: true,
             opt_runs: 0,
             opt_reports: Vec::new(),
-            batch_enabled: std::env::var("GPU_SIM_BATCH").map_or(true, |v| v != "0"),
+            batch_enabled: true,
         }
     }
 
@@ -320,8 +276,8 @@ impl Gpu {
     /// program through [`opt::optimize`] under the pass `bindings`, re-runs
     /// the verifier on the optimized form (outside the verification cache and
     /// its counters — this is a safety net, not a pass admission check), and
-    /// lowers the optimized program. `GPU_SIM_OPT=0` lowers the raw program;
-    /// the choice is part of the cache key.
+    /// lowers the optimized program. With the optimizer off the raw program
+    /// is lowered; the choice is part of the cache key.
     fn lowered_for(
         &mut self,
         asm: &str,
@@ -380,16 +336,16 @@ impl Gpu {
         lowered
     }
 
-    /// Whether ISA passes shade statically optimized programs. Defaults to
-    /// the `GPU_SIM_OPT` environment variable (`0` disables, anything else —
-    /// including unset — enables).
+    /// Whether passes shade statically optimized programs (on by default).
     pub fn optimizer_enabled(&self) -> bool {
         self.opt_enabled
     }
 
-    /// Override the `GPU_SIM_OPT` default for this device. Takes effect on
-    /// the next lowering-cache miss; existing cache entries keep the setting
-    /// they were built under (the flag is part of the cache key).
+    /// Turn the optimizer on or off for this device; off shades the raw
+    /// programs, the oracle optimizer parity tests compare against. Takes
+    /// effect on the next lowering-cache miss; existing cache entries keep
+    /// the setting they were built under (the flag is part of the cache
+    /// key).
     pub fn set_optimizer(&mut self, enabled: bool) {
         self.opt_enabled = enabled;
     }
@@ -406,16 +362,17 @@ impl Gpu {
         &self.opt_reports
     }
 
-    /// Whether ISA passes shade tiles through the batched SoA executor.
-    /// Defaults to the `GPU_SIM_BATCH` environment variable (`0` disables,
-    /// anything else — including unset — enables).
+    /// Whether passes shade tiles through the batched SoA executor (on by
+    /// default).
     pub fn batch_execution_enabled(&self) -> bool {
         self.batch_enabled
     }
 
-    /// Override the `GPU_SIM_BATCH` default for this device. Takes effect on
-    /// the next lowering-cache miss; existing cache entries keep the setting
-    /// they were built under (the flag is part of the cache key).
+    /// Turn batched execution on or off for this device; off shades
+    /// fragment by fragment, the oracle batch parity tests compare against.
+    /// Takes effect on the next lowering-cache miss; existing cache entries
+    /// keep the setting they were built under (the flag is part of the
+    /// cache key).
     pub fn set_batch_execution(&mut self, enabled: bool) {
         self.batch_enabled = enabled;
     }
@@ -764,7 +721,7 @@ impl Gpu {
         // simulated fragment pipe (with its own cache model) per tile. The
         // batched executor shades a whole tile per call over SoA registers;
         // the scalar per-fragment loop stays as the bit-exactness oracle
-        // (`GPU_SIM_BATCH=0`).
+        // (`set_batch_execution(false)`).
         let batch = self.batch_enabled;
         let mut out = vec![[0.0f32; 4]; quad.fragments()];
         let tile_counts = shade_tiled(
@@ -825,100 +782,6 @@ impl Gpu {
         };
         // Deterministic merge: per-tile counters sum in tile order, never
         // in scheduling order.
-        for c in &tile_counts {
-            c.merge_into(&mut pass);
-        }
-        trace::metrics::observe("gpu.pass_wall", pass_start.elapsed());
-        self.stats.add(&pass);
-        Ok(pass)
-    }
-
-    /// Execute a closure kernel over `quad` (default: full target).
-    ///
-    /// `instr_per_fragment` declares the SIMD4 instruction cost the
-    /// equivalent fragment program would incur (used by the timing model);
-    /// texel fetches are counted exactly through the [`Fetcher`].
-    pub fn run_closure_pass<F>(
-        &mut self,
-        inputs: &[TextureId],
-        target: TextureId,
-        instr_per_fragment: u64,
-        quad: Option<Quad>,
-        kernel: F,
-    ) -> Result<PassStats>
-    where
-        F: Fn(&Fetcher<'_>, usize, usize) -> Texel + Sync,
-    {
-        // Closure kernels have no program text to analyse, but the declared
-        // cost is still subject to the profile's program-length limit.
-        if instr_per_fragment as usize > self.profile.max_program_instrs {
-            return Err(GpuError::VerifyError {
-                program: "<closure>".into(),
-                diagnostics: vec![verify::Diagnostic {
-                    kind: verify::DiagKind::TooManyInstructions,
-                    severity: verify::Severity::Error,
-                    line: 0,
-                    message: format!(
-                        "closure kernel declares {instr_per_fragment} instructions/fragment; \
-                         {} allows {}",
-                        self.profile.name, self.profile.max_program_instrs
-                    ),
-                }],
-            });
-        }
-        let input_refs = self.gather_inputs(inputs, target)?;
-        let tgt = self.texture(target)?;
-        let (tw, th) = (tgt.width(), tgt.height());
-        let quad = quad.unwrap_or(Quad::full(tw, th));
-        if quad.x0 + quad.width > tw || quad.y0 + quad.height > th {
-            return Err(GpuError::InvalidPass {
-                message: "quad exceeds target".into(),
-            });
-        }
-        let _pass_span = trace::span_with(
-            "gpu.pass",
-            "<closure>",
-            &[
-                ("fragments", ArgValue::U64(quad.fragments() as u64)),
-                ("tiles", ArgValue::U64(quad.tile_count() as u64)),
-            ],
-        );
-        let pass_start = Instant::now();
-        let mut out = vec![[0.0f32; 4]; quad.fragments()];
-        let tile_counts = shade_tiled(
-            &mut out,
-            &quad,
-            self.cache_model,
-            |x0, y0, mut rows, cache| {
-                let fetcher = Fetcher::new(&input_refs, cache);
-                for (ri, seg) in rows.iter_mut().enumerate() {
-                    let y = y0 + ri;
-                    for (ci, slot) in seg.iter_mut().enumerate() {
-                        *slot = kernel(&fetcher, x0 + ci, y);
-                    }
-                }
-                (0, fetcher.take_count())
-            },
-        );
-
-        let tgt = self
-            .textures
-            .get_mut(&target.0)
-            .expect("target validated above");
-        resolve_to_target(tgt, &quad, &out);
-
-        let mut pass = PassStats {
-            fragments: quad.fragments() as u64,
-            // The declared equivalent-program cost, not a measured count.
-            instructions: quad.fragments() as u64 * instr_per_fragment,
-            bytes_written: (quad.fragments() * 16) as u64,
-            passes: 1,
-            tiles: quad.tile_count() as u64,
-            ..PassStats::default()
-        };
-        // Tile instruction counters are zero here (the cost above is the
-        // declared equivalent-program cost), so the merge adds fetches and
-        // cache traffic only.
         for c in &tile_counts {
             c.merge_into(&mut pass);
         }
@@ -1011,7 +874,7 @@ mod tests {
     }
 
     #[test]
-    fn gpu_sim_opt_0_shades_the_raw_program() {
+    fn optimizer_off_shades_the_raw_program() {
         let mut gpu = small_gpu();
         gpu.set_optimizer(false);
         let src = gpu.alloc_texture(4, 4).unwrap();
@@ -1037,7 +900,7 @@ mod tests {
     }
 
     #[test]
-    fn gpu_sim_batch_0_matches_batched_passes_exactly() {
+    fn scalar_oracle_matches_batched_passes_exactly() {
         // The same non-trivial pass on two devices, one shading through the
         // batched SoA executor and one through the per-fragment oracle:
         // texels AND every PassStats field must agree bit for bit. A 70x9
@@ -1103,28 +966,6 @@ mod tests {
     }
 
     #[test]
-    fn closure_pass_matches_isa_pass() {
-        let mut gpu = small_gpu();
-        let src = gpu.alloc_texture(8, 8).unwrap();
-        let a = gpu.alloc_texture(8, 8).unwrap();
-        let b = gpu.alloc_texture(8, 8).unwrap();
-        let data: Vec<f32> = (0..8 * 8 * 4).map(|i| (i % 17) as f32 * 0.5).collect();
-        gpu.upload(src, &data).unwrap();
-
-        // double = input + input, via ISA …
-        let prog = assemble("TEX R0, T0, tex0\nADD OC, R0, R0").unwrap();
-        gpu.run_pass(&prog, &[src], &[], &[TexCoordSet::identity()], a, None)
-            .unwrap();
-        // … and via closure.
-        gpu.run_closure_pass(&[src], b, 2, None, |f, x, y| {
-            let t = f.fetch(0, x as i64, y as i64);
-            [t[0] * 2.0, t[1] * 2.0, t[2] * 2.0, t[3] * 2.0]
-        })
-        .unwrap();
-        assert_eq!(gpu.download(a).unwrap(), gpu.download(b).unwrap());
-    }
-
-    #[test]
     fn target_cannot_be_input() {
         let mut gpu = small_gpu();
         let t = gpu.alloc_texture(4, 4).unwrap();
@@ -1160,20 +1001,6 @@ mod tests {
         let err = gpu.run_pass(&prog, &[], &[], &[], dst, None).unwrap_err();
         assert!(matches!(err, GpuError::VerifyError { .. }), "{err:?}");
         assert_eq!(gpu.stats().passes, 0, "no pass may have run");
-    }
-
-    #[test]
-    fn closure_pass_instruction_budget_enforced() {
-        let mut gpu = small_gpu();
-        let dst = gpu.alloc_texture(2, 2).unwrap();
-        let limit = gpu.profile().max_program_instrs as u64;
-        let err = gpu
-            .run_closure_pass(&[], dst, limit + 1, None, |_, _, _| [0.0; 4])
-            .unwrap_err();
-        assert!(matches!(err, GpuError::VerifyError { .. }), "{err:?}");
-        assert!(gpu
-            .run_closure_pass(&[], dst, limit, None, |_, _, _| [0.0; 4])
-            .is_ok());
     }
 
     #[test]
@@ -1349,19 +1176,21 @@ mod tests {
         let stats = gpu.run_pass(&prog, &[], &[], &[], small, None).unwrap();
         assert_eq!(stats.tiles, 1, "a 4x4 target is one tile");
 
-        let wide = gpu
-            .alloc_texture(2 * TILE_W + 1, 2 * TILE_ROWS + 1)
-            .unwrap();
+        let (w, h) = (2 * TILE_W + 1, 2 * TILE_ROWS + 1);
+        let wide = gpu.alloc_texture(w, h).unwrap();
+        // Each fragment writes its own interpolated position.
+        let sets = [TexCoordSet::identity()];
+        let position = assemble("MOV OC, T0").unwrap();
         let stats = gpu
-            .run_closure_pass(&[], wide, 1, None, |_, x, y| [x as f32, y as f32, 0.0, 0.0])
+            .run_pass(&position, &[], &[], &sets, wide, None)
             .unwrap();
         assert_eq!(stats.tiles, 9, "3 tile columns x 3 tile bands");
         assert_eq!(gpu.stats().tiles, 10, "tiles accumulate across passes");
         // The tiled write pattern must still cover every fragment.
         let tex = gpu.texture(wide).unwrap();
         assert_eq!(
-            tex.texel(2 * TILE_W, 2 * TILE_ROWS),
-            [(2 * TILE_W) as f32, (2 * TILE_ROWS) as f32, 0.0, 0.0]
+            tex.texel(w - 1, h - 1),
+            fragment_input(&sets, w - 1, h - 1, w, h).texcoords[0]
         );
     }
 
@@ -1385,13 +1214,12 @@ mod tests {
         let dst = gpu.alloc_texture(4, 4).unwrap();
         gpu.set_address_mode(src, AddressMode::ClampToBorder([0.0; 4]))
             .unwrap();
-        // Every fetch lands outside the texture: the border colour is
-        // returned without touching any texel, so the cache sees nothing.
-        let stats = gpu
-            .run_closure_pass(&[src], dst, 1, None, |f, x, y| {
-                f.fetch(0, x as i64 + 100, y as i64)
-            })
-            .unwrap();
+        // Every fetch lands 100 texels right of the texture: the border
+        // colour is returned without touching any texel, so the cache sees
+        // nothing.
+        let prog = assemble("TEX R0, T0, tex0\nMOV OC, R0").unwrap();
+        let far = [TexCoordSet::shifted_texels(100, 0, 4, 4)];
+        let stats = gpu.run_pass(&prog, &[src], &[], &far, dst, None).unwrap();
         assert_eq!(stats.texel_fetches, 16);
         assert_eq!(stats.cache_hits + stats.cache_misses, 0);
     }
@@ -1402,16 +1230,10 @@ mod tests {
         let src = gpu.alloc_texture(4, 4).unwrap();
         let dst = gpu.alloc_texture(4, 4).unwrap();
         gpu.set_address_mode(src, AddressMode::Repeat).unwrap();
-        let in_range = gpu
-            .run_closure_pass(&[src], dst, 1, None, |f, x, y| {
-                f.fetch(0, x as i64, y as i64)
-            })
-            .unwrap();
-        let wrapped = gpu
-            .run_closure_pass(&[src], dst, 1, None, |f, x, y| {
-                f.fetch(0, x as i64 + 4, y as i64 + 4)
-            })
-            .unwrap();
+        let prog = assemble("TEX R0, T0, tex0\nMOV OC, R0").unwrap();
+        let mut pass = |set: TexCoordSet| gpu.run_pass(&prog, &[src], &[], &[set], dst, None);
+        let in_range = pass(TexCoordSet::identity()).unwrap();
+        let wrapped = pass(TexCoordSet::shifted_texels(4, 4, 4, 4)).unwrap();
         // A whole-period shift resolves to identical texels, so the cache
         // behaviour must match the in-range pass exactly.
         assert_eq!(wrapped.cache_hits, in_range.cache_hits);

@@ -63,7 +63,7 @@ const LG2_TINY: f32 = f32::MIN_POSITIVE;
 ///
 /// Every consumer that must stay bit-identical to shaded `LG2` results —
 /// the scalar and batched executors, the optimizer's constant folder (via
-/// [`alu`]), and the closure-path CPU kernels in `amc_core` — goes through
+/// [`alu`]), and the SIMD4 CPU baseline in `amc_core` — goes through
 /// this one definition.
 #[inline(always)]
 pub fn lg2(x: f32) -> f32 {

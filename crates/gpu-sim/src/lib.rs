@@ -20,8 +20,6 @@
 //! * [`device`]/[`timing`] — published hardware parameters of the paper's
 //!   four platforms (Tables 1–2) and the roofline model converting counted
 //!   work into modeled milliseconds.
-//! * [`stream`] — a small Brook-like stream API (`Stream`, map passes) on
-//!   top of the raw device, matching the paper's programming model.
 //!
 //! Functional semantics are exact (deterministic f32 arithmetic); timing is a
 //! model, clearly separated in [`timing`], so experiments can report both
@@ -39,7 +37,6 @@ pub mod interp;
 pub mod isa;
 pub mod opt;
 pub mod raster;
-pub mod stream;
 pub mod texcache;
 pub mod texture;
 pub mod timing;
@@ -50,5 +47,4 @@ pub use device::{CpuProfile, GpuProfile};
 pub use error::GpuError;
 pub use gpu::{Gpu, TextureId};
 pub use opt::{optimize, schedule_for_batch, OptCounters, OptReport};
-pub use stream::Stream;
 pub use verify::{verify, DiagKind, Diagnostic, PassBindings, Severity};

@@ -57,30 +57,6 @@ fn isa_pass(threads: usize) -> (Vec<u32>, PassStats) {
     })
 }
 
-fn closure_pass(threads: usize) -> (Vec<u32>, PassStats) {
-    rayon::with_threads(threads, || {
-        let mut gpu = Gpu::new(GpuProfile::geforce_7800gtx());
-        let src = gpu.alloc_texture(W, H).unwrap();
-        let dst = gpu.alloc_texture(W, H).unwrap();
-        gpu.upload(src, &source_data(W, H)).unwrap();
-        let stats = gpu
-            .run_closure_pass(&[src], dst, 5, None, |f, x, y| {
-                let c = f.fetch(0, x as i64, y as i64);
-                let e = f.fetch(0, x as i64 + 1, y as i64);
-                let s = f.fetch(0, x as i64, y as i64 + 1);
-                [
-                    c[0] + e[0] + s[0],
-                    c[1] * e[1],
-                    c[2] - s[2],
-                    c[3].max(e[3]).max(s[3]),
-                ]
-            })
-            .unwrap();
-        let texels = gpu.download(dst).unwrap();
-        (texels.iter().map(|v| v.to_bits()).collect(), stats)
-    })
-}
-
 #[test]
 fn isa_pass_is_bit_identical_at_every_thread_count() {
     let (seq_tex, seq_stats) = isa_pass(1);
@@ -89,21 +65,10 @@ fn isa_pass_is_bit_identical_at_every_thread_count() {
         "test target must span multiple tiles, got {}",
         seq_stats.tiles
     );
-    for threads in [2, 4, 7] {
-        let (tex, stats) = isa_pass(threads);
-        assert_eq!(tex, seq_tex, "texels diverged at {threads} threads");
-        assert_eq!(stats, seq_stats, "counters diverged at {threads} threads");
-    }
-}
-
-#[test]
-fn closure_pass_is_bit_identical_at_every_thread_count() {
-    let (seq_tex, seq_stats) = closure_pass(1);
-    assert!(seq_stats.tiles > 1);
     // The cache model runs per tile, so hit/miss splits must also match.
     assert!(seq_stats.cache_hits + seq_stats.cache_misses > 0);
     for threads in [2, 4, 7] {
-        let (tex, stats) = closure_pass(threads);
+        let (tex, stats) = isa_pass(threads);
         assert_eq!(tex, seq_tex, "texels diverged at {threads} threads");
         assert_eq!(stats, seq_stats, "counters diverged at {threads} threads");
     }

@@ -4,8 +4,7 @@
 //! The `.fp` fixtures under `tests/fixtures/` are assembled and fed to
 //! [`gpu_sim::verify::verify`]; the two kinds the assembler makes
 //! unrepresentable (`RegisterOutOfRange`, `MalformedInstr`) are built as
-//! in-code [`Program`]s the way closure-free callers of the `Gpu` API
-//! could.
+//! in-code [`Program`]s the way callers of the `Gpu` API could.
 
 use gpu_sim::asm::assemble;
 use gpu_sim::isa::{Dst, Instr, Opcode, Program, Reg, Src};

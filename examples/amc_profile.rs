@@ -67,7 +67,7 @@ fn main() {
     let mut gpu = Gpu::new(profile);
 
     let config = AmcConfig::paper_default(classes.len());
-    let amc = GpuAmc::new(config.se.clone(), KernelMode::Closure);
+    let amc = GpuAmc::new(config.se.clone(), KernelMode::Isa);
     let classifier = AmcClassifier::new(config);
     let hybrid = amc
         .run_and_classify(&mut gpu, &scene.cube, &classifier)

@@ -37,7 +37,7 @@ fn main() {
     let dims = scene.cube.dims();
 
     let config = AmcConfig::paper_default(classes.len());
-    let amc = GpuAmc::new(config.se.clone(), KernelMode::Closure);
+    let amc = GpuAmc::new(config.se.clone(), KernelMode::Isa);
     let fleet = DeviceFleet::new(profiles);
     println!(
         "running the stream pipeline on {} device(s): {}",

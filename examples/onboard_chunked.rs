@@ -38,10 +38,7 @@ fn main() {
     // cannot be resident and chunking must kick in.
     let mut small = GpuProfile::fx5950_ultra();
     small.video_memory_mib = 2;
-    let amc = GpuAmc::new(
-        StructuringElement::square(3).expect("3x3"),
-        KernelMode::Closure,
-    );
+    let amc = GpuAmc::new(StructuringElement::square(3).expect("3x3"), KernelMode::Isa);
     let chunking = amc
         .plan_chunking(&Gpu::new(small.clone()), &cube)
         .expect("one line must fit even the 2 MiB device");

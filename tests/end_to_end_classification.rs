@@ -56,7 +56,7 @@ fn hybrid_gpu_mei_plus_cpu_tail_matches_pure_cpu_labels() {
     let cpu_out = amc.classify(&scene.cube).unwrap();
 
     let mut gpu = Gpu::new(GpuProfile::geforce_7800gtx());
-    let gpu_mei = GpuAmc::new(StructuringElement::square(3).unwrap(), KernelMode::Closure)
+    let gpu_mei = GpuAmc::new(StructuringElement::square(3).unwrap(), KernelMode::Isa)
         .run(&mut gpu, &scene.cube)
         .unwrap();
     let hybrid_out = amc.classify_with_mei(&scene.cube, gpu_mei.mei).unwrap();

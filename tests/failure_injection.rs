@@ -16,7 +16,7 @@ fn video_memory_exhaustion_surfaces_as_pipeline_error() {
         (x + y + b) as f32 + 1.0
     })
     .unwrap();
-    let amc = GpuAmc::new(StructuringElement::square(3).unwrap(), KernelMode::Closure);
+    let amc = GpuAmc::new(StructuringElement::square(3).unwrap(), KernelMode::Isa);
     // run_chunk bypasses the chunk planner, forcing the allocation failure.
     let err = amc.run_chunk(&mut gpu, &cube).unwrap_err();
     assert!(
@@ -36,7 +36,7 @@ fn chunk_planner_makes_the_same_cube_fit() {
         (x * 3 + y * 5 + b) as f32 + 1.0
     })
     .unwrap();
-    let amc = GpuAmc::new(StructuringElement::square(3).unwrap(), KernelMode::Closure);
+    let amc = GpuAmc::new(StructuringElement::square(3).unwrap(), KernelMode::Isa);
     let out = amc.run(&mut gpu, &cube).expect("chunked run fits");
     assert!(out.chunks > 1, "planner should have split the image");
     assert_eq!(gpu.allocated_bytes(), 0, "all textures freed");
@@ -55,7 +55,7 @@ fn infeasible_chunking_is_a_structured_error() {
         (x + y + b) as f32 + 1.0
     })
     .unwrap();
-    let amc = GpuAmc::new(StructuringElement::square(3).unwrap(), KernelMode::Closure);
+    let amc = GpuAmc::new(StructuringElement::square(3).unwrap(), KernelMode::Isa);
     let err = amc.run(&mut gpu, &cube).unwrap_err();
     assert!(matches!(err, AmcError::ChunkingInfeasible { .. }), "{err}");
     assert!(err.to_string().contains("chunking infeasible"));

@@ -36,7 +36,7 @@ fn gpu_mei_matches_cpu_reference_across_shapes() {
         let cube = pseudo_random_cube(w, h, bands, seed);
         let se = StructuringElement::square(3).unwrap();
         let mut gpu = Gpu::new(GpuProfile::geforce_7800gtx());
-        let gpu_out = GpuAmc::new(se.clone(), KernelMode::Closure)
+        let gpu_out = GpuAmc::new(se.clone(), KernelMode::Isa)
             .run(&mut gpu, &cube)
             .unwrap();
         let norm = hyperspec::hsi::morphology::normalize_cube(&cube);
@@ -53,34 +53,13 @@ fn gpu_matches_cpu_simd4_baseline() {
     let se = StructuringElement::square(3).unwrap();
     let simd = cpu::run_simd4(&cube, &se);
     let mut gpu = Gpu::new(GpuProfile::fx5950_ultra());
-    let gpu_out = GpuAmc::new(se, KernelMode::Closure)
+    let gpu_out = GpuAmc::new(se, KernelMode::Isa)
         .run(&mut gpu, &cube)
         .unwrap();
     // The SIMD4 CPU baseline uses exactly the GPU's 4-lane arithmetic.
     assert_close(&gpu_out.mei.scores, &simd.mei.scores, 1e-5, "mei");
     assert_eq!(gpu_out.min_index, simd.morph.min_index);
     assert_eq!(gpu_out.max_index, simd.morph.max_index);
-}
-
-#[test]
-fn isa_and_closure_modes_agree_on_both_devices() {
-    let cube = pseudo_random_cube(10, 8, 6, 9);
-    let se = StructuringElement::square(3).unwrap();
-    let mut reference: Option<Vec<f32>> = None;
-    for profile in [GpuProfile::fx5950_ultra(), GpuProfile::geforce_7800gtx()] {
-        for mode in [KernelMode::Isa, KernelMode::Closure] {
-            let mut gpu = Gpu::new(profile.clone());
-            let out = GpuAmc::new(se.clone(), mode).run(&mut gpu, &cube).unwrap();
-            match &reference {
-                None => reference = Some(out.mei.scores),
-                Some(r) => assert_eq!(
-                    &out.mei.scores, r,
-                    "{:?} on {} must be bit-identical",
-                    mode, profile.name
-                ),
-            }
-        }
-    }
 }
 
 #[test]
@@ -100,7 +79,7 @@ fn five_by_five_se_agrees_too() {
     let cube = pseudo_random_cube(12, 12, 4, 5);
     let se = StructuringElement::square(5).unwrap();
     let mut gpu = Gpu::new(GpuProfile::geforce_7800gtx());
-    let gpu_out = GpuAmc::new(se.clone(), KernelMode::Closure)
+    let gpu_out = GpuAmc::new(se.clone(), KernelMode::Isa)
         .run(&mut gpu, &cube)
         .unwrap();
     let norm = hyperspec::hsi::morphology::normalize_cube(&cube);

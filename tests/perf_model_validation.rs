@@ -15,15 +15,20 @@ fn cube(w: usize, h: usize, bands: usize) -> Cube {
     .unwrap()
 }
 
+/// The analytic model counts the unfused schedule, pass for pass.
+fn unfused(se: &StructuringElement) -> GpuAmc {
+    let mut amc = GpuAmc::new(se.clone(), KernelMode::Isa);
+    amc.set_fusion(false);
+    amc
+}
+
 #[test]
 fn analytic_counts_match_execution_for_multiple_shapes() {
     for (w, h, bands) in [(8, 8, 4), (17, 9, 10), (12, 20, 7)] {
         let c = cube(w, h, bands);
         let se = StructuringElement::square(3).unwrap();
         let mut gpu = Gpu::new(GpuProfile::geforce_7800gtx());
-        let out = GpuAmc::new(se.clone(), KernelMode::Closure)
-            .run_chunk(&mut gpu, &c)
-            .unwrap();
+        let out = unfused(&se).run_chunk(&mut gpu, &c).unwrap();
         let pred = perf::predict_chunk_stats(w, h, bands, &se, &PredictConfig::default());
         assert_eq!(pred.passes, out.stats.passes, "{w}x{h}x{bands} passes");
         assert_eq!(pred.fragments, out.stats.fragments);
@@ -40,9 +45,7 @@ fn analytic_counts_match_execution_for_5x5_se() {
     let c = cube(14, 14, 6);
     let se = StructuringElement::square(5).unwrap();
     let mut gpu = Gpu::new(GpuProfile::geforce_7800gtx());
-    let out = GpuAmc::new(se.clone(), KernelMode::Closure)
-        .run_chunk(&mut gpu, &c)
-        .unwrap();
+    let out = unfused(&se).run_chunk(&mut gpu, &c).unwrap();
     let pred = perf::predict_chunk_stats(14, 14, 6, &se, &PredictConfig::default());
     assert_eq!(pred.instructions, out.stats.instructions);
     assert_eq!(pred.texel_fetches, out.stats.texel_fetches);
@@ -55,7 +58,7 @@ fn chunked_prediction_matches_chunked_execution() {
     let chunking = Chunking::new(6, 2);
     let mut gpu = Gpu::new(GpuProfile::geforce_7800gtx());
     let mut total = hyperspec::gpu::counters::PassStats::default();
-    let amc = GpuAmc::new(se.clone(), KernelMode::Closure);
+    let amc = unfused(&se);
     for chunk in c.chunks(chunking) {
         total.add(&amc.run_chunk(&mut gpu, &chunk.cube).unwrap().stats);
     }
@@ -119,7 +122,7 @@ fn cache_ablation_shifts_modeled_memory_time() {
     // unchanged.
     let c = cube(16, 16, 8);
     let se = StructuringElement::square(3).unwrap();
-    let amc = GpuAmc::new(se, KernelMode::Closure);
+    let amc = GpuAmc::new(se, KernelMode::Isa);
     let mut with = Gpu::new(GpuProfile::fx5950_ultra());
     let out_with = amc.run_chunk(&mut with, &c).unwrap();
     let mut without = Gpu::new(GpuProfile::fx5950_ultra());

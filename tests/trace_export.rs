@@ -52,7 +52,7 @@ fn chrome_export_is_golden_and_tracing_is_pure_observation() {
     let cube = pseudo_random_cube(64, 96, 12, 0xA11CE);
     let mut profile = GpuProfile::geforce_7800gtx();
     profile.video_memory_mib = 1;
-    let amc = GpuAmc::new(StructuringElement::square(3).unwrap(), KernelMode::Closure);
+    let amc = GpuAmc::new(StructuringElement::square(3).unwrap(), KernelMode::Isa);
 
     // --- Baseline with tracing off: nothing may be recorded. ---
     trace::disable();
