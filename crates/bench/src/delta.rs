@@ -218,19 +218,20 @@ pub fn compare(baseline: &BenchRun, current: &BenchRun, thr: &Thresholds) -> Vec
         });
     }
     for arm in &current.analysis.arms {
+        let ov = &arm.overlap;
         if arm.name == "headline"
-            && arm.pack_total_s > 0.0
-            && arm.pack_overlap_efficiency() < thr.min_pack_overlap
+            && ov.pack_total_s > 0.0
+            && ov.pack_overlap_efficiency() < thr.min_pack_overlap
         {
             v.push(Violation {
                 gate: "analysis.headline.pack_overlap".into(),
                 message: format!(
                     "pack-overlap efficiency {:.3} < {:.2} \
                      ({:.3}s of {:.3}s pack time hidden)",
-                    arm.pack_overlap_efficiency(),
+                    ov.pack_overlap_efficiency(),
                     thr.min_pack_overlap,
-                    arm.pack_hidden_s,
-                    arm.pack_total_s
+                    ov.pack_hidden_s,
+                    ov.pack_total_s
                 ),
             });
         }
@@ -333,7 +334,7 @@ mod tests {
         let mut current = gated_run();
         // Kill the pack overlap on the headline arm and unbalance the
         // fleet arm far below the floor.
-        current.analysis.arms[0].pack_hidden_s = 0.0;
+        current.analysis.arms[0].overlap.pack_hidden_s = 0.0;
         let fleet = current.analysis.arms[1].fleet.as_mut().unwrap();
         fleet.devices[1].busy_s = 0.05;
         let violations = compare(&baseline, &current, &Thresholds::default());

@@ -70,6 +70,8 @@ use gpu_sim::GpuError;
 use std::fmt;
 use std::fmt::Write as _;
 use std::time::Instant;
+use trace::json::{self, Value};
+use trace::json_object;
 
 /// Handle to one logical texture in a [`RenderGraph`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -1037,87 +1039,45 @@ impl CompiledGraph {
     /// JSON rendering of the compile results: passes, fused pairs, slot
     /// aliasing, and eliminated passes.
     pub fn to_json(&self) -> String {
-        let esc = |x: &str| x.replace('\\', "\\\\").replace('"', "\\\"");
-        let mut s = String::new();
-        let _ = writeln!(s, "{{");
-        let _ = writeln!(s, "  \"fused\": {},", self.fused);
-        let _ = writeln!(s, "  \"passes\": [");
-        for (i, p) in self.passes.iter().enumerate() {
-            let comma = if i + 1 < self.passes.len() { "," } else { "" };
-            let _ = writeln!(
-                s,
-                "    {{\"name\": \"{}\", \"stage\": \"{}\", \"kernel\": \"{}\", \
-                 \"instructions\": {}, \"fetches\": {}, \"inputs\": [{}], \"output\": \"{}\"}}{comma}",
-                esc(&p.name),
-                p.stage,
-                esc(&p.program.name),
-                p.program.len(),
-                p.program.tex_count(),
-                p.inputs
-                    .iter()
-                    .map(|&h| format!("\"{}\"", esc(&self.textures[h.0].name)))
-                    .collect::<Vec<_>>()
-                    .join(", "),
-                esc(&self.textures[p.output.0].name)
-            );
-        }
-        let _ = writeln!(s, "  ],");
-        let _ = writeln!(s, "  \"fusions\": [");
-        for (i, f) in self.fusions.iter().enumerate() {
-            let comma = if i + 1 < self.fusions.len() { "," } else { "" };
-            let _ = writeln!(
-                s,
-                "    {{\"producer\": \"{}\", \"consumer\": \"{}\", \"mode\": \"{}\", \
-                 \"sites\": {}, \"fetches_before\": {}, \"fetches_after\": {}}}{comma}",
-                esc(&f.producer),
-                esc(&f.consumer),
-                match f.mode {
-                    InlineMode::SubstituteSiteCoord => "substitute-site-coord",
-                    InlineMode::KeepProducerCoords => "keep-producer-coords",
-                },
-                f.sites,
-                f.fetches_before,
-                f.fetches_after
-            );
-        }
-        let _ = writeln!(s, "  ],");
-        let _ = writeln!(s, "  \"eliminated\": [");
-        for (i, e) in self.eliminated.iter().enumerate() {
-            let comma = if i + 1 < self.eliminated.len() {
-                ","
-            } else {
-                ""
-            };
-            let _ = writeln!(s, "    \"{}\"{comma}", esc(e));
-        }
-        let _ = writeln!(s, "  ],");
-        let _ = writeln!(s, "  \"textures\": [");
-        let live: Vec<usize> = (0..self.textures.len())
-            .filter(|&i| self.meta[i].producer.is_some() || self.meta[i].last_use.is_some())
-            .collect();
-        for (k, &ti) in live.iter().enumerate() {
-            let comma = if k + 1 < live.len() { "," } else { "" };
-            let t = &self.textures[ti];
-            let m = &self.meta[ti];
-            let _ = writeln!(
-                s,
-                "    {{\"name\": \"{}\", \"width\": {}, \"height\": {}, \"slot\": {}, \
-                 \"uninit_ok\": {}, \"live\": [{}, {}]}}{comma}",
-                esc(&t.name),
-                t.width,
-                t.height,
-                m.slot.map_or("null".into(), |x| x.to_string()),
-                m.uninit_ok,
-                m.producer
-                    .or(m.last_use)
-                    .map_or("null".into(), |x| x.to_string()),
-                m.last_use.map_or("null".into(), |x| x.to_string())
-            );
-        }
-        let _ = writeln!(s, "  ],");
-        let _ = writeln!(s, "  \"slots\": {}", self.slots.len());
-        let _ = writeln!(s, "}}");
-        s
+        let tex_name = |h: TexHandle| Value::from(self.textures[h.0].name.as_str());
+        let passes = self.passes.iter().map(|p| {
+            json_object! {
+                "name": p.name.as_str(),
+                "stage": p.stage,
+                "kernel": p.program.name.as_str(),
+                "instructions": p.program.len(),
+                "fetches": p.program.tex_count(),
+                "inputs": p.inputs.iter().map(|&h| tex_name(h)).collect::<Value>(),
+                "output": tex_name(p.output),
+            }
+        });
+        let fusions = self.fusions.iter().map(|f| {
+            json_object! {
+                "producer": f.producer.as_str(),
+                "consumer": f.consumer.as_str(),
+                "mode": f.mode.as_str(),
+                "sites": f.sites,
+                "fetches_before": f.fetches_before,
+                "fetches_after": f.fetches_after,
+            }
+        });
+        let live = self.textures.iter().zip(&self.meta);
+        let textures = live.filter(|(_, m)| m.producer.is_some() || m.last_use.is_some());
+        json::write(&json_object! {
+            "fused": self.fused,
+            "passes": passes.collect::<Value>(),
+            "fusions": fusions.collect::<Value>(),
+            "eliminated": self.eliminated.iter().map(|e| e.as_str().into()).collect::<Value>(),
+            "textures": textures.map(|(t, m)| json_object! {
+                "name": t.name.as_str(),
+                "width": t.width,
+                "height": t.height,
+                "slot": m.slot,
+                "uninit_ok": m.uninit_ok,
+                "live": Value::Array(vec![m.producer.or(m.last_use).into(), m.last_use.into()]),
+            }).collect::<Value>(),
+            "slots": self.slots.len(),
+        })
     }
 }
 
@@ -1361,14 +1321,19 @@ mod tests {
         assert!(dot.starts_with("digraph render_graph"));
         assert!(dot.contains("p2"));
         assert!(dot.contains("style=bold"));
-        let json = c.to_json();
-        assert!(json.contains("\"fused\": true"));
-        assert!(json.contains("\"substitute-site-coord\""));
-        assert!(json.contains("\"slots\": "));
+        let doc = json::parse(&c.to_json()).expect("the dump is JSON");
+        assert_eq!(doc.get("fused"), Ok(&Value::Bool(true)));
+        let passes = doc.get("passes").and_then(Value::as_array).unwrap();
+        assert_eq!(passes.len(), c.passes.len());
+        assert_eq!(passes[0].get("name").and_then(Value::as_str), Ok("p2"));
+        let fusion = &doc.get("fusions").and_then(Value::as_array).unwrap()[0];
         assert_eq!(
-            json.matches('{').count(),
-            json.matches('}').count(),
-            "JSON braces balance"
+            fusion.get("mode").and_then(Value::as_str),
+            Ok("substitute-site-coord")
+        );
+        assert_eq!(
+            doc.get("slots").and_then(Value::as_u64),
+            Ok(c.slots.len() as u64)
         );
     }
 

@@ -22,6 +22,7 @@
 //! arm markers is analyzed as a single arm named `trace`. See DESIGN.md §17
 //! for the DAG reconstruction rules and the metric glossary.
 
+use crate::json::{self, Error, Value};
 use crate::{ArgValue, Event, Phase, TraceSnapshot};
 use std::collections::BTreeMap;
 use std::sync::Mutex;
@@ -683,219 +684,21 @@ fn intern(s: &str) -> &'static str {
     leaked
 }
 
-#[derive(Debug, Clone, PartialEq)]
-enum Json {
-    Null,
-    Bool(bool),
-    Num(f64),
-    Str(String),
-    Arr(Vec<Json>),
-    Obj(Vec<(String, Json)>),
-}
-
-impl Json {
-    fn get(&self, key: &str) -> Option<&Json> {
-        match self {
-            Json::Obj(fields) => fields.iter().find(|(k, _)| k == key).map(|(_, v)| v),
-            _ => None,
+fn arg_from_json(v: &Value) -> ArgValue {
+    match *v {
+        Value::Int(n) => u64::try_from(n)
+            .map(ArgValue::U64)
+            .or_else(|_| i64::try_from(n).map(ArgValue::I64))
+            .unwrap_or(ArgValue::F64(n as f64)),
+        Value::Float(n) if n.fract() == 0.0 && (0.0..9.22e18).contains(&n) => {
+            ArgValue::U64(n as u64)
         }
-    }
-
-    fn num(&self) -> Option<f64> {
-        match self {
-            Json::Num(n) => Some(*n),
-            _ => None,
+        Value::Float(n) if n.fract() == 0.0 && (-9.22e18..0.0).contains(&n) => {
+            ArgValue::I64(n as i64)
         }
-    }
-
-    fn str(&self) -> Option<&str> {
-        match self {
-            Json::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-}
-
-struct Parser<'a> {
-    s: &'a [u8],
-    i: usize,
-}
-
-impl<'a> Parser<'a> {
-    fn new(s: &'a str) -> Self {
-        Parser {
-            s: s.as_bytes(),
-            i: 0,
-        }
-    }
-
-    fn err(&self, msg: &str) -> String {
-        format!("trace JSON parse error at byte {}: {msg}", self.i)
-    }
-
-    fn skip_ws(&mut self) {
-        while self.i < self.s.len() && self.s[self.i].is_ascii_whitespace() {
-            self.i += 1;
-        }
-    }
-
-    fn peek(&mut self) -> Option<u8> {
-        self.skip_ws();
-        self.s.get(self.i).copied()
-    }
-
-    fn expect(&mut self, c: u8) -> Result<(), String> {
-        if self.peek() == Some(c) {
-            self.i += 1;
-            Ok(())
-        } else {
-            Err(self.err(&format!("expected '{}'", c as char)))
-        }
-    }
-
-    fn value(&mut self) -> Result<Json, String> {
-        match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
-            Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b't') => self.literal("true", Json::Bool(true)),
-            Some(b'f') => self.literal("false", Json::Bool(false)),
-            Some(b'n') => self.literal("null", Json::Null),
-            Some(_) => self.number(),
-            None => Err(self.err("unexpected end of input")),
-        }
-    }
-
-    fn literal(&mut self, word: &str, v: Json) -> Result<Json, String> {
-        if self.s[self.i..].starts_with(word.as_bytes()) {
-            self.i += word.len();
-            Ok(v)
-        } else {
-            Err(self.err(&format!("expected '{word}'")))
-        }
-    }
-
-    fn number(&mut self) -> Result<Json, String> {
-        let start = self.i;
-        while self
-            .s
-            .get(self.i)
-            .is_some_and(|c| c.is_ascii_digit() || matches!(c, b'-' | b'+' | b'.' | b'e' | b'E'))
-        {
-            self.i += 1;
-        }
-        std::str::from_utf8(&self.s[start..self.i])
-            .ok()
-            .and_then(|t| t.parse::<f64>().ok())
-            .map(Json::Num)
-            .ok_or_else(|| self.err("bad number"))
-    }
-
-    fn string(&mut self) -> Result<String, String> {
-        self.expect(b'"')?;
-        let mut out = String::new();
-        loop {
-            match self.s.get(self.i).copied() {
-                None => return Err(self.err("unterminated string")),
-                Some(b'"') => {
-                    self.i += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    self.i += 1;
-                    let esc = self
-                        .s
-                        .get(self.i)
-                        .copied()
-                        .ok_or_else(|| self.err("bad escape"))?;
-                    self.i += 1;
-                    match esc {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'/' => out.push('/'),
-                        b'n' => out.push('\n'),
-                        b'r' => out.push('\r'),
-                        b't' => out.push('\t'),
-                        b'b' => out.push('\u{8}'),
-                        b'f' => out.push('\u{c}'),
-                        b'u' => {
-                            let hex = self
-                                .s
-                                .get(self.i..self.i + 4)
-                                .and_then(|h| std::str::from_utf8(h).ok())
-                                .and_then(|h| u32::from_str_radix(h, 16).ok())
-                                .ok_or_else(|| self.err("bad \\u escape"))?;
-                            self.i += 4;
-                            out.push(char::from_u32(hex).unwrap_or('\u{fffd}'));
-                        }
-                        _ => return Err(self.err("unknown escape")),
-                    }
-                }
-                Some(_) => {
-                    // Copy a run of plain bytes (UTF-8 passes through intact).
-                    let start = self.i;
-                    while self.s.get(self.i).is_some_and(|&c| c != b'"' && c != b'\\') {
-                        self.i += 1;
-                    }
-                    out.push_str(
-                        std::str::from_utf8(&self.s[start..self.i])
-                            .map_err(|_| self.err("invalid UTF-8"))?,
-                    );
-                }
-            }
-        }
-    }
-
-    fn array(&mut self) -> Result<Json, String> {
-        self.expect(b'[')?;
-        let mut items = Vec::new();
-        if self.peek() == Some(b']') {
-            self.i += 1;
-            return Ok(Json::Arr(items));
-        }
-        loop {
-            items.push(self.value()?);
-            match self.peek() {
-                Some(b',') => self.i += 1,
-                Some(b']') => {
-                    self.i += 1;
-                    return Ok(Json::Arr(items));
-                }
-                _ => return Err(self.err("expected ',' or ']'")),
-            }
-        }
-    }
-
-    fn object(&mut self) -> Result<Json, String> {
-        self.expect(b'{')?;
-        let mut fields = Vec::new();
-        if self.peek() == Some(b'}') {
-            self.i += 1;
-            return Ok(Json::Obj(fields));
-        }
-        loop {
-            let key = self.string()?;
-            self.expect(b':')?;
-            fields.push((key, self.value()?));
-            match self.peek() {
-                Some(b',') => self.i += 1,
-                Some(b'}') => {
-                    self.i += 1;
-                    return Ok(Json::Obj(fields));
-                }
-                _ => return Err(self.err("expected ',' or '}'")),
-            }
-        }
-    }
-}
-
-fn arg_from_json(v: &Json) -> ArgValue {
-    match v {
-        Json::Num(n) if n.fract() == 0.0 && *n >= 0.0 && *n < 9.22e18 => ArgValue::U64(*n as u64),
-        Json::Num(n) if n.fract() == 0.0 && *n < 0.0 && *n > -9.22e18 => ArgValue::I64(*n as i64),
-        Json::Num(n) => ArgValue::F64(*n),
-        Json::Str(s) => ArgValue::Str(s.clone()),
-        Json::Bool(b) => ArgValue::U64(*b as u64),
+        Value::Float(n) => ArgValue::F64(n),
+        Value::Str(ref s) => ArgValue::Str(s.clone()),
+        Value::Bool(b) => ArgValue::U64(b as u64),
         _ => ArgValue::Str(String::new()),
     }
 }
@@ -903,101 +706,66 @@ fn arg_from_json(v: &Json) -> ArgValue {
 /// Parse a Chrome trace-event JSON document (the [`crate::chrome_trace_json`]
 /// format, or any `{"traceEvents": [...]}` / bare-array trace) back into a
 /// [`TraceSnapshot`]. `X` (complete) events are split into begin/end pairs;
-/// metadata `thread_name` events populate the thread table.
-pub fn import_chrome_trace(text: &str) -> Result<TraceSnapshot, String> {
-    let mut parser = Parser::new(text);
-    let doc = parser.value()?;
+/// metadata `thread_name` events populate the thread table. An `X` event
+/// whose end overflows the nanosecond clock is an error.
+pub fn import_chrome_trace(text: &str) -> Result<TraceSnapshot, Error> {
+    let doc = json::parse(text)?;
     let raw = match (&doc, doc.get("traceEvents")) {
-        (_, Some(Json::Arr(evs))) => evs,
-        (Json::Arr(evs), _) => evs,
-        _ => return Err("no traceEvents array".to_owned()),
+        (_, Ok(Value::Array(evs))) => evs,
+        (Value::Array(evs), _) => evs,
+        _ => return Err(Error::Invalid("no traceEvents array".to_owned())),
     };
     let mut events: Vec<Event> = Vec::with_capacity(raw.len());
     let mut threads: Vec<(u64, String)> = Vec::new();
     for ev in raw {
-        let ph = ev.get("ph").and_then(Json::str).unwrap_or("");
-        let tid = ev.get("tid").and_then(Json::num).unwrap_or(0.0) as u64;
-        let name = ev.get("name").and_then(Json::str).unwrap_or("").to_owned();
+        let str_of = |key| ev.get(key).and_then(Value::as_str).unwrap_or("");
+        let (ph, name) = (str_of("ph"), str_of("name").to_owned());
+        let tid = ev.get("tid").and_then(Value::as_f64).unwrap_or(0.0) as u64;
         if ph == "M" {
-            if name == "thread_name" {
-                if let Some(n) = ev
-                    .get("args")
-                    .and_then(|a| a.get("name"))
-                    .and_then(Json::str)
-                {
-                    if !threads.iter().any(|(t, _)| *t == tid) {
-                        threads.push((tid, n.to_owned()));
-                    }
+            let row = ev.get("args").and_then(|a| a.get("name"));
+            if let Ok(row) = row.and_then(Value::as_str) {
+                if name == "thread_name" && !threads.iter().any(|(t, _)| *t == tid) {
+                    threads.push((tid, row.to_owned()));
                 }
             }
             continue;
         }
-        let ts_us = match ev.get("ts").and_then(Json::num) {
-            Some(ts) => ts,
-            None => continue,
+        let Ok(ts_us) = ev.get("ts").and_then(Value::as_f64) else {
+            continue;
         };
         let ts_ns = (ts_us * 1e3).round().max(0.0) as u64;
-        let cat = intern(ev.get("cat").and_then(Json::str).unwrap_or(""));
+        let cat = intern(str_of("cat"));
         let args: Vec<(&'static str, ArgValue)> = match ev.get("args") {
-            Some(Json::Obj(fields)) => fields
+            Ok(Value::Object(fields)) => fields
                 .iter()
                 .map(|(k, v)| (intern(k), arg_from_json(v)))
                 .collect(),
             _ => Vec::new(),
         };
+        let event = |ts_ns, phase, args| Event {
+            ts_ns,
+            tid,
+            phase,
+            cat,
+            name: name.clone(),
+            args,
+        };
         match ph {
-            "B" => events.push(Event {
-                ts_ns,
-                tid,
-                phase: Phase::Begin,
-                cat,
-                name,
-                args,
-            }),
-            "E" => events.push(Event {
-                ts_ns,
-                tid,
-                phase: Phase::End,
-                cat,
-                name,
-                args,
-            }),
-            "i" | "I" => events.push(Event {
-                ts_ns,
-                tid,
-                phase: Phase::Instant,
-                cat,
-                name,
-                args,
-            }),
-            "C" => events.push(Event {
-                ts_ns,
-                tid,
-                phase: Phase::Counter,
-                cat,
-                name,
-                args,
-            }),
+            "B" => events.push(event(ts_ns, Phase::Begin, args)),
+            "E" => events.push(event(ts_ns, Phase::End, args)),
+            "i" | "I" => events.push(event(ts_ns, Phase::Instant, args)),
+            "C" => events.push(event(ts_ns, Phase::Counter, args)),
             "X" => {
-                let dur_ns = (ev.get("dur").and_then(Json::num).unwrap_or(0.0) * 1e3)
-                    .round()
-                    .max(0.0) as u64;
-                events.push(Event {
-                    ts_ns,
-                    tid,
-                    phase: Phase::Begin,
-                    cat,
-                    name: name.clone(),
-                    args,
-                });
-                events.push(Event {
-                    ts_ns: ts_ns + dur_ns,
-                    tid,
-                    phase: Phase::End,
-                    cat,
-                    name,
-                    args: Vec::new(),
-                });
+                let dur_us = ev.get("dur").and_then(Value::as_f64).unwrap_or(0.0);
+                let dur_ns = (dur_us * 1e3).round().max(0.0) as u64;
+                let end_ns = ts_ns.checked_add(dur_ns).ok_or_else(|| {
+                    Error::Invalid(format!(
+                        "X event \"{name}\" at ts {ts_us} us with dur {dur_us} us \
+                         ends past the nanosecond clock"
+                    ))
+                })?;
+                events.push(event(ts_ns, Phase::Begin, args));
+                events.push(event(end_ns, Phase::End, Vec::new()));
             }
             _ => {}
         }
@@ -1250,6 +1018,14 @@ mod tests {
         assert!(import_chrome_trace("not json").is_err());
         assert!(import_chrome_trace("{\"other\":1}").is_err());
         assert!(import_chrome_trace("{\"traceEvents\":[{]}").is_err());
+        // Nesting past the parser's depth limit, and an X event whose end
+        // overflows the u64 nanosecond clock.
+        assert!(import_chrome_trace(&"[".repeat(50_000)).is_err());
+        let overflow = r#"[{"ph":"X","ts":1e16,"dur":1e16,"name":"x","tid":1}]"#;
+        assert!(matches!(
+            import_chrome_trace(overflow),
+            Err(Error::Invalid(_))
+        ));
     }
 
     #[test]

@@ -32,6 +32,9 @@
 //! imported trace file) into utilization, overlap, critical-path, and fleet
 //! load-balance reports.
 //!
+//! The [`json`] module is the workspace's one JSON value type, parser,
+//! writer and string escaper.
+//!
 //! Enabling tracing also installs a **panic-hook flight recorder**: if the
 //! process panics while the recorder is on, everything captured so far is
 //! dumped to `out/trace-panic.json` (override the path with the
@@ -41,6 +44,7 @@
 #![warn(missing_docs)]
 
 pub mod analyze;
+pub mod json;
 pub mod metrics;
 
 use std::cell::RefCell;
@@ -422,22 +426,6 @@ pub fn counter(name: &str, value: f64) {
 /// The pid every event carries (one simulated process).
 pub const TRACE_PID: u64 = 1;
 
-fn json_escape(s: &str, out: &mut String) {
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-}
-
 fn write_arg_value(out: &mut String, v: &ArgValue) {
     match v {
         ArgValue::U64(n) => {
@@ -453,11 +441,7 @@ fn write_arg_value(out: &mut String, v: &ArgValue) {
                 out.push_str("null");
             }
         }
-        ArgValue::Str(s) => {
-            out.push('"');
-            json_escape(s, out);
-            out.push('"');
-        }
+        ArgValue::Str(s) => json::write_string(out, s),
     }
 }
 
@@ -468,13 +452,13 @@ fn write_event(out: &mut String, ev: &Event) {
         Phase::Instant => "i",
         Phase::Counter => "C",
     };
-    out.push_str("{\"name\":\"");
-    json_escape(&ev.name, out);
-    out.push_str("\",\"cat\":\"");
-    json_escape(ev.cat, out);
+    out.push_str("{\"name\":");
+    json::write_string(out, &ev.name);
+    out.push_str(",\"cat\":");
+    json::write_string(out, ev.cat);
     let _ = write!(
         out,
-        "\",\"ph\":\"{ph}\",\"pid\":{TRACE_PID},\"tid\":{},\"ts\":{:.3}",
+        ",\"ph\":\"{ph}\",\"pid\":{TRACE_PID},\"tid\":{},\"ts\":{:.3}",
         ev.tid,
         ev.ts_ns as f64 / 1e3
     );
@@ -487,7 +471,8 @@ fn write_event(out: &mut String, ev: &Event) {
             if i > 0 {
                 out.push(',');
             }
-            let _ = write!(out, "\"{k}\":");
+            json::write_string(out, k);
+            out.push(':');
             write_arg_value(out, v);
         }
         out.push('}');
@@ -519,10 +504,10 @@ pub fn chrome_trace_json() -> String {
         let _ = write!(
             out,
             "{{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":{TRACE_PID},\"tid\":{tid},\
-             \"args\":{{\"name\":\""
+             \"args\":{{\"name\":"
         );
-        json_escape(name, &mut out);
-        out.push_str("\"}}");
+        json::write_string(&mut out, name);
+        out.push_str("}}");
     }
     for ev in &events {
         out.push_str(",\n");
@@ -637,30 +622,23 @@ mod tests {
         let json = chrome_trace_json();
         disable();
         reset();
-        assert!(json.contains("\"traceEvents\""));
-        assert!(json.contains("\"process_name\""));
-        assert!(json.contains("\"thread_name\""));
-        assert!(json.contains("\"ph\":\"B\""));
-        assert!(json.contains("\"ph\":\"E\""));
-        // Braces balance (cheap well-formedness check).
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
-        // ts values are non-decreasing over the emitted B/E lines.
-        let ts: Vec<f64> = json
-            .lines()
-            .filter(|l| l.contains("\"ph\":\"B\"") || l.contains("\"ph\":\"E\""))
-            .map(|l| {
-                let i = l.find("\"ts\":").unwrap() + 5;
-                l[i..].split([',', '}']).next().unwrap().parse().unwrap()
-            })
+        let doc = json::parse(&json).expect("the export is JSON");
+        let events = doc.get("traceEvents").and_then(json::Value::as_array);
+        let events = events.expect("a traceEvents array");
+        let str_of = |ev: &json::Value, key: &str| {
+            ev.get(key)
+                .and_then(json::Value::as_str)
+                .map(str::to_owned)
+                .ok()
+        };
+        let names: Vec<_> = events.iter().filter_map(|e| str_of(e, "name")).collect();
+        assert!(names.contains(&"process_name".into()) && names.contains(&"thread_name".into()));
+        // B/E pairs in non-decreasing ts order.
+        let timed: Vec<f64> = (events.iter())
+            .filter(|e| matches!(str_of(e, "ph").as_deref(), Some("B" | "E")))
+            .map(|e| e.get("ts").and_then(json::Value::as_f64).unwrap())
             .collect();
-        assert_eq!(ts.len(), 4);
-        assert!(ts.windows(2).all(|w| w[0] <= w[1]), "{ts:?}");
-    }
-
-    #[test]
-    fn json_strings_are_escaped() {
-        let mut s = String::new();
-        json_escape("a\"b\\c\nd\u{1}", &mut s);
-        assert_eq!(s, "a\\\"b\\\\c\\nd\\u0001");
+        assert_eq!(timed.len(), 4);
+        assert!(timed.windows(2).all(|w| w[0] <= w[1]), "{timed:?}");
     }
 }

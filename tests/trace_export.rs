@@ -10,6 +10,7 @@
 use hyperspec::amc::pipeline::{GpuAmc, KernelMode, PipelineOutput};
 use hyperspec::prelude::*;
 use hyperspec::trace;
+use hyperspec::trace::json::{self, Value};
 
 fn pseudo_random_cube(w: usize, h: usize, bands: usize, seed: u64) -> Cube {
     let mut state = seed.wrapping_mul(0x9E3779B97F4A7C15) | 1;
@@ -23,23 +24,6 @@ fn pseudo_random_cube(w: usize, h: usize, bands: usize, seed: u64) -> Cube {
         25.0 + 175.0 * next()
     })
     .unwrap()
-}
-
-/// Extract a `"key":"string"` field from a single-line JSON event.
-fn str_field<'a>(line: &'a str, key: &str) -> Option<&'a str> {
-    let tag = format!("\"{key}\":\"");
-    let start = line.find(&tag)? + tag.len();
-    let end = line[start..].find('"')?;
-    Some(&line[start..start + end])
-}
-
-/// Extract a `"key":number` field from a single-line JSON event.
-fn num_field(line: &str, key: &str) -> Option<f64> {
-    let tag = format!("\"{key}\":");
-    let start = line.find(&tag)? + tag.len();
-    let rest = &line[start..];
-    let end = rest.find([',', '}']).unwrap_or(rest.len());
-    rest[..end].parse().ok()
 }
 
 fn run_pipeline(gpu: &mut Gpu, amc: &GpuAmc, cube: &Cube) -> PipelineOutput {
@@ -83,10 +67,10 @@ fn chrome_export_is_golden_and_tracing_is_pure_observation() {
     assert!(json.starts_with("{\"traceEvents\":["));
     assert!(json.trim_end().ends_with('}'));
 
-    let events: Vec<&str> = json
-        .lines()
-        .filter(|l| l.starts_with('{') && l.contains("\"ph\":"))
-        .collect();
+    let doc = json::parse(&json).expect("the export is JSON");
+    let events = doc.get("traceEvents").and_then(Value::as_array).unwrap();
+    // One event per line after the opening line.
+    assert_eq!(json.lines().count(), events.len() + 3);
     assert!(!events.is_empty(), "no events exported");
 
     let mut named_tids = std::collections::BTreeSet::new();
@@ -97,23 +81,24 @@ fn chrome_export_is_golden_and_tracing_is_pure_observation() {
     let mut pack_spans = 0usize;
     let mut stage_spans: std::collections::BTreeMap<String, usize> = Default::default();
 
-    for line in &events {
-        let ph = str_field(line, "ph").expect("every event has ph");
-        assert_eq!(num_field(line, "pid"), Some(1.0), "stable pid: {line}");
-        let tid = num_field(line, "tid").expect("every event has tid") as u64;
+    for ev in events {
+        let field = |key: &str| ev.get(key).unwrap_or_else(|e| panic!("{e} in {ev:?}"));
+        let ph = field("ph").as_str().unwrap();
+        assert_eq!(field("pid").as_u64(), Ok(1), "stable pid: {ev:?}");
+        let tid = field("tid").as_u64().unwrap();
+        let name = field("name").as_str().unwrap().to_owned();
         if ph == "M" {
             // Metadata: process_name on tid 0, thread_name elsewhere.
-            if str_field(line, "name") == Some("thread_name") {
+            if name == "thread_name" {
                 named_tids.insert(tid);
             }
             continue;
         }
         used_tids.insert(tid);
-        let ts = num_field(line, "ts").expect("timed event has ts");
+        let ts = field("ts").as_f64().unwrap();
         assert!(ts >= last_ts, "timestamps not sorted: {ts} after {last_ts}");
         last_ts = ts;
-        let name = str_field(line, "name").unwrap().to_owned();
-        let cat = str_field(line, "cat").unwrap_or_default().to_owned();
+        let cat = field("cat").as_str().unwrap().to_owned();
         match ph {
             "B" => {
                 if cat == "pipeline.chunk" {
@@ -131,15 +116,12 @@ fn chrome_export_is_golden_and_tracing_is_pure_observation() {
                 let open = stacks
                     .get_mut(&tid)
                     .and_then(Vec::pop)
-                    .unwrap_or_else(|| panic!("E without B on tid {tid}: {line}"));
+                    .unwrap_or_else(|| panic!("E without B on tid {tid}: {ev:?}"));
                 assert_eq!(open, name, "mismatched B/E pair on tid {tid}");
             }
-            "i" => assert!(
-                line.contains("\"s\":\"t\""),
-                "instant missing scope: {line}"
-            ),
+            "i" => assert_eq!(field("s").as_str(), Ok("t"), "instant scope"),
             "C" => {}
-            other => panic!("unexpected phase {other:?}: {line}"),
+            other => panic!("unexpected phase {other:?}: {ev:?}"),
         }
     }
     for (tid, stack) in &stacks {
