@@ -1,5 +1,7 @@
-//! Per-pixel oracle vs the batched abundance operator on an AMC-sized
-//! unmixing problem (96 bands, 24 endmembers).
+//! Per-pixel oracle vs the batched operator kernels on AMC-sized unmixing
+//! problems (96 bands; 24 and 64 endmembers). The batched classification
+//! and the starved-cluster reseed sweep (`residuals_batch`) are the two
+//! heaviest callers of the pixel-lane operator kernel.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use hsi::cube::{Cube, CubeDims, Interleave};
@@ -7,9 +9,8 @@ use hsi::unmix::{AbundanceConstraint, LinearMixtureModel};
 use std::time::Duration;
 
 const BANDS: usize = 96;
-const COUNT: usize = 24;
 
-fn model() -> LinearMixtureModel {
+fn model(count: usize) -> LinearMixtureModel {
     let mut state = 0x9E3779B97F4A7C15u64;
     let mut next = move || {
         state ^= state << 13;
@@ -17,7 +18,7 @@ fn model() -> LinearMixtureModel {
         state ^= state << 17;
         20.0 + ((state >> 40) % 4000) as f32
     };
-    let spectra: Vec<Vec<f32>> = (0..COUNT)
+    let spectra: Vec<Vec<f32>> = (0..count)
         .map(|_| (0..BANDS).map(|_| next()).collect())
         .collect();
     let refs: Vec<&[f32]> = spectra.iter().map(Vec::as_slice).collect();
@@ -32,34 +33,40 @@ fn cube() -> Cube {
 }
 
 fn bench_unmix(c: &mut Criterion) {
-    let mut group = c.benchmark_group("unmix_64x32x96_c24");
-    group
-        .sample_size(10)
-        .measurement_time(Duration::from_secs(2));
-    let m = model();
     let cb = cube();
     let constraint = AbundanceConstraint::SumToOneNonNeg;
     let pixels = cb.data();
     let n = cb.dims().pixels();
+    for count in [24, 64] {
+        let mut group = c.benchmark_group(format!("unmix_64x32x96_c{count}"));
+        group
+            .sample_size(10)
+            .measurement_time(Duration::from_secs(2));
+        let m = model(count);
 
-    group.bench_function("per_pixel_oracle", |b| {
-        b.iter(|| {
-            let mut labels = vec![0u16; n];
-            for (px, l) in pixels.chunks(BANDS).zip(labels.iter_mut()) {
-                let a = m.abundances(px, constraint).unwrap();
-                *l = hsi::unmix::argmax(&a) as u16;
-            }
-            labels
-        })
-    });
-    group.bench_function("abundances_batch", |b| {
-        let mut out = vec![0.0f64; n * COUNT];
-        b.iter(|| m.abundances_batch(pixels, constraint, &mut out).unwrap())
-    });
-    group.bench_function("classify_cube_batched", |b| {
-        b.iter(|| m.classify_cube_batched(&cb, constraint).unwrap())
-    });
-    group.finish();
+        group.bench_function("per_pixel_oracle", |b| {
+            b.iter(|| {
+                let mut labels = vec![0u16; n];
+                for (px, l) in pixels.chunks(BANDS).zip(labels.iter_mut()) {
+                    let a = m.abundances(px, constraint).unwrap();
+                    *l = hsi::unmix::argmax(&a) as u16;
+                }
+                labels
+            })
+        });
+        group.bench_function("abundances_batch", |b| {
+            let mut out = vec![0.0f64; n * count];
+            b.iter(|| m.abundances_batch(pixels, constraint, &mut out).unwrap())
+        });
+        group.bench_function("classify_cube_batched", |b| {
+            b.iter(|| m.classify_cube_batched(&cb, constraint).unwrap())
+        });
+        group.bench_function("residuals_batch", |b| {
+            let mut out = vec![0.0f64; n];
+            b.iter(|| m.residuals_batch(pixels, &mut out).unwrap())
+        });
+        group.finish();
+    }
 }
 
 criterion_group!(benches, bench_unmix);

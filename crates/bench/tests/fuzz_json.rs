@@ -1,11 +1,12 @@
 //! Malformed input never panics a JSON reader: random bytes and
 //! byte-mutated copies of a bench document and an exporter trace go through
 //! `json::parse`, `results::from_json` and `import_chrome_trace`, and each
-//! returns `Ok` or `Err`.
+//! returns `Ok` or `Err`. Every trace that imports is also analyzed, which
+//! must not panic either.
 
 use hsi_bench::results::from_json;
 use proptest::prelude::*;
-use trace::analyze::import_chrome_trace;
+use trace::analyze::{analyze, import_chrome_trace};
 use trace::{json, ArgValue};
 
 const BENCH_DOC: &str = include_str!("../../../BENCH_results.json");
@@ -33,7 +34,9 @@ fn read_everywhere(bytes: &[u8]) {
     let text = String::from_utf8_lossy(bytes);
     let _ = json::parse(&text);
     let _ = from_json(&text);
-    let _ = import_chrome_trace(&text);
+    if let Ok(snap) = import_chrome_trace(&text) {
+        let _ = analyze(&snap);
+    }
 }
 
 proptest! {

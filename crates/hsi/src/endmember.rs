@@ -212,13 +212,13 @@ pub fn select_endmembers_atgp(cube: &Cube, mei: &MeiImage, count: usize) -> Resu
 }
 
 /// Rank every pixel by unconstrained-LS reconstruction residual under
-/// `model`, descending. Used by ATGP selection and by the classifier's
-/// starved-cluster reseeding.
+/// `model`, descending. Used by the classifier's starved-cluster
+/// reseeding; ATGP selection keeps its own incremental residuals.
 ///
 /// Residuals come from the batched operator kernel
 /// ([`crate::unmix::LinearMixtureModel::residuals_batch`]), which runs one
-/// tile at a time on per-worker scratch buffers — the former per-pixel
-/// `abundances`/`reconstruct` allocations in the parallel map are gone.
+/// tile at a time on per-worker scratch buffers with no per-pixel
+/// allocation.
 pub fn residual_ranking(
     cube: &Cube,
     model: &crate::unmix::LinearMixtureModel,

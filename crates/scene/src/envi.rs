@@ -120,13 +120,18 @@ pub fn read_cube(path: &Path) -> Result<Cube> {
         ));
     }
     let actual = raw.len() / 4;
-    let dims = CubeDims::new(samples, lines, bands);
-    if actual != dims.samples() {
-        return Err(EnviError::SizeMismatch {
-            expected: dims.samples(),
-            actual,
-        });
+    let expected = samples
+        .checked_mul(lines)
+        .and_then(|n| n.checked_mul(bands))
+        .ok_or_else(|| {
+            EnviError::BadHeader(format!(
+                "{samples} × {lines} × {bands} samples overflow the address space"
+            ))
+        })?;
+    if actual != expected {
+        return Err(EnviError::SizeMismatch { expected, actual });
     }
+    let dims = CubeDims::new(samples, lines, bands);
     let data: Vec<f32> = raw
         .chunks_exact(4)
         .map(|c| f32::from_le_bytes([c[0], c[1], c[2], c[3]]))
@@ -197,6 +202,31 @@ mod tests {
             read_cube(&path),
             Err(EnviError::SizeMismatch { .. })
         ));
+        fs::remove_dir_all(dir).ok();
+    }
+
+    #[test]
+    fn overflowing_header_sizes_rejected() {
+        // 2^32 × 2^32 × 2^32 wraps to 0 in 64-bit arithmetic, which an
+        // empty raw file would otherwise match.
+        let dir = temp_dir("ovf");
+        let path = dir.join("cube.raw");
+        fs::write(&path, []).unwrap();
+        for (samples, lines, bands) in [(1u64 << 32, 1u64 << 32, 1u64 << 32), (1 << 32, 1 << 32, 0)]
+        {
+            fs::write(
+                dir.join("cube.raw.hdr"),
+                format!(
+                    "ENVI\nsamples = {samples}\nlines = {lines}\nbands = {bands}\n\
+                     data type = 4\ninterleave = bip\n"
+                ),
+            )
+            .unwrap();
+            assert!(
+                matches!(read_cube(&path), Err(EnviError::BadHeader(_))),
+                "{samples} × {lines} × {bands}"
+            );
+        }
         fs::remove_dir_all(dir).ok();
     }
 

@@ -161,10 +161,10 @@ fn occupancy(iv: &[(u64, u64)]) -> (u64, u64) {
     let mut prev = 0u64;
     for (ts, delta) in points {
         if active >= 1 {
-            busy += ts - prev;
+            busy = busy.saturating_add(ts - prev);
         }
         if active >= 2 {
-            contended += ts - prev;
+            contended = contended.saturating_add(ts - prev);
         }
         active += delta;
         prev = ts;
@@ -347,6 +347,13 @@ fn ns_to_s(ns: u64) -> f64 {
     ns as f64 / 1e9
 }
 
+/// Add `ns` to the bucket `key`, saturating: an imported trace can carry
+/// durations whose sum exceeds `u64::MAX` nanoseconds.
+fn add_ns(buckets: &mut BTreeMap<String, u64>, key: &str, ns: u64) {
+    let b = buckets.entry(key.to_owned()).or_default();
+    *b = b.saturating_add(ns);
+}
+
 fn analyze_arm(
     name: String,
     bounds: (u64, u64),
@@ -404,8 +411,8 @@ fn overlap_stats(spans: &[SpanRec]) -> OverlapStats {
     );
     let (mut pack_total, mut pack_hidden) = (0u64, 0u64);
     for s in spans.iter().filter(|s| PACK_CATS.contains(&s.cat)) {
-        pack_total += s.dur_ns();
-        pack_hidden += intersect_len(s.start_ns, s.end_ns, &chunk_union);
+        pack_total = pack_total.saturating_add(s.dur_ns());
+        pack_hidden = pack_hidden.saturating_add(intersect_len(s.start_ns, s.end_ns, &chunk_union));
     }
     let xfers: Vec<(u64, u64)> = spans
         .iter()
@@ -488,7 +495,7 @@ fn critical_path(spans: &[SpanRec]) -> CriticalPath {
                 parent[p] = Some(q);
             }
         }
-        dp[p] = best + spans[nodes[p]].dur_ns();
+        dp[p] = best.saturating_add(spans[nodes[p]].dur_ns());
     }
     let end = (0..n).max_by_key(|&p| dp[p]).unwrap_or(0);
     let mut path = vec![end];
@@ -502,9 +509,9 @@ fn critical_path(spans: &[SpanRec]) -> CriticalPath {
     for &p in &path {
         let s = &spans[nodes[p]];
         if PACK_CATS.contains(&s.cat) {
-            *buckets.entry("pack".to_owned()).or_default() += s.dur_ns();
+            add_ns(&mut buckets, "pack", s.dur_ns());
         } else if s.cat == STAGE_CAT {
-            *buckets.entry(s.name.clone()).or_default() += s.dur_ns();
+            add_ns(&mut buckets, &s.name, s.dur_ns());
         } else {
             let mut covered = 0u64;
             for st in spans.iter().filter(|st| {
@@ -514,10 +521,10 @@ fn critical_path(spans: &[SpanRec]) -> CriticalPath {
                     && st.start_ns >= s.start_ns
                     && st.end_ns <= s.end_ns
             }) {
-                *buckets.entry(st.name.clone()).or_default() += st.dur_ns();
-                covered += st.dur_ns();
+                add_ns(&mut buckets, &st.name, st.dur_ns());
+                covered = covered.saturating_add(st.dur_ns());
             }
-            *buckets.entry("other".to_owned()).or_default() += s.dur_ns().saturating_sub(covered);
+            add_ns(&mut buckets, "other", s.dur_ns().saturating_sub(covered));
         }
     }
     CriticalPath {
@@ -552,7 +559,7 @@ fn fleet_balance(spans: &[SpanRec], threads: &[(u64, String)]) -> Option<FleetBa
         });
         acc.chunks += 1;
         acc.stolen += s.arg_u64("stolen").unwrap_or(0).min(1);
-        acc.busy_ns += s.dur_ns();
+        acc.busy_ns = acc.busy_ns.saturating_add(s.dur_ns());
     }
     let devices: Vec<DeviceLoad> = per_dev
         .into_iter()

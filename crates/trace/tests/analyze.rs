@@ -209,6 +209,22 @@ fn zero_length_streams_are_finite() {
     assert!(arm.overlap.bus_busy_s == 0.0 && arm.overlap.bus_contended_s == 0.0);
 }
 
+/// Two overlapping packs of 1e16 µs each import cleanly; their summed
+/// durations exceed `u64::MAX` nanoseconds, so every duration sum in the
+/// analyzer must saturate instead of overflowing.
+#[test]
+fn huge_overlapping_spans_saturate() {
+    let text = r#"{"traceEvents":[
+        {"ph":"X","cat":"pipeline.pack","name":"pack","ts":0,"dur":1e16,"pid":1,"tid":1},
+        {"ph":"X","cat":"pipeline.pack","name":"pack","ts":0,"dur":1e16,"pid":1,"tid":2}
+    ]}"#;
+    let snap = import_chrome_trace(text).expect("well-formed trace");
+    let arm = &analyze(&snap).arms[0];
+    assert_eq!(arm.overlap.pack_total_s, u64::MAX as f64 / 1e9);
+    assert!(arm.critical_path.total_s.is_finite());
+    assert!(arm.wall_s.is_finite() && arm.wall_s > 0.0);
+}
+
 /// Record through the live recorder, export Chrome JSON, import it back,
 /// and check both snapshots analyze identically. (The only test in this
 /// binary touching the global recorder.)
