@@ -1059,6 +1059,8 @@ fn arm_from(a: &Value) -> Result<ArmAnalysis, Error> {
             })?,
         },
         fleet,
+        // Schema 7 does not carry the shading ledger.
+        ledger: Vec::new(),
     })
 }
 
@@ -1421,6 +1423,7 @@ pub(crate) mod tests {
                             ],
                         },
                         fleet: None,
+                        ledger: Vec::new(),
                     },
                     ArmAnalysis {
                         name: "fleet:7800gtx+7800gtx".into(),
@@ -1444,6 +1447,7 @@ pub(crate) mod tests {
                             steals: 1,
                             devices: vec![device(0, 3, 1, 0.6), device(1, 1, 0, 0.45)],
                         }),
+                        ledger: Vec::new(),
                     },
                 ],
             },

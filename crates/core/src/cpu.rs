@@ -120,13 +120,19 @@ pub fn run_simd4(cube: &Cube, se: &StructuringElement) -> CpuAmcResult {
         acc
     };
 
-    // Cumulative field.
+    // Cumulative field: one accumulator chain over (offset, band group),
+    // the order the GPU's distance passes add their partials in, so every
+    // rounding matches.
     let mut field = vec![0.0f32; w * h];
     for y in 0..h as i64 {
         for x in 0..w as i64 {
             let mut acc = 0.0f32;
             for &(dx, dy) in offsets.iter().filter(|&&o| o != (0, 0)) {
-                acc += sid4(x, y, x + dx as i64, y + dy as i64);
+                for plane in norm.iter().take(groups) {
+                    let p = texel(plane, x, y);
+                    let q = texel(plane, x + dx as i64, y + dy as i64);
+                    acc += kernels::sid_partial_value(p, q);
+                }
             }
             field[y as usize * w + x as usize] = acc;
         }

@@ -334,7 +334,6 @@ pub fn stage_cases() -> Vec<(Program, gpu_sim::verify::PassBindings)> {
 /// `log2·ln2`, lane-ordered `DP4` summation).
 #[inline]
 pub fn sid_partial_value(p: [f32; 4], q: [f32; 4]) -> f32 {
-    let mut acc = 0.0f32;
     let mut terms = [0.0f32; 4];
     for lane in 0..4 {
         let pl = p[lane].max(SID_EPS);
@@ -344,11 +343,8 @@ pub fn sid_partial_value(p: [f32; 4], q: [f32; 4]) -> f32 {
         let l = gpu_sim::interp::lg2(ratio.max(f32::MIN_POSITIVE)) * LN2;
         terms[lane] = (pl - ql) * l;
     }
-    // DP4 with the all-ones vector: sequential lane order.
-    for t in terms {
-        acc += t;
-    }
-    acc
+    // DP4's sum: left to right over the lanes.
+    terms[0] + terms[1] + terms[2] + terms[3]
 }
 
 #[cfg(test)]

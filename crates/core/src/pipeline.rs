@@ -1006,7 +1006,7 @@ mod tests {
     #[test]
     fn batched_isa_pipeline_matches_scalar_at_every_thread_count() {
         // Full ISA classification (GPU pipeline + CPU tail) with the
-        // batched SoA executor vs the per-fragment oracle
+        // straight-line tile executor vs the per-fragment oracle
         // (`set_batch_execution(false)`), at one worker thread and at the
         // default count: MEI scores, labels, and every PassStats field must
         // be bit-identical.

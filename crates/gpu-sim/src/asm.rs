@@ -183,16 +183,22 @@ fn parse_reg(line: usize, text: &str) -> Result<Reg> {
     if t.eq_ignore_ascii_case("OC") {
         return Ok(Reg::Output(0));
     }
-    let (kind, digits) = t.split_at(1);
-    let idx: u8 = digits
+    // Split off the first *character*, not byte: operand text is arbitrary
+    // input and may be empty or start with a multi-byte character.
+    let mut chars = t.chars();
+    let kind = chars
+        .next()
+        .ok_or_else(|| err(line, "missing register operand"))?;
+    let idx: u8 = chars
+        .as_str()
         .parse()
         .map_err(|_| err(line, format!("bad register `{text}`")))?;
-    let reg = match kind.to_ascii_uppercase().as_str() {
-        "R" if (idx as usize) < NUM_TEMPS => Reg::Temp(idx),
-        "C" if (idx as usize) < NUM_CONSTS => Reg::Const(idx),
-        "T" if (idx as usize) < NUM_TEXCOORDS => Reg::TexCoord(idx),
-        "O" if (idx as usize) < NUM_OUTPUTS => Reg::Output(idx),
-        "R" | "C" | "T" | "O" => {
+    let reg = match kind.to_ascii_uppercase() {
+        'R' if (idx as usize) < NUM_TEMPS => Reg::Temp(idx),
+        'C' if (idx as usize) < NUM_CONSTS => Reg::Const(idx),
+        'T' if (idx as usize) < NUM_TEXCOORDS => Reg::TexCoord(idx),
+        'O' if (idx as usize) < NUM_OUTPUTS => Reg::Output(idx),
+        'R' | 'C' | 'T' | 'O' => {
             return Err(err(line, format!("register index out of range `{text}`")))
         }
         _ => return Err(err(line, format!("bad register `{text}`"))),
@@ -316,6 +322,18 @@ mod tests {
         // Instructions carry their 1-based source line.
         assert_eq!(p.instrs[0].line, 5);
         assert_eq!(p.instrs[12].line, 17);
+    }
+
+    #[test]
+    fn malformed_register_operands_are_errors_not_panics() {
+        // An empty operand and one starting with a multi-byte character
+        // once panicked in `split_at(1)`.
+        for src in ["MOV R0, ", "MOV R0, é0", "MOV é, R0", "DEF é1, 1, 2, 3, 4"] {
+            match assemble(src) {
+                Err(GpuError::AssemblyError { line: 1, .. }) => {}
+                other => panic!("{src:?}: expected an assembly error, got {other:?}"),
+            }
+        }
     }
 
     #[test]

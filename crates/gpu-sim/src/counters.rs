@@ -182,6 +182,43 @@ impl TileCounts {
     }
 }
 
+/// Where shading tiles spent their thread time, layer by layer, with the
+/// units each layer processed. Tiles fill it only while the trace recorder
+/// is on (`trace::enabled()`); a pass merges its tiles' ledgers in tile
+/// order and records the total as one `gpu.ledger` trace instant, which
+/// `trace::analyze` sums per pipeline stage.
+///
+/// The three parts partition a tile's time: `sweep_ns + replay_ns +
+/// resolve_ns` is the whole tile.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct ShadeLedger {
+    /// Nanoseconds running the specialized ops (interpolation, arithmetic,
+    /// TEX address resolution, texel gather and touch recording).
+    pub sweep_ns: u64,
+    /// Ops run: specialized ops times lane groups.
+    pub ops: u64,
+    /// Nanoseconds replaying TEX touches through the texture-cache model.
+    pub replay_ns: u64,
+    /// Touches replayed.
+    pub touches: u64,
+    /// Nanoseconds storing `O0` into the tile's rows.
+    pub resolve_ns: u64,
+    /// Texels stored.
+    pub texels: u64,
+}
+
+impl ShadeLedger {
+    /// Accumulate another ledger into this one.
+    pub fn add(&mut self, other: &ShadeLedger) {
+        self.sweep_ns += other.sweep_ns;
+        self.ops += other.ops;
+        self.replay_ns += other.replay_ns;
+        self.touches += other.touches;
+        self.resolve_ns += other.resolve_ns;
+        self.texels += other.texels;
+    }
+}
+
 impl std::ops::Add for PassStats {
     type Output = PassStats;
     fn add(mut self, rhs: PassStats) -> PassStats {

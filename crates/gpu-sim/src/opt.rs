@@ -306,83 +306,6 @@ pub fn optimize(program: &Program, bindings: &PassBindings) -> (Program, OptRepo
     (p, report)
 }
 
-/// Reorder a straight-line program for the batched SoA executor: `TEX`
-/// instructions are hoisted as early as their dependences allow, so the
-/// executor's gather work clusters at the top of a chunk sweep and the ALU
-/// tail runs as uninterrupted vectorizable arithmetic.
-///
-/// The reordering is exact- and count-preserving. A dependence edge is kept
-/// for every register-identity read-after-write, write-after-read, and
-/// write-after-write pair (lane masks are ignored — strictly conservative),
-/// so every instruction still observes exactly the values it observed in
-/// program order. The relative order of `TEX` instructions is additionally
-/// pinned, preserving the per-fragment texture-cache fetch sequence the
-/// batched executor replays (DESIGN.md §14). Selection is deterministic:
-/// among ready instructions, the earliest-index `TEX` wins, then the
-/// earliest-index ALU — so the schedule is a pure function of the program.
-///
-/// Malformed programs (see [`optimize`]) are returned unchanged.
-pub fn schedule_for_batch(program: &Program) -> Program {
-    let mut p = program.clone();
-    if malformed(&p) {
-        return p;
-    }
-    let n = p.instrs.len();
-    // Registers an instruction reads that another instruction could write
-    // (Const/TexCoord are read-only and never produce edges).
-    let reads = |i: &Instr| -> Vec<Reg> {
-        i.srcs
-            .iter()
-            .map(|s| s.reg)
-            .filter(|r| matches!(r, Reg::Temp(_) | Reg::Output(_)))
-            .collect()
-    };
-    let mut succs: Vec<Vec<usize>> = vec![Vec::new(); n];
-    let mut preds = vec![0usize; n];
-    let mut last_tex: Option<usize> = None;
-    for (i, pred) in preds.iter_mut().enumerate() {
-        let wi = p.instrs[i].dst.reg;
-        let ri = reads(&p.instrs[i]);
-        for (j, succ) in succs.iter_mut().enumerate().take(i) {
-            let wj = p.instrs[j].dst.reg;
-            let raw = ri.contains(&wj);
-            let war = reads(&p.instrs[j]).contains(&wi);
-            let waw = wi == wj;
-            if raw || war || waw {
-                succ.push(i);
-                *pred += 1;
-            }
-        }
-        if p.instrs[i].op == Opcode::Tex {
-            // Pin the TEX chain even when register deps would allow a swap.
-            if let Some(j) = last_tex {
-                succs[j].push(i);
-                *pred += 1;
-            }
-            last_tex = Some(i);
-        }
-    }
-    let tex_key = |i: usize| (u8::from(p.instrs[i].op != Opcode::Tex), i);
-    let mut ready: std::collections::BTreeSet<(u8, usize)> =
-        (0..n).filter(|&i| preds[i] == 0).map(&tex_key).collect();
-    let mut order = Vec::with_capacity(n);
-    while let Some(&key) = ready.iter().next() {
-        ready.remove(&key);
-        let i = key.1;
-        order.push(i);
-        for &s in &succs[i] {
-            preds[s] -= 1;
-            if preds[s] == 0 {
-                ready.insert(tex_key(s));
-            }
-        }
-    }
-    debug_assert_eq!(order.len(), n, "dependence graph of a DAG by construction");
-    let instrs = order.iter().map(|&i| p.instrs[i].clone()).collect();
-    p.instrs = instrs;
-    p
-}
-
 /// One lane of the copy lattice: "this lane currently equals
 /// `±source_reg.lane`".
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -1572,90 +1495,6 @@ mod tests {
             "optimized program fails verification"
         );
         (opt, report)
-    }
-
-    /// Schedule `src` for the batch executor and assert bit-identical
-    /// execution (all outputs, all texel counts) on a spread of inputs.
-    fn assert_schedule_exact(src: &str) -> Program {
-        let program = assemble(src).unwrap();
-        let scheduled = schedule_for_batch(&program);
-        assert_eq!(scheduled.len(), program.len(), "count-preserving");
-        let tex_order = |p: &Program| {
-            p.instrs
-                .iter()
-                .filter(|i| i.op == Opcode::Tex)
-                .map(|i| (i.sampler, i.srcs[0].reg))
-                .collect::<Vec<_>>()
-        };
-        assert_eq!(
-            tex_order(&scheduled),
-            tex_order(&program),
-            "TEX chain order must be pinned"
-        );
-        let t0 = Texture2D::from_flat(
-            4,
-            4,
-            &(0..64).map(|i| i as f32 * 0.3 - 3.0).collect::<Vec<_>>(),
-        );
-        let t1 = Texture2D::from_flat(
-            4,
-            4,
-            &(0..64)
-                .map(|i| (i * 5 % 11) as f32 * 0.7)
-                .collect::<Vec<_>>(),
-        );
-        let ca = resolve_constants(&program, &[]);
-        let cb = resolve_constants(&scheduled, &[]);
-        for &(u, v) in &[(0.1f32, 0.9f32), (0.6, 0.2), (0.95, 0.55)] {
-            let mut input = FragmentInput::zero();
-            input.texcoords[0] = [u, v, 0.0, 1.0];
-            input.texcoords[1] = [v, u, 0.0, 1.0];
-            let a = execute(&program, &input, &ca, &[&t0, &t1], None);
-            let s = execute(&scheduled, &input, &cb, &[&t0, &t1], None);
-            assert_eq!(
-                a.colors.map(|c| c.map(f32::to_bits)),
-                s.colors.map(|c| c.map(f32::to_bits)),
-                "scheduling changed results:\n{}",
-                scheduled.to_asm()
-            );
-            assert_eq!(a.texel_fetches, s.texel_fetches);
-        }
-        scheduled
-    }
-
-    #[test]
-    fn schedule_hoists_independent_tex_fetches() {
-        // The second TEX doesn't depend on the ADD between them, so it is
-        // hoisted into the leading gather cluster.
-        let s = assert_schedule_exact(
-            "TEX R0, T0, tex0\nADD R1, R0, R0.x\nTEX R2, T1, tex1\nMUL OC, R1, R2",
-        );
-        let ops: Vec<Opcode> = s.instrs.iter().map(|i| i.op).collect();
-        assert_eq!(
-            ops,
-            vec![Opcode::Tex, Opcode::Tex, Opcode::Add, Opcode::Mul],
-            "{}",
-            s.to_asm()
-        );
-    }
-
-    #[test]
-    fn schedule_respects_dependent_tex_chains() {
-        // The second TEX reads R0 (a dependent fetch) — it cannot move
-        // above its producer.
-        let s = assert_schedule_exact("TEX R0, T0, tex0\nTEX R1, R0, tex1\nADD OC, R1, R0");
-        let ops: Vec<Opcode> = s.instrs.iter().map(|i| i.op).collect();
-        assert_eq!(ops, vec![Opcode::Tex, Opcode::Tex, Opcode::Add]);
-    }
-
-    #[test]
-    fn schedule_preserves_war_and_waw_hazards() {
-        // R0 is read (WAR) then rewritten (WAW) — the MOVs must not cross
-        // the TEX or each other.
-        let s = assert_schedule_exact("MOV R0, T0\nMOV R1, R0\nTEX R0, T1, tex0\nADD OC, R0, R1");
-        let asm = s.to_asm();
-        let scalar = assemble("MOV R0, T0\nMOV R1, R0\nTEX R0, T1, tex0\nADD OC, R0, R1").unwrap();
-        assert_eq!(asm, schedule_for_batch(&scalar).to_asm(), "deterministic");
     }
 
     #[test]

@@ -7,11 +7,12 @@
 //! between a bad program and an out-of-bounds index.
 
 use gpu_sim::interp::{
-    execute, execute_lowered, execute_lowered_batch, lower, resolve_constants, FragmentInput,
+    execute, execute_lowered, execute_tile, lower, resolve_constants, FragmentInput,
 };
-use gpu_sim::isa::{ConstDef, Dst, Instr, Opcode, Program, Reg, Src, Swizzle, NUM_OUTPUTS};
+use gpu_sim::isa::{ConstDef, Dst, Instr, Opcode, Program, Reg, Src, Swizzle};
+use gpu_sim::raster::{fragment_input, TexCoordSet};
 use gpu_sim::texcache::TextureCache;
-use gpu_sim::texture::Texture2D;
+use gpu_sim::texture::{AddressMode, Texture2D};
 use gpu_sim::verify::{has_errors, verify, PassBindings};
 use gpu_sim::GpuProfile;
 use proptest::prelude::*;
@@ -131,6 +132,99 @@ fn build_program(body: Vec<Instr>, with_prologue: bool) -> Program {
         }],
         instrs,
     }
+}
+
+/// Defines every register the tile property's instructions read — `R0..R7`
+/// (two by TEX), `O1..O3` and a first `O0` — so generated programs verify.
+const TILE_PROLOGUE: &str = "DEF C0, 0.5, 0.25, 1, 2\n\
+    TEX R0, T0, tex0\nMOV R1, T1\nMOV R2, R0\nMOV R3, T0\nTEX R4, T1, tex1\n\
+    MUL R5, R0, T1\nMOV R6, -R4.wzyx\nADD R7, R1, C1\n\
+    MOV O1, R5\nMOV O2, T0.y\nMOV O3, R2\nMOV OC, R3\n";
+
+/// Raw generated form of one tile-property instruction, decoded by
+/// [`decode_tile_instr`]: `(opcode, destination, mask, [source codes],
+/// swizzles, flags)`.
+type TileInstr = (usize, u8, u8, (u8, u8, u8), u32, u8);
+
+fn tile_instr_strategy() -> impl Strategy<Value = TileInstr> {
+    (
+        0usize..OPS.len(),
+        0u8..12,
+        1u8..16,
+        (0u8..15, 0u8..15, 0u8..15),
+        0u32..(1 << 24),
+        0u8..32,
+    )
+}
+
+/// An instruction over registers [`TILE_PROLOGUE`] defines: sources from
+/// `R0..R7`, `C0`, `C1`, `T0`, `T1` and `O1..O3` (a TEX on a temp or an
+/// output is a dependent fetch), destinations `R0..R7` and `O0..O3`, any
+/// non-empty write mask; `flags` bits 0..3 negate each source, bit 3 sets
+/// `_SAT` and bit 4 picks the sampler.
+fn decode_tile_instr(&(op, dst, mask, codes, swz, flags): &TileInstr) -> Instr {
+    let op = OPS[op];
+    let reg = |code: u8| match code {
+        0..=7 => Reg::Temp(code),
+        8 | 9 => Reg::Const(code - 8),
+        10 | 11 => Reg::TexCoord(code - 10),
+        _ => Reg::Output(code - 11),
+    };
+    let srcs = [codes.0, codes.1, codes.2][..op.arity()]
+        .iter()
+        .enumerate()
+        .map(|(k, &code)| Src {
+            reg: reg(code),
+            swizzle: Swizzle(std::array::from_fn(|l| {
+                ((swz >> (8 * k + 2 * l)) & 3) as u8
+            })),
+            negate: flags & (1 << k) != 0,
+        })
+        .collect();
+    Instr {
+        op,
+        dst: Dst {
+            reg: if dst < 8 {
+                Reg::Temp(dst)
+            } else {
+                Reg::Output(dst - 8)
+            },
+            mask: std::array::from_fn(|l| mask & (1 << l) != 0),
+            saturate: flags & 8 != 0,
+        },
+        srcs,
+        sampler: (op == Opcode::Tex).then_some(flags >> 4),
+        line: 0,
+    }
+}
+
+/// Endings for the tile property's programs: each makes `O0` depend on a
+/// different part of the body, through swizzles, negation, a partial mask
+/// and `_SAT`.
+const EPILOGUES: [&str; 5] = [
+    "MOV OC, R0\n",
+    "ADD OC, R1, R2.wzyx\n",
+    "MAD_SAT OC, R3, R0.yzwx, -R1\n",
+    "DP4 OC.xz, R2, R3\n",
+    "TEX R5, R2, tex1\nLRP OC, R5.x, R1, -R3\n",
+];
+
+/// A small texture with pseudo-random contents (negative values and zeros
+/// included), a random size and a random address mode.
+fn texture_strategy() -> impl Strategy<Value = Texture2D> {
+    (1usize..10, 1usize..10, 0u8..4, 0u32..1000).prop_map(|(w, h, mode, seed)| {
+        let data: Vec<f32> = (0..w * h * 4)
+            .map(|i| ((i as u32 * 37 + seed) % 23) as f32 * 0.17 - 1.5)
+            .collect();
+        let mut tex = Texture2D::from_flat(w, h, &data);
+        tex.set_address_mode(match mode {
+            0 => AddressMode::ClampToEdge,
+            1 => AddressMode::Repeat,
+            2 => AddressMode::MirroredRepeat,
+            _ => AddressMode::ClampToBorder([seed as f32 * 0.01, -0.5, 0.0, 1.0]),
+        });
+        tex
+    })
 }
 
 fn raw_instr_strategy() -> impl Strategy<Value = RawInstr> {
@@ -260,111 +354,81 @@ proptest! {
 
     #[test]
     fn batched_execution_is_bit_identical_to_scalar(
-        body in prop::collection::vec(raw_instr_strategy(), 0..10),
-        uv in prop::collection::vec((0.0f32..1.0, 0.0f32..1.0), 11),
+        body in prop::collection::vec(tile_instr_strategy(), 0..14),
+        epilogue in 0usize..EPILOGUES.len(),
+        textures in prop::collection::vec(texture_strategy(), 2),
+        sets in prop::collection::vec(
+            (-2.0f32..2.0, -2.0f32..2.0, -2.0f32..2.0, -2.0f32..2.0), 0..4,
+        ),
+        origin in (0usize..40, 0usize..40, 0usize..9, 0usize..5),
+        widths in prop::collection::vec(1usize..41, 1..5),
     ) {
-        // The batched SoA executor must reproduce the per-fragment oracle
-        // bit for bit on every verifier-accepted program: colors,
-        // instruction and fetch totals, AND the texture-cache hit/miss
-        // counters (the batch path records TEX touches instruction-major
-        // and replays them fragment-major). 11 fragments = one full 8-lane
-        // chunk plus a ragged tail.
-        let program = build_program(body.iter().map(decode_instr).collect(), true);
+        // The tile executor runs each program's straight-line
+        // specialization; it must reproduce the scalar `fragment_input` +
+        // `execute_lowered` row loop bit for bit on every verifier-accepted
+        // program: O0 colors, instruction and fetch totals, AND the
+        // texture-cache hit/miss counters. Programs mix every opcode,
+        // swizzles, negation, partial masks and `_SAT`, dependent TEX on
+        // computed coordinates, reads of O1..O3 and dead TEX; `sets` may
+        // stop short of the bound T1 (reads past `sets.len()` see
+        // [0, 0, 0, 1]); rows are ragged; the two textures have random
+        // sizes and address modes; and a 1-set, 2-way cache makes any
+        // replay-order or missing-touch mistake change the counters.
+        let mut program = gpu_sim::asm::assemble(TILE_PROLOGUE).unwrap();
+        program.instrs.extend(body.iter().map(decode_tile_instr));
+        program.instrs.extend(gpu_sim::asm::assemble(EPILOGUES[epilogue]).unwrap().instrs);
         let bindings = pass();
-        if has_errors(&verify(&program, &GpuProfile::fx5950_ultra(), Some(&bindings))) {
-            return Ok(());
-        }
-        let t0_data: Vec<f32> = (0..64).map(|i| i as f32 * 0.125 - 2.0).collect();
-        let t1_data: Vec<f32> = (0..64).map(|i| (i * 7 % 13) as f32 * 0.5).collect();
-        let t0 = Texture2D::from_flat(4, 4, &t0_data);
-        let t1 = Texture2D::from_flat(4, 4, &t1_data);
+        let diags = verify(&program, &GpuProfile::fx5950_ultra(), Some(&bindings));
+        prop_assert!(!has_errors(&diags), "{:?}\n{}", diags, program.to_asm());
         let constants = resolve_constants(&program, &[(1, [0.75, -0.5, 0.25, 3.0])]);
-        // Batch-schedule the program the way the device does before
-        // lowering, so the proptest covers the scheduler's reordering too.
-        let scheduled = gpu_sim::schedule_for_batch(&program);
-        prop_assert_eq!(scheduled.len(), program.len());
-        let lowered = lower(&scheduled, &constants);
-        let inputs: Vec<FragmentInput> = uv.iter().map(|&(u, v)| {
-            let mut input = FragmentInput::zero();
-            input.texcoords[0] = [u, v, 0.0, 1.0];
-            input.texcoords[1] = [v, u, 0.0, 1.0];
-            input
-        }).collect();
-        // A tiny cache geometry so replay-order mistakes actually change
-        // hit/miss counts instead of hiding in a large cache.
+        let lowered = lower(&program, &constants);
+        let tex_refs: Vec<&Texture2D> = textures.iter().collect();
+        let sets: Vec<TexCoordSet> = sets
+            .iter()
+            .map(|&(su, sv, ou, ov)| TexCoordSet { scale: [su, sv], offset: [ou, ov] })
+            .collect();
+        let (x0, y0, extra_w, extra_h) = origin;
+        let (tw, th) = (x0 + 40 + extra_w, y0 + widths.len() + extra_h);
+
         let mut scalar_cache = TextureCache::new(1, 2);
-        let mut batch_cache = TextureCache::new(1, 2);
-        let mut scalar_instr = 0u64;
-        let mut scalar_fetches = 0u64;
-        let mut scalar_colors = Vec::with_capacity(inputs.len());
-        for input in &inputs {
-            let r = execute_lowered(&lowered, input, &[&t0, &t1], Some(&mut scalar_cache));
-            scalar_instr += r.instructions;
-            scalar_fetches += r.texel_fetches;
-            scalar_colors.push(r.colors);
+        let (mut scalar_instr, mut scalar_fetches) = (0u64, 0u64);
+        let mut scalar_rows: Vec<Vec<[f32; 4]>> = Vec::new();
+        for (ri, &w) in widths.iter().enumerate() {
+            let mut row = Vec::with_capacity(w);
+            for ci in 0..w {
+                let fi = fragment_input(&sets, x0 + ci, y0 + ri, tw, th);
+                let r = execute_lowered(&lowered, &fi, &tex_refs, Some(&mut scalar_cache));
+                scalar_instr += r.instructions;
+                scalar_fetches += r.texel_fetches;
+                row.push(r.colors[0]);
+            }
+            scalar_rows.push(row);
         }
-        let mut batch_colors = vec![[[0.0f32; 4]; NUM_OUTPUTS]; inputs.len()];
-        let (instr, fetches) = execute_lowered_batch(
-            &lowered, &inputs, &[&t0, &t1], Some(&mut batch_cache), &mut batch_colors,
+
+        let mut tile_cache = TextureCache::new(1, 2);
+        let mut tile_rows: Vec<Vec<[f32; 4]>> =
+            widths.iter().map(|&w| vec![[f32::NAN; 4]; w]).collect();
+        let mut segs: Vec<&mut [[f32; 4]]> =
+            tile_rows.iter_mut().map(Vec::as_mut_slice).collect();
+        let (instr, fetches) = execute_tile(
+            &lowered, &sets, x0, y0, tw, th, &mut segs, &tex_refs, Some(&mut tile_cache), None,
         );
         prop_assert_eq!(instr, scalar_instr);
         prop_assert_eq!(fetches, scalar_fetches);
         prop_assert!(
-            (batch_cache.hits(), batch_cache.misses())
+            (tile_cache.hits(), tile_cache.misses())
                 == (scalar_cache.hits(), scalar_cache.misses()),
-            "cache replay diverged:\n{}", scheduled.to_asm()
+            "cache replay diverged:\n{}", program.to_asm()
         );
-        for (a, b) in scalar_colors.iter().zip(&batch_colors) {
-            for (ca, cb) in a.iter().zip(b.iter()) {
-                prop_assert_eq!(ca.map(f32::to_bits), cb.map(f32::to_bits));
-            }
-        }
-    }
-
-    #[test]
-    fn batch_scheduling_is_exact_and_pins_tex_order(
-        body in prop::collection::vec(raw_instr_strategy(), 0..10),
-        uv in prop::collection::vec((0.0f32..1.0, 0.0f32..1.0), 4),
-    ) {
-        // schedule_for_batch must be count-preserving, keep the TEX chain
-        // in program order (the fetch-order contract), and leave every
-        // observable of scalar execution — all four output registers and
-        // the cache traffic — bit-identical.
-        let program = build_program(body.iter().map(decode_instr).collect(), true);
-        let bindings = pass();
-        if has_errors(&verify(&program, &GpuProfile::fx5950_ultra(), Some(&bindings))) {
-            return Ok(());
-        }
-        let scheduled = gpu_sim::schedule_for_batch(&program);
-        prop_assert_eq!(scheduled.len(), program.len());
-        let tex_chain = |p: &Program| p.instrs.iter()
-            .filter(|i| i.op == Opcode::Tex)
-            .map(|i| format!("{i}"))
-            .collect::<Vec<_>>();
-        prop_assert_eq!(tex_chain(&scheduled), tex_chain(&program));
-        let t0 = Texture2D::from_flat(4, 4, &(0..64).map(|i| i as f32 * 0.125 - 2.0).collect::<Vec<_>>());
-        let t1 = Texture2D::from_flat(4, 4, &(0..64).map(|i| (i * 7 % 13) as f32 * 0.5).collect::<Vec<_>>());
-        let constants = resolve_constants(&program, &[(1, [0.75, -0.5, 0.25, 3.0])]);
-        let sched_consts = resolve_constants(&scheduled, &[(1, [0.75, -0.5, 0.25, 3.0])]);
-        let mut ca = TextureCache::new(1, 2);
-        let mut cb = TextureCache::new(1, 2);
-        for &(u, v) in &uv {
-            let mut input = FragmentInput::zero();
-            input.texcoords[0] = [u, v, 0.0, 1.0];
-            input.texcoords[1] = [v, u, 0.0, 1.0];
-            let a = execute(&program, &input, &constants, &[&t0, &t1], Some(&mut ca));
-            let b = execute(&scheduled, &input, &sched_consts, &[&t0, &t1], Some(&mut cb));
-            prop_assert_eq!(a.instructions, b.instructions);
-            prop_assert_eq!(a.texel_fetches, b.texel_fetches);
-            for (x, y) in a.colors.iter().zip(b.colors.iter()) {
+        for (a, b) in scalar_rows.iter().zip(&tile_rows) {
+            for (ca, cb) in a.iter().zip(b) {
+                // Bit equality, so NaN payloads and signed zeros count too.
                 prop_assert!(
-                    x.map(f32::to_bits) == y.map(f32::to_bits),
-                    "scheduling changed results\nraw:\n{}\nscheduled:\n{}",
-                    program.to_asm(), scheduled.to_asm()
+                    ca.map(f32::to_bits) == cb.map(f32::to_bits),
+                    "O0 diverges: {:?} vs {:?}\n{}", ca, cb, program.to_asm()
                 );
             }
         }
-        prop_assert_eq!((ca.hits(), ca.misses()), (cb.hits(), cb.misses()));
     }
 
     #[test]

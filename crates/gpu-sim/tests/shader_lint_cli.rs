@@ -99,3 +99,58 @@ fn exit_code_stays_lint_driven_with_opt_flags() {
         "unexpected emit:\n{stdout}"
     );
 }
+
+#[test]
+fn malformed_operands_exit_with_an_error_not_a_panic() {
+    // Both inputs once panicked inside the assembler (exit 101).
+    for src in ["MOV R0, ", "MOV R0, \u{e9}0"] {
+        let (_, stderr, code) = run_lint(&[], src);
+        assert_eq!(code, Some(1), "{src:?}: {stderr}");
+    }
+}
+
+#[test]
+fn arbitrary_stdin_never_crashes_the_cli() {
+    // Random bytes, invalid UTF-8 included, and random splices of a valid
+    // program: the exit status is always 0, 1 or 2, never a panic's 101.
+    let mut state = 0x2545_f491_4f6c_dd1du64;
+    let mut next = move || {
+        state ^= state << 13;
+        state ^= state >> 7;
+        state ^= state << 17;
+        state
+    };
+    let seed = COPY_HEAVY.as_bytes();
+    for case in 0..48 {
+        let input: Vec<u8> = if case % 2 == 0 {
+            (0..next() % 80).map(|_| next() as u8).collect()
+        } else {
+            let mut bytes = seed.to_vec();
+            for _ in 0..1 + next() % 4 {
+                let at = (next() as usize) % (bytes.len() + 1);
+                let splice = b"\xc3\xa9,.-R9TO#\n\xff ";
+                bytes.insert(at, splice[next() as usize % splice.len()]);
+            }
+            bytes
+        };
+        let mut child = Command::new(env!("CARGO_BIN_EXE_shader_lint"))
+            .args(["--opt", "--emit"])
+            .stdin(Stdio::piped())
+            .stdout(Stdio::null())
+            .stderr(Stdio::null())
+            .spawn()
+            .expect("spawn shader_lint");
+        child
+            .stdin
+            .take()
+            .expect("stdin")
+            .write_all(&input)
+            .expect("write stdin");
+        let code = child.wait().expect("wait shader_lint").code();
+        assert!(
+            matches!(code, Some(0..=2)),
+            "exit {code:?} on input {:?}",
+            String::from_utf8_lossy(&input)
+        );
+    }
+}

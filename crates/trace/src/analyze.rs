@@ -16,6 +16,10 @@
 //!   the critical path can never exceed the arm wall.
 //! * **Fleet balance** — per-device chunk counts, steal counts, busy time
 //!   and utilization against the fleet makespan.
+//! * **Shading ledger** — per pipeline stage, how the shading tiles' thread
+//!   time splits into the op sweep, the texture-cache replay and the tile
+//!   resolve, each with its units (ops, touches, texels), from the
+//!   `gpu.ledger` instants each traced pass records.
 //!
 //! Streams are segmented into *arms* by `bench.arm` spans (the bench
 //! harness brackets each measured configuration with one); a stream with no
@@ -37,6 +41,8 @@ const ARM_CAT: &str = "bench.arm";
 const STAGE_CAT: &str = "pipeline.stage";
 /// Category of host↔device transfer spans (the shared-bus occupancy signal).
 const XFER_CAT: &str = "gpu.xfer";
+/// Category of the per-pass shading-ledger instants.
+const LEDGER_CAT: &str = "gpu.ledger";
 
 // ---------------------------------------------------------------------------
 // Span reconstruction
@@ -69,15 +75,18 @@ impl SpanRec {
     }
 
     fn arg_u64(&self, key: &str) -> Option<u64> {
-        self.args
-            .iter()
-            .find(|(k, _)| *k == key)
-            .and_then(|(_, v)| match v {
-                ArgValue::U64(n) => Some(*n),
-                ArgValue::I64(n) => u64::try_from(*n).ok(),
-                _ => None,
-            })
+        arg_u64(&self.args, key)
     }
+}
+
+fn arg_u64(args: &[(&'static str, ArgValue)], key: &str) -> Option<u64> {
+    args.iter()
+        .find(|(k, _)| *k == key)
+        .and_then(|(_, v)| match v {
+            ArgValue::U64(n) => Some(*n),
+            ArgValue::I64(n) => u64::try_from(*n).ok(),
+            _ => None,
+        })
 }
 
 /// Rebuild matched spans from an event stream. Events must be in per-thread
@@ -270,6 +279,49 @@ impl FleetBalance {
     }
 }
 
+/// Where one pipeline stage's shading tiles spent their thread time, summed
+/// over the stage's traced passes. The three parts partition the tiles'
+/// time, so [`StageLedger::shading_s`] is their sum; with several worker
+/// threads it exceeds the stage's wall clock.
+#[derive(Debug, Clone, PartialEq, Default)]
+pub struct StageLedger {
+    /// `pipeline.stage` span enclosing the passes (`unstaged` outside one).
+    pub stage: String,
+    /// Passes summed.
+    pub passes: u64,
+    /// Wall clock of the stage's `pipeline.stage` spans, seconds.
+    pub wall_s: f64,
+    /// Op sweep (interpolation, arithmetic, TEX gather and touch recording),
+    /// thread-seconds.
+    pub sweep_s: f64,
+    /// Specialized ops run (ops × lane groups).
+    pub ops: u64,
+    /// Texture-cache replay, thread-seconds.
+    pub replay_s: f64,
+    /// Cache touches replayed.
+    pub touches: u64,
+    /// Tile resolve (storing `O0` into the tile's rows), thread-seconds.
+    pub resolve_s: f64,
+    /// Texels stored.
+    pub texels: u64,
+}
+
+impl StageLedger {
+    /// The tiles' whole thread time: sweep + replay + resolve.
+    pub fn shading_s(&self) -> f64 {
+        self.sweep_s + self.replay_s + self.resolve_s
+    }
+}
+
+/// Nanoseconds per unit, 0 when no unit was processed.
+fn ns_per(s: f64, units: u64) -> f64 {
+    if units == 0 {
+        0.0
+    } else {
+        s * 1e9 / units as f64
+    }
+}
+
 /// Analysis of one bench arm (one `bench.arm` bracket, or the whole stream).
 #[derive(Debug, Clone, PartialEq)]
 pub struct ArmAnalysis {
@@ -285,6 +337,9 @@ pub struct ArmAnalysis {
     pub critical_path: CriticalPath,
     /// Fleet load balance; `None` when the arm ran no `fleet.chunk` spans.
     pub fleet: Option<FleetBalance>,
+    /// Shading ledger per pipeline stage, in order of first appearance;
+    /// empty when the arm recorded no `gpu.ledger` instants.
+    pub ledger: Vec<StageLedger>,
 }
 
 /// Full analyzer output: one report per arm, in chronological order.
@@ -395,6 +450,7 @@ fn analyze_arm(
         overlap: overlap_stats(&spans),
         critical_path: critical_path(&spans),
         fleet: fleet_balance(&spans, threads),
+        ledger: stage_ledgers(events, &spans),
         name,
         wall_s,
         threads: thread_rows,
@@ -534,6 +590,72 @@ fn critical_path(spans: &[SpanRec]) -> CriticalPath {
     }
 }
 
+/// Sum the `gpu.ledger` instants per enclosing `pipeline.stage` span (the
+/// innermost one on the instant's thread).
+fn stage_ledgers(events: &[Event], spans: &[SpanRec]) -> Vec<StageLedger> {
+    #[derive(Default)]
+    struct Acc {
+        passes: u64,
+        ns: [u64; 3],
+        units: [u64; 3],
+    }
+    let mut order: Vec<String> = Vec::new();
+    let mut acc: BTreeMap<String, Acc> = BTreeMap::new();
+    for ev in events
+        .iter()
+        .filter(|e| e.phase == Phase::Instant && e.cat == LEDGER_CAT)
+    {
+        let stage = spans
+            .iter()
+            .filter(|s| {
+                s.cat == STAGE_CAT
+                    && s.tid == ev.tid
+                    && s.start_ns <= ev.ts_ns
+                    && ev.ts_ns <= s.end_ns
+            })
+            .max_by_key(|s| s.depth)
+            .map_or("unstaged", |s| s.name.as_str());
+        if !acc.contains_key(stage) {
+            order.push(stage.to_owned());
+        }
+        let a = acc.entry(stage.to_owned()).or_default();
+        a.passes += 1;
+        for (i, (time, unit)) in [
+            ("sweep_ns", "ops"),
+            ("replay_ns", "touches"),
+            ("resolve_ns", "texels"),
+        ]
+        .into_iter()
+        .enumerate()
+        {
+            a.ns[i] = a.ns[i].saturating_add(arg_u64(&ev.args, time).unwrap_or(0));
+            a.units[i] = a.units[i].saturating_add(arg_u64(&ev.args, unit).unwrap_or(0));
+        }
+    }
+    let mut walls: BTreeMap<&str, u64> = BTreeMap::new();
+    for s in spans.iter().filter(|s| s.cat == STAGE_CAT) {
+        let w = walls.entry(s.name.as_str()).or_default();
+        *w = w.saturating_add(s.dur_ns());
+    }
+    order
+        .into_iter()
+        .map(|stage| {
+            let a = &acc[&stage];
+            StageLedger {
+                passes: a.passes,
+                wall_s: ns_to_s(walls.get(stage.as_str()).copied().unwrap_or(0)),
+                sweep_s: ns_to_s(a.ns[0]),
+                ops: a.units[0],
+                replay_s: ns_to_s(a.ns[1]),
+                touches: a.units[1],
+                resolve_s: ns_to_s(a.ns[2]),
+                texels: a.units[2],
+                stage,
+            }
+        })
+        .collect()
+}
+
 fn fleet_balance(spans: &[SpanRec], threads: &[(u64, String)]) -> Option<FleetBalance> {
     let fchunks: Vec<&SpanRec> = spans.iter().filter(|s| s.cat == "fleet.chunk").collect();
     if fchunks.is_empty() {
@@ -626,6 +748,40 @@ pub fn render_text(analysis: &TraceAnalysis) -> String {
                 s,
                 pct(stage_share)
             );
+        }
+        if !arm.ledger.is_empty() {
+            let _ = writeln!(
+                out,
+                "  shading ledger (tile thread time = sweep + replay + resolve)"
+            );
+            let _ = writeln!(
+                out,
+                "    {:<12} {:>9} {:>9}  {:>9} {:>8}  {:>9} {:>8}  {:>9} {:>8}",
+                "stage",
+                "wall",
+                "shading",
+                "sweep",
+                "ns/op",
+                "replay",
+                "ns/touch",
+                "resolve",
+                "ns/texel"
+            );
+            for l in &arm.ledger {
+                let _ = writeln!(
+                    out,
+                    "    {:<12} {:>8.3}s {:>8.3}s  {:>8.3}s {:>8.2}  {:>8.3}s {:>8.2}  {:>8.3}s {:>8.2}",
+                    l.stage,
+                    l.wall_s,
+                    l.shading_s(),
+                    l.sweep_s,
+                    ns_per(l.sweep_s, l.ops),
+                    l.replay_s,
+                    ns_per(l.replay_s, l.touches),
+                    l.resolve_s,
+                    ns_per(l.resolve_s, l.texels)
+                );
+            }
         }
         let ov = &arm.overlap;
         let _ = writeln!(

@@ -111,6 +111,71 @@ fn stage_attribution_and_ragged_pack_overlap() {
 }
 
 /// A two-device fleet where device 1 steals one of device 0's chunks.
+/// One traced pass's `gpu.ledger` instant.
+fn ledger(ts_ns: u64, tid: u64, parts: [u64; 6]) -> Event {
+    let keys = [
+        "sweep_ns",
+        "ops",
+        "replay_ns",
+        "touches",
+        "resolve_ns",
+        "texels",
+    ];
+    let args: Vec<(&'static str, u64)> = keys.into_iter().zip(parts).collect();
+    ev_args(ts_ns, tid, Phase::Instant, "gpu.ledger", "pass", &args)
+}
+
+/// Ledger instants sum per enclosing `pipeline.stage` span on their own
+/// thread, the three parts add up to the shading time, and the report
+/// prints ns per unit.
+#[test]
+fn shading_ledger_sums_per_stage() {
+    let events = vec![
+        ev(0, 1, Phase::Begin, "pipeline.stage", "distance"),
+        ledger(100, 1, [300, 30, 100, 50, 20, 10]),
+        ledger(600, 1, [500, 70, 50, 25, 10, 10]),
+        ev(1000, 1, Phase::End, "pipeline.stage", "distance"),
+        ev(1000, 1, Phase::Begin, "pipeline.stage", "mei"),
+        ledger(1200, 1, [200, 20, 80, 40, 20, 5]),
+        ev(1500, 1, Phase::End, "pipeline.stage", "mei"),
+        ledger(1800, 1, [10, 1, 0, 0, 0, 1]),
+        // Another thread's distance stage spans every instant above, but
+        // attribution follows the instant's own thread.
+        ev(0, 2, Phase::Begin, "pipeline.stage", "distance"),
+        ev(2000, 2, Phase::End, "pipeline.stage", "distance"),
+    ];
+    let snap = TraceSnapshot {
+        events,
+        threads: vec![(1, "main".into()), (2, "device1".into())],
+    };
+    let analysis = analyze(&snap);
+    let ledger = &analysis.arms[0].ledger;
+    let stages: Vec<&str> = ledger.iter().map(|l| l.stage.as_str()).collect();
+    assert_eq!(stages, ["distance", "mei", "unstaged"]);
+    let d = &ledger[0];
+    assert_eq!((d.passes, d.ops, d.touches, d.texels), (2, 100, 75, 20));
+    assert!((d.sweep_s - 800e-9).abs() < 1e-15);
+    assert!((d.replay_s - 150e-9).abs() < 1e-15);
+    assert!((d.resolve_s - 30e-9).abs() < 1e-15);
+    assert!((d.shading_s() - 980e-9).abs() < 1e-15);
+    // Stage wall sums both threads' distance spans.
+    assert!((d.wall_s - 3000e-9).abs() < 1e-15);
+    let m = &ledger[1];
+    assert_eq!((m.passes, m.ops, m.touches, m.texels), (1, 20, 40, 5));
+    assert!((m.wall_s - 500e-9).abs() < 1e-15);
+    let text = trace::analyze::render_text(&analysis);
+    assert!(text.contains("shading ledger"), "{text}");
+    // distance: 800 ns / 100 ops, 150 ns / 75 touches, 30 ns / 20 texels.
+    let section = text.split("shading ledger").nth(1).unwrap();
+    let row = section
+        .lines()
+        .find(|l| l.trim_start().starts_with("distance"))
+        .unwrap();
+    for figure in ["8.00", "2.00", "1.50"] {
+        assert!(row.contains(figure), "{row}");
+    }
+}
+
 #[test]
 fn fleet_balance_counts_steals_and_utilization() {
     let mut events = Vec::new();

@@ -49,17 +49,26 @@ fn gpu_mei_matches_cpu_reference_across_shapes() {
 
 #[test]
 fn gpu_matches_cpu_simd4_baseline() {
-    let cube = pseudo_random_cube(11, 9, 7, 42);
+    // The SIMD4 CPU baseline uses exactly the GPU's 4-lane arithmetic and
+    // summation order, so the MEI agrees bit for bit on both devices and
+    // with or without fusion.
     let se = StructuringElement::square(3).unwrap();
-    let simd = cpu::run_simd4(&cube, &se);
-    let mut gpu = Gpu::new(GpuProfile::fx5950_ultra());
-    let gpu_out = GpuAmc::new(se, KernelMode::Isa)
-        .run(&mut gpu, &cube)
-        .unwrap();
-    // The SIMD4 CPU baseline uses exactly the GPU's 4-lane arithmetic.
-    assert_close(&gpu_out.mei.scores, &simd.mei.scores, 1e-5, "mei");
-    assert_eq!(gpu_out.min_index, simd.morph.min_index);
-    assert_eq!(gpu_out.max_index, simd.morph.max_index);
+    for (w, h, bands, seed) in [(11, 9, 7, 42u64), (16, 12, 13, 7)] {
+        let cube = pseudo_random_cube(w, h, bands, seed);
+        let simd = cpu::run_simd4(&cube, &se);
+        for profile in [GpuProfile::fx5950_ultra(), GpuProfile::geforce_7800gtx()] {
+            for fuse in [false, true] {
+                let mut amc = GpuAmc::new(se.clone(), KernelMode::Isa);
+                amc.set_fusion(fuse);
+                let gpu_out = amc.run(&mut Gpu::new(profile.clone()), &cube).unwrap();
+                let bits = |s: &[f32]| s.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+                let what = format!("{w}x{h}x{bands} on {} fused {fuse}", profile.name);
+                assert_eq!(bits(&gpu_out.mei.scores), bits(&simd.mei.scores), "{what}");
+                assert_eq!(gpu_out.min_index, simd.morph.min_index, "{what}");
+                assert_eq!(gpu_out.max_index, simd.morph.max_index, "{what}");
+            }
+        }
+    }
 }
 
 #[test]

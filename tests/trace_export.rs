@@ -80,6 +80,7 @@ fn chrome_export_is_golden_and_tracing_is_pure_observation() {
     let mut chunk_spans = 0usize;
     let mut pack_spans = 0usize;
     let mut stage_spans: std::collections::BTreeMap<String, usize> = Default::default();
+    let (mut pass_spans, mut ledgers, mut touches, mut texels) = (0u64, 0u64, 0u64, 0u64);
 
     for ev in events {
         let field = |key: &str| ev.get(key).unwrap_or_else(|e| panic!("{e} in {ev:?}"));
@@ -110,6 +111,9 @@ fn chrome_export_is_golden_and_tracing_is_pure_observation() {
                 if cat == "pipeline.stage" {
                     *stage_spans.entry(name.clone()).or_default() += 1;
                 }
+                if cat == "gpu.pass" {
+                    pass_spans += 1;
+                }
                 stacks.entry(tid).or_default().push(name);
             }
             "E" => {
@@ -119,7 +123,15 @@ fn chrome_export_is_golden_and_tracing_is_pure_observation() {
                     .unwrap_or_else(|| panic!("E without B on tid {tid}: {ev:?}"));
                 assert_eq!(open, name, "mismatched B/E pair on tid {tid}");
             }
-            "i" => assert_eq!(field("s").as_str(), Ok("t"), "instant scope"),
+            "i" => {
+                assert_eq!(field("s").as_str(), Ok("t"), "instant scope");
+                if cat == "gpu.ledger" {
+                    let arg = |key: &str| field("args").get(key).unwrap().as_u64().unwrap();
+                    ledgers += 1;
+                    touches += arg("touches");
+                    texels += arg("texels");
+                }
+            }
             "C" => {}
             other => panic!("unexpected phase {other:?}: {ev:?}"),
         }
@@ -149,5 +161,18 @@ fn chrome_export_is_golden_and_tracing_is_pure_observation() {
         );
     }
     assert_eq!(pack_spans, on.chunks - 1, "double-buffer pack spans");
+
+    // Every pass records its shading ledger: every texel it resolved and
+    // every cache touch it replayed, and the analyzer sums them per stage.
+    assert_eq!(pass_spans, on.stats.passes, "one gpu.pass span per pass");
+    assert_eq!(ledgers, on.stats.passes, "one gpu.ledger instant per pass");
+    assert_eq!(texels, on.stats.fragments);
+    assert_eq!(touches, on.stats.cache_hits + on.stats.cache_misses);
+    let analysis = trace::analyze::analyze(&trace::analyze::import_chrome_trace(&json).unwrap());
+    let ledger = &analysis.arms[0].ledger;
+    let stages: Vec<&str> = ledger.iter().map(|l| l.stage.as_str()).collect();
+    assert_eq!(stages, ["normalize", "distance", "minmax", "mei"]);
+    assert_eq!(ledger.iter().map(|l| l.texels).sum::<u64>(), texels);
+    assert!(ledger.iter().all(|l| l.ops > 0 && l.shading_s() > 0.0));
     trace::reset();
 }
