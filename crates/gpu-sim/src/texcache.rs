@@ -98,10 +98,10 @@ impl TextureCache {
 
     /// Replay an ordered sequence of resolved texel touches — equivalent
     /// to calling [`TextureCache::access`] once per `(texture, x, y)` item
-    /// in iteration order. The batched fragment executor records touches
-    /// instruction-major and replays them through this in the scalar
-    /// executor's fragment-major order, so hit/miss counters stay
-    /// bit-identical between the two paths.
+    /// in iteration order. The tile executor records its touches during the
+    /// op sweep and replays them through this in the scalar executor's
+    /// fragment-major order, so hit/miss counters stay bit-identical
+    /// between the two paths.
     pub fn access_all<I: IntoIterator<Item = (u32, usize, usize)>>(&mut self, touches: I) {
         for (texture, x, y) in touches {
             self.access(texture, x, y);
