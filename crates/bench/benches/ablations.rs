@@ -81,7 +81,9 @@ fn bench_chunk_granularity(c: &mut Criterion) {
             b.iter(|| {
                 let mut total = 0u64;
                 for chunk in cb.chunks(chunking) {
-                    total += amc.run_chunk(&mut gpu, &chunk.cube).unwrap().stats.passes;
+                    let whole_chunk = Chunking::new(chunk.cube.dims().height, 0);
+                    let out = amc.run_with_chunking(&mut gpu, &chunk.cube, whole_chunk);
+                    total += out.unwrap().stats.passes;
                 }
                 total
             })

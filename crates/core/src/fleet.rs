@@ -1,4 +1,6 @@
-//! Heterogeneous multi-device fleet executor.
+//! Heterogeneous multi-device fleet executor, and the one chunk-streaming
+//! loop and chunk-ordered merge that the single-card executor
+//! ([`GpuAmc::run_with_chunking`]) runs too.
 //!
 //! [`DeviceFleet`] owns N simulated [`Gpu`] devices with arbitrary mixed
 //! profiles and shards one chunk plan across them:
@@ -19,31 +21,35 @@
 //!   modeled work, so a mispriced device or a ragged tail cannot idle the
 //!   fleet.
 //! * **Transfers** overlap shading per device: each device thread packs
-//!   the next chunk at the head of its own queue on a reserved worker
-//!   while the current chunk shades, exactly like the single-device
-//!   executor's double-buffered uploader — but now across devices too,
+//!   the next chunk at the head of its own queue on a scoped thread while
+//!   the current chunk shades — the single-card loop, run once per device,
 //!   with the bus model charging contention when devices share the host
 //!   link ([`gpu_sim::bus::BusModel::contended`]).
 //!
-//! **Determinism.** Each device owns its texture pool, verify/lowering
-//! caches and compiled-graph cache (a fresh [`GpuAmc`] clone per device —
-//! graphs are keyed per profile), and shading arithmetic is
-//! profile-independent in the simulator, so a chunk produces bit-identical
-//! texels and [`PassStats`] on every device. Chunk outputs are merged into
-//! the global image and the stage counters are folded **in chunk index
-//! order** after all devices join — never in completion order — so labels,
-//! renders and stats are bit-identical at every fleet shape × thread
-//! count, extending the tile-order (thread-count) guarantee to device
-//! count.
+//! **Warm devices.** The devices live as long as the fleet, each behind
+//! its own mutex, so their texture pools and verify/lowering caches carry
+//! over from run to run. Compiled graphs live in the caller's [`GpuAmc`]
+//! (keyed per profile and chunk geometry) and every device thread shades
+//! through that one driver. A device whose run fails starts the next run
+//! on a fresh card, so textures an error left live never shrink a later
+//! plan.
+//!
+//! **Determinism.** Shading arithmetic is profile-independent in the
+//! simulator, so a chunk produces bit-identical texels and [`PassStats`]
+//! on every device. Chunk outputs are merged into the global image and the
+//! stage counters are folded **in chunk index order** after all devices
+//! join — never in completion order — so labels, renders and stats are
+//! bit-identical at every fleet shape × thread count, extending the
+//! tile-order (thread-count) guarantee to device count.
+//!
+//! [`PassStats`]: gpu_sim::counters::PassStats
 
 use crate::layout;
 use crate::perf::{self, PredictConfig};
-use crate::pipeline::{
-    ChunkScratch, GpuAmc, KernelMode, PipelineOutput, Result, StageStats, StageWall,
-};
+use crate::pipeline::{ChunkScratch, GpuAmc, PipelineOutput, Result, StageStats, StageWall};
 use gpu_sim::device::GpuProfile;
 use gpu_sim::gpu::Gpu;
-use hsi::cube::{Chunk, Chunking, Cube};
+use hsi::cube::{Chunk, Chunking, Cube, CubeDims};
 use hsi::morphology::MeiImage;
 use std::collections::VecDeque;
 use std::sync::Mutex;
@@ -145,29 +151,30 @@ pub struct FleetOutput {
     pub wall_s: f64,
 }
 
-/// Per-chunk result a device thread hands back for the ordered merge.
-struct ChunkResult {
-    chunk: usize,
-    out: PipelineOutput,
-}
-
-/// What one device thread produces: its chunk results (any order — the
-/// merge re-orders), its execution log, and its loop wall time.
-struct DeviceRun {
-    results: Vec<ChunkResult>,
-    executed: Vec<usize>,
+/// What one device loop produces: `(chunk index, output)` in execution
+/// order (the merge re-orders), its steal count and its loop wall time.
+pub(crate) struct DeviceRun {
+    pub(crate) results: Vec<(usize, PipelineOutput)>,
     steals: u64,
     wall_s: f64,
 }
 
-/// Shared dispatch state: one deque per device plus the steal log. A
-/// single mutex keeps pop-vs-steal atomic; chunk execution dwarfs the
-/// lock hold times by orders of magnitude.
-struct Dispatch {
+/// Shared dispatch state: one deque per device. A single mutex keeps
+/// pop-vs-steal atomic; chunk execution dwarfs the lock hold times by
+/// orders of magnitude.
+pub(crate) struct Dispatch {
     queues: Vec<VecDeque<usize>>,
 }
 
 impl Dispatch {
+    /// One queue holding every chunk in order: the single-card plan. With
+    /// one queue there is no victim, so the loop never prices a steal.
+    pub(crate) fn in_order(chunks: usize) -> Self {
+        Self {
+            queues: vec![(0..chunks).collect()],
+        }
+    }
+
     /// Pop the next chunk for `me`: own queue front first, else steal from
     /// the back of the victim with the most remaining modeled work (its
     /// own-profile pricing), ties broken toward the lower device index.
@@ -197,19 +204,26 @@ impl Dispatch {
 }
 
 /// A fleet of simulated GPUs sharing one host link.
-#[derive(Debug, Clone)]
 pub struct DeviceFleet {
     profiles: Vec<GpuProfile>,
     config: FleetConfig,
+    /// One device per profile, alive (pool and caches warm) for the
+    /// fleet's lifetime.
+    devices: Vec<Mutex<Gpu>>,
 }
 
 impl DeviceFleet {
     /// Build a fleet from device profiles (at least one).
     pub fn new(profiles: Vec<GpuProfile>) -> Self {
         assert!(!profiles.is_empty(), "a fleet needs at least one device");
+        let devices = profiles
+            .iter()
+            .map(|p| Mutex::new(Gpu::new(p.clone())))
+            .collect();
         Self {
             profiles,
             config: FleetConfig::default(),
+            devices,
         }
     }
 
@@ -318,7 +332,6 @@ impl DeviceFleet {
         cube: &Cube,
         chunking: Chunking,
     ) -> Result<FleetOutput> {
-        let dims = cube.dims();
         let chunks: Vec<Chunk> = cube.chunks(chunking).collect();
         let cost = self.chunk_costs(amc, &chunks);
         let placement = self.place(&cost);
@@ -338,8 +351,7 @@ impl DeviceFleet {
         // width across them so the fleet never runs more shading threads
         // than a single-device run would. The override is thread-local, so
         // each device thread re-establishes its share.
-        let total_threads = rayon::max_threads();
-        let per_device_threads = (total_threads / n_dev).max(1);
+        let per_device_threads = (rayon::max_threads() / n_dev).max(1);
 
         let dispatch = Mutex::new(Dispatch {
             queues: placement
@@ -351,18 +363,23 @@ impl DeviceFleet {
         let fleet_start = Instant::now();
         let runs: Vec<Result<DeviceRun>> = std::thread::scope(|s| {
             let handles: Vec<_> = self
-                .profiles
+                .devices
                 .iter()
                 .enumerate()
-                .map(|(me, profile)| {
-                    let profile = profile.clone();
-                    let se = amc.se().clone();
-                    let fuse = amc.fusion();
+                .map(|(me, device)| {
                     let (chunks, cost, dispatch) = (&chunks, &cost, &dispatch);
                     s.spawn(move || {
-                        rayon::with_threads(per_device_threads, || {
-                            run_device(me, profile, se, fuse, chunks, cost, dispatch)
-                        })
+                        let mut gpu = device.lock().expect("a run panicked on this device");
+                        let run = rayon::with_threads(per_device_threads, || {
+                            run_device(amc, &mut gpu, Some(me), chunks, cost, dispatch)
+                        });
+                        if run.is_err() {
+                            // An error can leave textures live on the card
+                            // (band planes uploaded before an out-of-memory
+                            // pass); the next run starts on a clean one.
+                            *gpu = Gpu::new(gpu.profile().clone());
+                        }
+                        run
                     })
                 })
                 .collect();
@@ -373,65 +390,26 @@ impl DeviceFleet {
         });
         let wall_s = fleet_start.elapsed().as_secs_f64();
 
-        // Deterministic merge: park every chunk result in its slot, then
-        // stitch bodies and fold counters in chunk index order — identical
-        // to the single-device loop over the same chunk list.
-        let mut slots: Vec<Option<PipelineOutput>> = (0..chunks.len()).map(|_| None).collect();
+        let mut results = Vec::with_capacity(chunks.len());
         let mut devices = Vec::with_capacity(n_dev);
         let mut steals = 0u64;
         for (me, run) in runs.into_iter().enumerate() {
             let run = run?;
-            let modeled_s: f64 = run.executed.iter().map(|&i| cost[me][i]).sum();
+            let executed: Vec<usize> = run.results.iter().map(|&(i, _)| i).collect();
             steals += run.steals;
-            for r in run.results {
-                debug_assert!(slots[r.chunk].is_none(), "chunk executed twice");
-                slots[r.chunk] = Some(r.out);
-            }
             devices.push(DeviceReport {
                 profile: self.profiles[me].clone(),
                 planned: placement[me].clone(),
-                executed: run.executed,
+                modeled_s: executed.iter().map(|&i| cost[me][i]).sum(),
+                executed,
                 steals: run.steals,
-                modeled_s,
                 wall_s: run.wall_s,
             });
+            results.extend(run.results);
         }
-
-        let mut mei_scores = vec![0.0f32; dims.pixels()];
-        let mut min_index = vec![0u32; dims.pixels()];
-        let mut max_index = vec![0u32; dims.pixels()];
-        let mut stages = StageStats::default();
-        let mut stage_wall = StageWall::default();
-        for (chunk, slot) in chunks.iter().zip(slots) {
-            let out = slot.expect("every chunk executed");
-            let cw = chunk.cube.dims().width;
-            for local_y in chunk.body_range() {
-                let global_y = chunk.y_start + (local_y - chunk.halo_top);
-                let src = local_y * cw;
-                let dst = global_y * dims.width;
-                mei_scores[dst..dst + cw].copy_from_slice(&out.mei.scores[src..src + cw]);
-                min_index[dst..dst + cw].copy_from_slice(&out.min_index[src..src + cw]);
-                max_index[dst..dst + cw].copy_from_slice(&out.max_index[src..src + cw]);
-            }
-            stages.add(&out.stages);
-            stage_wall.add(&out.stage_wall);
-        }
-
         let modeled_makespan_s = devices.iter().map(|d| d.modeled_s).fold(0.0f64, f64::max);
         Ok(FleetOutput {
-            pipeline: PipelineOutput {
-                mei: MeiImage {
-                    width: dims.width,
-                    height: dims.height,
-                    scores: mei_scores,
-                },
-                min_index,
-                max_index,
-                stats: stages.total(),
-                stages,
-                stage_wall,
-                chunks: chunks.len(),
-            },
+            pipeline: merge(cube.dims(), &chunks, results),
             chunking,
             devices,
             steals,
@@ -459,33 +437,35 @@ impl DeviceFleet {
     }
 }
 
-/// One device's dispatch loop: pop (or steal) chunks until the fleet
-/// drains, shading each on this device while a reserved worker packs the
-/// next chunk at the head of the own queue.
-fn run_device(
-    me: usize,
-    profile: GpuProfile,
-    se: hsi::morphology::StructuringElement,
-    fuse: bool,
+/// The chunk-streaming loop, for the single card and every fleet device:
+/// pop (or steal) chunks until the queues drain, shading each on `gpu`
+/// through [`GpuAmc::run_chunk_graph`] while a scoped thread packs the next
+/// chunk at the head of this device's queue.
+///
+/// `device` is the fleet index, `None` on the single-card path. It picks
+/// the trace rows and span names (`pipeline.*` or `fleet.*`) and nothing
+/// else.
+pub(crate) fn run_device(
+    amc: &GpuAmc,
+    gpu: &mut Gpu,
+    device: Option<usize>,
     chunks: &[Chunk],
     cost: &[Vec<f64>],
     dispatch: &Mutex<Dispatch>,
 ) -> Result<DeviceRun> {
-    if trace::enabled() {
+    let me = device.unwrap_or(0);
+    let arg = |n: usize| ArgValue::U64(n as u64);
+    if let (Some(me), true) = (device, trace::enabled()) {
         // One Perfetto row per device: upload/stage/pass spans emitted
         // while this thread shades land on it, so overlap across devices
         // is visible at a glance.
-        trace::set_thread_name(&format!("device{me}.{}", profile.short_name()));
+        trace::set_thread_name(&format!("device{me}.{}", gpu.profile().short_name()));
     }
-    let mut driver = GpuAmc::new(se, KernelMode::Isa);
-    driver.set_fusion(fuse);
-    let mut gpu = Gpu::new(profile);
     let mut scratch = ChunkScratch::default();
     let mut results = Vec::new();
-    let mut executed = Vec::new();
     let mut steals = 0u64;
-    // Double-buffered staging, per device: `prepacked` holds the chunk a
-    // packer thread prepared while the previous chunk shaded.
+    // Double-buffered staging: `prepacked` holds the chunk a packer thread
+    // prepared while the previous chunk shaded.
     let mut prepacked: Option<(usize, Vec<Vec<f32>>)> = None;
     let mut spare: Vec<Vec<f32>> = Vec::new();
     let start = Instant::now();
@@ -494,20 +474,34 @@ fn run_device(
             break;
         };
         steals += stolen as u64;
-        let chunk_span = trace::span_with(
-            "fleet.chunk",
-            "chunk",
-            &[
-                ("device", ArgValue::U64(me as u64)),
-                ("index", ArgValue::U64(i as u64)),
-                ("stolen", ArgValue::U64(stolen as u64)),
-            ],
-        );
+        let cd = chunks[i].cube.dims();
+        let (_chunk_span, chunk_wall) = match device {
+            None => (
+                trace::span_with(
+                    "pipeline.chunk",
+                    "chunk",
+                    &[("index", arg(i)), ("lines", arg(cd.height))],
+                ),
+                "pipeline.chunk_wall",
+            ),
+            Some(me) => (
+                trace::span_with(
+                    "fleet.chunk",
+                    "chunk",
+                    &[
+                        ("device", arg(me)),
+                        ("index", arg(i)),
+                        ("stolen", arg(stolen.into())),
+                    ],
+                ),
+                "fleet.chunk_wall",
+            ),
+        };
         let chunk_start = Instant::now();
         // Use the prefetched buffers when they are for this chunk; a steal
         // (ours or another device's) invalidates the prefetch, so pack
         // synchronously and recycle the buffers.
-        let mut packed = match prepacked.take() {
+        let packed = match prepacked.take() {
             Some((j, bufs)) if j == i => bufs,
             other => {
                 let mut bufs = other.map(|(_, b)| b).unwrap_or_default();
@@ -518,58 +512,90 @@ fn run_device(
         // Prefetch the next chunk still at the head of the own queue (best
         // effort: it may be stolen before this device pops again).
         let next = dispatch.lock().unwrap().peek(me);
-        let cd = chunks[i].cube.dims();
         let (result, next_bufs) = std::thread::scope(|s| {
             let packer = next.map(|j| {
                 let mut buf = std::mem::take(&mut spare);
                 s.spawn(move || {
                     if trace::enabled() {
-                        trace::set_thread_name(&format!("device{me}.packer"));
+                        // One stable row per device: the scope joins each
+                        // packer before the next spawns.
+                        let row = device.map_or("packer".into(), |me| format!("device{me}.packer"));
+                        trace::set_thread_name(&row);
                     }
-                    let _pack = trace::span_with(
-                        "fleet.pack",
-                        "pack",
-                        &[
-                            ("device", ArgValue::U64(me as u64)),
-                            ("chunk", ArgValue::U64(j as u64)),
-                        ],
-                    );
+                    let _pack = match device {
+                        None => trace::span_with("pipeline.pack", "pack", &[("chunk", arg(j))]),
+                        Some(me) => trace::span_with(
+                            "fleet.pack",
+                            "pack",
+                            &[("device", arg(me)), ("chunk", arg(j))],
+                        ),
+                    };
                     layout::pack_cube_into(&chunks[j].cube, &mut buf);
                     (j, buf)
                 })
             });
-            // The packer owns one of this device's workers while it runs.
-            let _packer_core = packer.as_ref().map(|_| rayon::reserve_thread());
-            let result = driver.run_chunk_graph(
-                &mut gpu,
-                cd.width,
-                cd.height,
-                cd.bands,
-                &packed,
-                &mut scratch,
-            );
+            let result =
+                amc.run_chunk_graph(gpu, cd.width, cd.height, cd.bands, &packed, &mut scratch);
             let next_bufs = packer.map(|h| h.join().expect("packer thread panicked"));
             (result, next_bufs)
         });
-        let out = result?;
-        if let Some(pair) = next_bufs {
-            prepacked = Some(pair);
-            spare = std::mem::take(&mut packed);
-        } else {
-            spare = std::mem::take(&mut packed);
-        }
-        results.push(ChunkResult { chunk: i, out });
-        executed.push(i);
-        trace::metrics::observe("fleet.chunk_wall", chunk_start.elapsed());
-        drop(chunk_span);
+        results.push((i, result?));
+        prepacked = next_bufs;
+        spare = packed;
+        trace::metrics::observe(chunk_wall, chunk_start.elapsed());
     }
-    gpu.drain_pool();
     Ok(DeviceRun {
         results,
-        executed,
         steals,
         wall_s: start.elapsed().as_secs_f64(),
     })
+}
+
+/// Stitch chunk bodies into the image and fold their counters, in chunk
+/// index order whatever order `results` arrive in — the one merge behind
+/// both executors, and why their outputs agree bit for bit.
+pub(crate) fn merge(
+    dims: CubeDims,
+    chunks: &[Chunk],
+    results: Vec<(usize, PipelineOutput)>,
+) -> PipelineOutput {
+    let mut slots: Vec<Option<PipelineOutput>> = (0..chunks.len()).map(|_| None).collect();
+    for (i, out) in results {
+        debug_assert!(slots[i].is_none(), "chunk executed twice");
+        slots[i] = Some(out);
+    }
+    let mut mei_scores = vec![0.0f32; dims.pixels()];
+    let mut min_index = vec![0u32; dims.pixels()];
+    let mut max_index = vec![0u32; dims.pixels()];
+    let mut stages = StageStats::default();
+    let mut stage_wall = StageWall::default();
+    for (chunk, slot) in chunks.iter().zip(slots) {
+        let out = slot.expect("every chunk executed");
+        let cw = chunk.cube.dims().width;
+        for local_y in chunk.body_range() {
+            let global_y = chunk.y_start + (local_y - chunk.halo_top);
+            let src = local_y * cw;
+            let dst = global_y * dims.width;
+            mei_scores[dst..dst + cw].copy_from_slice(&out.mei.scores[src..src + cw]);
+            min_index[dst..dst + cw].copy_from_slice(&out.min_index[src..src + cw]);
+            max_index[dst..dst + cw].copy_from_slice(&out.max_index[src..src + cw]);
+        }
+        stages.add(&out.stages);
+        stage_wall.add(&out.stage_wall);
+    }
+    PipelineOutput {
+        mei: MeiImage {
+            width: dims.width,
+            height: dims.height,
+            scores: mei_scores,
+        },
+        min_index,
+        max_index,
+        stats: stages.total(),
+        stages,
+        stage_wall,
+        chunks: chunks.len(),
+    }
 }
 
 /// Merge helper used by the tests: bit-pattern view of an MEI image.
@@ -581,6 +607,7 @@ fn mei_bits(m: &MeiImage) -> Vec<u32> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::pipeline::{AmcError, KernelMode};
     use hsi::cube::{Cube, CubeDims, Interleave};
     use hsi::morphology::StructuringElement;
     use proptest::prelude::*;
@@ -760,6 +787,34 @@ mod tests {
             speedup >= 1.8,
             "modeled 2x7800GTX speedup {speedup:.3} < 1.8 (single {single:.6}s, makespan {makespan:.6}s)"
         );
+    }
+
+    #[test]
+    fn a_failed_run_starts_the_next_on_a_clean_device() {
+        // One whole-image chunk cannot fit a 1 MiB card: the run fails with
+        // band planes already uploaded. The planned run after it budgets the
+        // whole card, so it only fits if the device dropped them.
+        let mut small = GpuProfile::fx5950_ultra();
+        small.video_memory_mib = 1;
+        let cube = test_cube(256, 64, 8);
+        let amc = GpuAmc::new(StructuringElement::square(3).unwrap(), KernelMode::Isa);
+        let fleet = DeviceFleet::new(vec![small.clone()]);
+        let err = fleet
+            .run_with_chunking(&amc, &cube, Chunking::new(64, 0))
+            .unwrap_err();
+        assert!(
+            matches!(
+                err,
+                AmcError::Gpu(gpu_sim::GpuError::OutOfVideoMemory { .. })
+            ),
+            "{err}"
+        );
+        let out = fleet.run(&amc, &cube).unwrap();
+        let fresh = DeviceFleet::new(vec![small]).run(&amc, &cube).unwrap();
+        assert_eq!(mei_bits(&out.pipeline.mei), mei_bits(&fresh.pipeline.mei));
+        assert_eq!(out.pipeline.min_index, fresh.pipeline.min_index);
+        assert_eq!(out.pipeline.max_index, fresh.pipeline.max_index);
+        assert_eq!(out.pipeline.stages, fresh.pipeline.stages);
     }
 
     proptest! {

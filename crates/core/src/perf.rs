@@ -210,7 +210,9 @@ mod tests {
         // The model counts the unfused schedule, pass for pass.
         let mut amc = GpuAmc::new(se.clone(), KernelMode::Isa);
         amc.set_fusion(false);
-        let out = amc.run_chunk(&mut gpu, &cube).unwrap();
+        let out = amc
+            .run_with_chunking(&mut gpu, &cube, Chunking::new(11, 0))
+            .unwrap();
         let pred = predict_chunk_stats(14, 11, 10, &se, &PredictConfig::default());
         assert_eq!(pred.passes, out.stats.passes);
         assert_eq!(pred.fragments, out.stats.fragments);
@@ -232,7 +234,7 @@ mod tests {
         let se = StructuringElement::square(3).unwrap();
         let mut gpu = Gpu::new(GpuProfile::geforce_7800gtx());
         let out = GpuAmc::new(se, KernelMode::Isa)
-            .run_chunk(&mut gpu, &cube)
+            .run_with_chunking(&mut gpu, &cube, Chunking::new(48, 0))
             .unwrap();
         let measured = out.stats.cache_hit_rate();
         assert!(

@@ -23,6 +23,7 @@
 //! a neighbour looks one radius further) for chunked output to be exactly
 //! chunk-free.
 
+use crate::fleet::{self, Dispatch};
 use crate::graph::{self, CompiledGraph, PassDecl, RenderGraph, TexHandle, TexKind};
 use crate::kernels;
 use crate::layout;
@@ -33,10 +34,9 @@ use gpu_sim::opt;
 use gpu_sim::raster::TexCoordSet;
 use hsi::cube::{Chunking, Cube};
 use hsi::morphology::{MeiImage, StructuringElement};
-use std::cell::RefCell;
 use std::collections::HashMap;
 use std::fmt;
-use std::rc::Rc;
+use std::sync::{Arc, Mutex};
 use std::time::Instant;
 use trace::ArgValue;
 
@@ -331,7 +331,7 @@ type GraphKey = (&'static str, usize, usize, usize);
 
 /// A compiled AMC chunk graph plus the handles the pipeline needs to feed
 /// and drain it.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 struct AmcGraph {
     compiled: CompiledGraph,
     bands: Vec<TexHandle>,
@@ -340,15 +340,16 @@ struct AmcGraph {
     state: TexHandle,
 }
 
-/// The GPU AMC pipeline driver.
-#[derive(Debug, Clone)]
+/// The GPU AMC pipeline driver. It is `Sync`: every device thread of a
+/// [`fleet::DeviceFleet`] shades through the caller's one driver.
+#[derive(Debug)]
 pub struct GpuAmc {
     se: StructuringElement,
     fuse: bool,
     /// Compiled graphs cached per (device, chunk geometry): every full
     /// chunk of a run shares one compile, the ragged last chunk gets its
-    /// own, and repeat runs reuse both.
-    graphs: RefCell<HashMap<GraphKey, Rc<AmcGraph>>>,
+    /// own, and repeat runs (on any device of that profile) reuse both.
+    graphs: Mutex<HashMap<GraphKey, Arc<AmcGraph>>>,
 }
 
 impl GpuAmc {
@@ -359,7 +360,7 @@ impl GpuAmc {
         Self {
             se,
             fuse: true,
-            graphs: RefCell::new(HashMap::new()),
+            graphs: Mutex::new(HashMap::new()),
         }
     }
 
@@ -377,7 +378,10 @@ impl GpuAmc {
     /// Turn fusion on or off. Clears the compiled-graph cache.
     pub fn set_fusion(&mut self, fuse: bool) {
         self.fuse = fuse;
-        self.graphs.borrow_mut().clear();
+        self.graphs
+            .get_mut()
+            .expect("a graph compile panicked")
+            .clear();
     }
 
     /// Compile the AMC render graph for one chunk geometry, for
@@ -556,22 +560,25 @@ impl GpuAmc {
         w: usize,
         h: usize,
         bands: usize,
-    ) -> Result<Rc<AmcGraph>> {
+    ) -> Result<Arc<AmcGraph>> {
         let key: GraphKey = (profile.name, w, h, bands);
-        if let Some(cached) = self.graphs.borrow().get(&key) {
+        // Held across the compile, so device threads that miss on the same
+        // geometry compile it once.
+        let mut graphs = self.graphs.lock().expect("a graph compile panicked");
+        if let Some(cached) = graphs.get(&key) {
             return Ok(cached.clone());
         }
         let _span = trace::span("pipeline.graph_compile", profile.name);
         let (g, bands_h, lut, mei, state) = self.declare_amc_graph(w, h, bands);
         let compiled = graph::compile(&g, profile, self.fuse).map_err(AmcError::Graph)?;
-        let amc = Rc::new(AmcGraph {
+        let amc = Arc::new(AmcGraph {
             compiled,
             bands: bands_h,
             lut,
             mei,
             state,
         });
-        self.graphs.borrow_mut().insert(key, amc.clone());
+        graphs.insert(key, amc.clone());
         Ok(amc)
     }
 
@@ -669,18 +676,18 @@ impl GpuAmc {
 
     /// Run the full pipeline with an explicit chunking.
     ///
-    /// The executor splits planning from execution: chunk descriptors are
-    /// laid out first, then each chunk's band groups are packed on a worker
-    /// thread while the previous chunk shades (double-buffered upload
-    /// staging). Device textures come from the pool, so a multi-chunk run
-    /// performs the same number of real allocations as its first chunk.
+    /// The chunks stream through the loop every fleet device runs
+    /// (`fleet::run_device`), here on the calling thread over one queue
+    /// that holds every chunk in order: chunk N+1's band groups are packed
+    /// on a scoped thread while chunk N shades, and the bodies are stitched
+    /// in chunk order. Textures return to the device pool and stay there,
+    /// so a repeat run on the same `gpu` allocates none.
     pub fn run_with_chunking(
         &self,
         gpu: &mut Gpu,
         cube: &Cube,
         chunking: Chunking,
     ) -> Result<PipelineOutput> {
-        let dims = cube.dims();
         let chunks: Vec<_> = cube.chunks(chunking).collect();
         // Wall anchor for the analyzer: one span bracketing the whole
         // chunked run, carrying the plan shape the chunk DAG hangs off.
@@ -692,111 +699,9 @@ impl GpuAmc {
                 ("lines", ArgValue::U64(chunking.lines_per_chunk as u64)),
             ],
         );
-        let mut mei_scores = vec![0.0f32; dims.pixels()];
-        let mut min_index = vec![0u32; dims.pixels()];
-        let mut max_index = vec![0u32; dims.pixels()];
-        let mut stages = StageStats::default();
-        let mut stage_wall = StageWall::default();
-        let mut scratch = ChunkScratch::default();
-
-        // Double-buffered staging: `packed` holds the current chunk's band
-        // groups; `spare` is the buffer set the packer thread fills for the
-        // next chunk while the device shades this one.
-        let mut packed: Vec<Vec<f32>> = Vec::new();
-        let mut spare: Vec<Vec<f32>> = Vec::new();
-        if let Some(first) = chunks.first() {
-            layout::pack_cube_into(&first.cube, &mut packed);
-        }
-        for (i, chunk) in chunks.iter().enumerate() {
-            let chunk_span = trace::span_with(
-                "pipeline.chunk",
-                "chunk",
-                &[
-                    ("index", ArgValue::U64(i as u64)),
-                    ("lines", ArgValue::U64(chunk.cube.dims().height as u64)),
-                ],
-            );
-            let chunk_start = Instant::now();
-            let next_cube = chunks.get(i + 1).map(|c| &c.cube);
-            let prepack = std::mem::take(&mut spare);
-            let (result, prepacked) = std::thread::scope(|s| {
-                let packer = next_cube.map(|next| {
-                    let mut buf = prepack;
-                    s.spawn(move || {
-                        if trace::enabled() {
-                            // One stable row: the scope joins each packer
-                            // before the next spawns, so lifetimes never
-                            // overlap.
-                            trace::set_thread_name("packer");
-                        }
-                        let _pack = trace::span_with(
-                            "pipeline.pack",
-                            "pack",
-                            &[("chunk", ArgValue::U64((i + 1) as u64))],
-                        );
-                        layout::pack_cube_into(next, &mut buf);
-                        buf
-                    })
-                });
-                // The packer owns a core while it runs, so shade this chunk
-                // with one fewer pool worker — the pipeline never runs more
-                // threads than the host advertises.
-                let _packer_core = packer.as_ref().map(|_| rayon::reserve_thread());
-                let cd = chunk.cube.dims();
-                let result =
-                    self.run_chunk_graph(gpu, cd.width, cd.height, cd.bands, &packed, &mut scratch);
-                let prepacked = packer.map(|h| h.join().expect("packer thread panicked"));
-                (result, prepacked)
-            });
-            let out = result?;
-            if let Some(next) = prepacked {
-                spare = std::mem::replace(&mut packed, next);
-            }
-            let cw = chunk.cube.dims().width;
-            for local_y in chunk.body_range() {
-                let global_y = chunk.y_start + (local_y - chunk.halo_top);
-                let src = local_y * cw;
-                let dst = global_y * dims.width;
-                mei_scores[dst..dst + cw].copy_from_slice(&out.mei.scores[src..src + cw]);
-                min_index[dst..dst + cw].copy_from_slice(&out.min_index[src..src + cw]);
-                max_index[dst..dst + cw].copy_from_slice(&out.max_index[src..src + cw]);
-            }
-            stages.add(&out.stages);
-            stage_wall.add(&out.stage_wall);
-            trace::metrics::observe("pipeline.chunk_wall", chunk_start.elapsed());
-            drop(chunk_span);
-        }
-        gpu.drain_pool();
-        Ok(PipelineOutput {
-            mei: MeiImage {
-                width: dims.width,
-                height: dims.height,
-                scores: mei_scores,
-            },
-            min_index,
-            max_index,
-            stats: stages.total(),
-            stages,
-            stage_wall,
-            chunks: chunks.len(),
-        })
-    }
-
-    /// Run stages 1–6 on one resident chunk (no further splitting).
-    pub fn run_chunk(&self, gpu: &mut Gpu, cube: &Cube) -> Result<PipelineOutput> {
-        let dims = cube.dims();
-        let mut packed = Vec::new();
-        layout::pack_cube_into(cube, &mut packed);
-        let out = self.run_chunk_graph(
-            gpu,
-            dims.width,
-            dims.height,
-            dims.bands,
-            &packed,
-            &mut ChunkScratch::default(),
-        );
-        gpu.drain_pool();
-        out
+        let dispatch = Mutex::new(Dispatch::in_order(chunks.len()));
+        let run = fleet::run_device(self, gpu, None, &chunks, &[], &dispatch)?;
+        Ok(fleet::merge(cube.dims(), &chunks, run.results))
     }
 
     /// Run one chunk of pre-packed band groups (`w x h x bands`) through
@@ -1115,7 +1020,15 @@ mod tests {
         assert_eq!(fused.min_index, oracle.min_index);
         assert_eq!(fused.max_index, oracle.max_index);
         assert_eq!(gpu.allocated_bytes(), 0);
-        assert_eq!(gpu.pooled_bytes(), 0, "run drains the pool");
+        let allocs = gpu.texture_allocs();
+        oracle_amc
+            .run_with_chunking(&mut gpu, &cube, chunking)
+            .unwrap();
+        assert_eq!(
+            gpu.texture_allocs(),
+            allocs,
+            "a repeat run allocates nothing"
+        );
     }
 
     #[test]
@@ -1179,14 +1092,19 @@ mod tests {
         let se = StructuringElement::square(3).unwrap();
         let mut gpu = Gpu::new(GpuProfile::geforce_7800gtx());
         let amc = GpuAmc::new(se, KernelMode::Isa);
-        let whole = amc.run_chunk(&mut gpu, &cube).unwrap();
+        let dims = cube.dims();
+        let whole = amc
+            .run_with_chunking(&mut gpu, &cube, Chunking::new(dims.height, 0))
+            .unwrap();
         // Force small chunks by processing via explicit chunking.
         let chunking = Chunking::new(3, 2 * amc.se().radius_y());
-        let dims = cube.dims();
         let mut stitched = vec![0.0f32; dims.pixels()];
         let mut stitched_min = vec![0u32; dims.pixels()];
         for chunk in cube.chunks(chunking) {
-            let out = amc.run_chunk(&mut gpu, &chunk.cube).unwrap();
+            let whole_chunk = Chunking::new(chunk.cube.dims().height, 0);
+            let out = amc
+                .run_with_chunking(&mut gpu, &chunk.cube, whole_chunk)
+                .unwrap();
             for local_y in chunk.body_range() {
                 let gy = chunk.y_start + (local_y - chunk.halo_top);
                 for x in 0..dims.width {
@@ -1207,16 +1125,23 @@ mod tests {
         let se = StructuringElement::square(3).unwrap();
         let amc = GpuAmc::new(se, KernelMode::Isa);
         let mut gpu = Gpu::new(GpuProfile::geforce_7800gtx());
-        let whole = amc.run_chunk(&mut gpu, &cube).unwrap();
-        let chunked = amc
-            .run_with_chunking(&mut gpu, &cube, Chunking::new(5, 2 * amc.se().radius_y()))
+        let whole = amc
+            .run_with_chunking(&mut gpu, &cube, Chunking::new(17, 0))
             .unwrap();
+        let chunking = Chunking::new(5, 2 * amc.se().radius_y());
+        let chunked = amc.run_with_chunking(&mut gpu, &cube, chunking).unwrap();
         assert_eq!(chunked.chunks, 4);
         assert_eq!(chunked.mei.scores, whole.mei.scores);
         assert_eq!(chunked.min_index, whole.min_index);
         assert_eq!(chunked.max_index, whole.max_index);
         assert_eq!(gpu.allocated_bytes(), 0);
-        assert_eq!(gpu.pooled_bytes(), 0, "run drains the pool");
+        let allocs = gpu.texture_allocs();
+        amc.run_with_chunking(&mut gpu, &cube, chunking).unwrap();
+        assert_eq!(
+            gpu.texture_allocs(),
+            allocs,
+            "a repeat run allocates nothing"
+        );
     }
 
     #[test]

@@ -508,7 +508,7 @@ impl Gpu {
 
     /// Release a texture into the pool for later [`Gpu::alloc_pooled`]
     /// reuse. The texture stays resident in video memory until reused,
-    /// evicted by an allocation under pressure, or [`Gpu::drain_pool`]ed.
+    /// evicted by an allocation under pressure, or dropped with the device.
     pub fn release_pooled(&mut self, id: TextureId) -> Result<()> {
         match self.textures.remove(&id.0) {
             Some(tex) => {
@@ -524,20 +524,6 @@ impl Gpu {
             }
             None => Err(GpuError::InvalidTexture { id: id.0 }),
         }
-    }
-
-    /// Drop every released pooled texture, returning the bytes freed.
-    pub fn drain_pool(&mut self) -> usize {
-        let freed = self.pool_bytes;
-        self.pool.clear();
-        self.pool_bytes = 0;
-        trace::instant(
-            "gpu.pool",
-            "drain",
-            &[("bytes", ArgValue::U64(freed as u64))],
-        );
-        trace::counter("gpu.pool_bytes", 0.0);
-        freed
     }
 
     /// Free a texture.
@@ -1129,8 +1115,7 @@ mod tests {
         assert_eq!(gpu.pool_hits(), 1);
         gpu.release_pooled(t2).unwrap();
         gpu.release_pooled(t3).unwrap();
-        assert_eq!(gpu.drain_pool(), (4 * 4 + 8 * 8) * 16);
-        assert_eq!(gpu.pooled_bytes(), 0);
+        assert_eq!(gpu.pooled_bytes(), (4 * 4 + 8 * 8) * 16);
         assert_eq!(gpu.allocated_bytes(), 0);
     }
 

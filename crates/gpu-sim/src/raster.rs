@@ -125,24 +125,6 @@ pub fn fragment_input(
     input
 }
 
-/// Append the [`FragmentInput`]s of one row segment — `width` fragments
-/// starting at target pixel `(x0, y)` — to `out`, in column order.
-///
-/// Each entry is exactly `fragment_input(sets, x0 + i, y, ..)`, so batched
-/// executors that gather a tile's inputs through this helper see
-/// bit-identical interpolants to the scalar per-fragment path.
-pub fn extend_row_inputs(
-    sets: &[TexCoordSet],
-    out: &mut Vec<FragmentInput>,
-    x0: usize,
-    y: usize,
-    width: usize,
-    target_w: usize,
-    target_h: usize,
-) {
-    out.extend((0..width).map(|i| fragment_input(sets, x0 + i, y, target_w, target_h)));
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -221,24 +203,6 @@ mod tests {
         let q = Quad::full(TILE_W + 1, TILE_ROWS + 1);
         assert_eq!(q.tile_cols(), 2);
         assert_eq!(q.tile_count(), 4);
-    }
-
-    #[test]
-    fn extend_row_inputs_matches_per_fragment_interpolation() {
-        let sets = [
-            TexCoordSet::identity(),
-            TexCoordSet::shifted_texels(1, -1, 8, 4),
-        ];
-        let mut batch = Vec::new();
-        extend_row_inputs(&sets, &mut batch, 2, 3, 5, 8, 4);
-        assert_eq!(batch.len(), 5);
-        for (i, got) in batch.iter().enumerate() {
-            let want = fragment_input(&sets, 2 + i, 3, 8, 4);
-            assert_eq!(
-                got.texcoords.map(|c| c.map(f32::to_bits)),
-                want.texcoords.map(|c| c.map(f32::to_bits))
-            );
-        }
     }
 
     #[test]

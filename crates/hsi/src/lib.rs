@@ -17,7 +17,6 @@
 //! * [`endmember`] — MEI-driven endmember selection.
 //! * [`classify`] — the complete reference AMC classifier.
 //! * [`metrics`] — confusion matrices, overall/average accuracy, kappa.
-//! * [`stats`] — band statistics and SNR estimation.
 //!
 //! The reference implementations here are the ground truth every accelerated
 //! path is tested against.
@@ -33,7 +32,6 @@ pub mod metrics;
 pub mod morphology;
 pub mod pixel;
 pub mod spectral;
-pub mod stats;
 pub mod unmix;
 
 pub use classify::{AmcClassifier, AmcConfig, AmcOutput};

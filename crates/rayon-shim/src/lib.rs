@@ -19,10 +19,8 @@
 //!    `GPU_SIM_THREADS=1` forces the sequential debug path),
 //! 3. [`std::thread::available_parallelism`].
 //!
-//! Callers that spawn coordination threads of their own (e.g. the chunk
-//! executor's double-buffered packing thread) can take a
-//! [`ThreadReservation`] so the pool and those threads together never
-//! oversubscribe the host.
+//! The width covers pool workers only: a caller's own coordination
+//! threads (the chunk executor's packing thread) run on top of it.
 
 use std::cell::Cell;
 use std::sync::{Mutex, OnceLock};
@@ -30,8 +28,6 @@ use std::sync::{Mutex, OnceLock};
 thread_local! {
     /// Scoped override installed by [`with_threads`]; 0 means "unset".
     static OVERRIDE: Cell<usize> = const { Cell::new(0) };
-    /// Worker slots claimed by live [`ThreadReservation`] guards.
-    static RESERVED: Cell<usize> = const { Cell::new(0) };
 }
 
 fn env_threads() -> Option<usize> {
@@ -45,15 +41,14 @@ fn env_threads() -> Option<usize> {
 }
 
 /// Number of worker threads a parallel call issued from this thread may use
-/// (override > `GPU_SIM_THREADS` > `available_parallelism`, minus any live
-/// [`ThreadReservation`]s; never less than 1).
+/// (override > `GPU_SIM_THREADS` > `available_parallelism`; never less
+/// than 1).
 pub fn max_threads() -> usize {
-    let base = match OVERRIDE.with(Cell::get) {
+    match OVERRIDE.with(Cell::get) {
         0 => env_threads()
             .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |n| n.get())),
         n => n,
-    };
-    base.saturating_sub(RESERVED.with(Cell::get)).max(1)
+    }
 }
 
 /// Run `f` with the pool width forced to `n` for parallel calls issued from
@@ -68,24 +63,6 @@ pub fn with_threads<R>(n: usize, f: impl FnOnce() -> R) -> R {
     }
     let _restore = Restore(OVERRIDE.with(|c| c.replace(n.max(1))));
     f()
-}
-
-/// Guard that reserves one worker slot for a thread managed outside the
-/// pool, so pool + external threads stay within `available_parallelism`.
-/// The slot is released when the guard drops.
-#[must_use = "the reservation is released when this guard is dropped"]
-pub struct ThreadReservation(());
-
-/// Reserve one worker slot on the current thread (see [`ThreadReservation`]).
-pub fn reserve_thread() -> ThreadReservation {
-    RESERVED.with(|c| c.set(c.get() + 1));
-    ThreadReservation(())
-}
-
-impl Drop for ThreadReservation {
-    fn drop(&mut self) {
-        RESERVED.with(|c| c.set(c.get().saturating_sub(1)));
-    }
 }
 
 /// Drain `items` through `f` on a scoped worker pool. The calling thread is
@@ -476,19 +453,6 @@ mod tests {
             assert_eq!(super::max_threads(), 3);
         });
         assert_eq!(super::max_threads(), outer);
-    }
-
-    #[test]
-    fn reservation_shrinks_the_pool_and_releases_on_drop() {
-        super::with_threads(4, || {
-            let guard = super::reserve_thread();
-            assert_eq!(super::max_threads(), 3);
-            let second = super::reserve_thread();
-            assert_eq!(super::max_threads(), 2);
-            drop(second);
-            drop(guard);
-            assert_eq!(super::max_threads(), 4);
-        });
     }
 
     #[test]

@@ -83,37 +83,61 @@ pub fn write_cube(path: &Path, cube: &Cube, description: &str) -> Result<()> {
 }
 
 /// Read a cube written by [`write_cube`] (or any f32 ENVI cube).
+///
+/// Honours `header offset` (bytes skipped before the samples) and
+/// `byte order` (0 little-endian, 1 big-endian); an absent key means 0.
 pub fn read_cube(path: &Path) -> Result<Cube> {
     let header = fs::read_to_string(hdr_path(path))?;
-    let get = |key: &str| -> Result<String> {
-        header
-            .lines()
-            .find_map(|l| {
-                let (k, v) = l.split_once('=')?;
-                (k.trim().eq_ignore_ascii_case(key)).then(|| v.trim().to_string())
-            })
-            .ok_or_else(|| EnviError::BadHeader(format!("missing `{key}`")))
+    let find = |key: &str| {
+        header.lines().find_map(|l| {
+            let (k, v) = l.split_once('=')?;
+            (k.trim().eq_ignore_ascii_case(key)).then(|| v.trim().to_string())
+        })
     };
-    let samples: usize = get("samples")?
-        .parse()
-        .map_err(|_| EnviError::BadHeader("samples not an integer".into()))?;
-    let lines: usize = get("lines")?
-        .parse()
-        .map_err(|_| EnviError::BadHeader("lines not an integer".into()))?;
-    let bands: usize = get("bands")?
-        .parse()
-        .map_err(|_| EnviError::BadHeader("bands not an integer".into()))?;
-    let dtype = get("data type")?;
+    let missing = |key: &str| EnviError::BadHeader(format!("missing `{key}`"));
+    // An integer key; `default` is its value when absent (`None`: required).
+    let integer = |key: &str, default: Option<usize>| -> Result<usize> {
+        match find(key) {
+            Some(v) => v
+                .parse()
+                .map_err(|_| EnviError::BadHeader(format!("{key} not an integer"))),
+            None => default.ok_or_else(|| missing(key)),
+        }
+    };
+    let samples = integer("samples", None)?;
+    let lines = integer("lines", None)?;
+    let bands = integer("bands", None)?;
+    let offset = integer("header offset", Some(0))?;
+    let decode: fn([u8; 4]) -> f32 = match integer("byte order", Some(0))? {
+        0 => f32::from_le_bytes,
+        1 => f32::from_be_bytes,
+        other => {
+            return Err(EnviError::BadHeader(format!(
+                "byte order {other} (only 0 = little, 1 = big endian)"
+            )))
+        }
+    };
+    let dtype = find("data type").ok_or_else(|| missing("data type"))?;
     if dtype != "4" {
         return Err(EnviError::BadHeader(format!(
             "unsupported data type {dtype} (only 4 = f32)"
         )));
     }
-    let interleave = Interleave::from_envi_name(&get("interleave")?)
-        .ok_or_else(|| EnviError::BadHeader("unknown interleave".into()))?;
+    let interleave = find("interleave")
+        .ok_or_else(|| missing("interleave"))
+        .and_then(|name| {
+            Interleave::from_envi_name(&name)
+                .ok_or_else(|| EnviError::BadHeader("unknown interleave".into()))
+        })?;
 
-    let mut raw = Vec::new();
-    fs::File::open(path)?.read_to_end(&mut raw)?;
+    let mut file = Vec::new();
+    fs::File::open(path)?.read_to_end(&mut file)?;
+    let raw = file.get(offset..).ok_or_else(|| {
+        EnviError::BadHeader(format!(
+            "header offset {offset} is past the end of the {}-byte file",
+            file.len()
+        ))
+    })?;
     if raw.len() % 4 != 0 {
         return Err(EnviError::BadHeader(
             "raw length not a multiple of 4".into(),
@@ -134,7 +158,7 @@ pub fn read_cube(path: &Path) -> Result<Cube> {
     let dims = CubeDims::new(samples, lines, bands);
     let data: Vec<f32> = raw
         .chunks_exact(4)
-        .map(|c| f32::from_le_bytes([c[0], c[1], c[2], c[3]]))
+        .map(|c| decode([c[0], c[1], c[2], c[3]]))
         .collect();
     Cube::from_vec(dims, interleave, data)
         .map_err(|e| EnviError::BadHeader(format!("cube construction: {e}")))
@@ -228,6 +252,106 @@ mod tests {
             );
         }
         fs::remove_dir_all(dir).ok();
+    }
+
+    /// Write `raw` and a header for a `dims` BIP cube with extra `keys`.
+    fn write_raw(dir: &Path, dims: CubeDims, keys: &str, raw: &[u8]) -> std::path::PathBuf {
+        let path = dir.join("cube.raw");
+        fs::write(&path, raw).unwrap();
+        fs::write(
+            dir.join("cube.raw.hdr"),
+            format!(
+                "ENVI\nsamples = {}\nlines = {}\nbands = {}\n\
+                 data type = 4\ninterleave = bip\n{keys}",
+                dims.width, dims.height, dims.bands
+            ),
+        )
+        .unwrap();
+        path
+    }
+
+    fn ramp_cube(dims: CubeDims) -> Cube {
+        Cube::from_fn(dims, Interleave::Bip, |x, y, b| {
+            0.25 + x as f32 - 3.0 * y as f32 + 100.0 * b as f32
+        })
+        .unwrap()
+    }
+
+    #[test]
+    fn big_endian_cube_reads_back() {
+        let dir = temp_dir("be");
+        let dims = CubeDims::new(3, 2, 4);
+        let cube = ramp_cube(dims);
+        let raw: Vec<u8> = cube.data().iter().flat_map(|v| v.to_be_bytes()).collect();
+        let path = write_raw(&dir, dims, "byte order = 1\n", &raw);
+        assert_eq!(read_cube(&path).unwrap(), cube);
+        fs::remove_dir_all(dir).ok();
+    }
+
+    #[test]
+    fn header_offset_is_skipped() {
+        let dir = temp_dir("off");
+        let dims = CubeDims::new(3, 2, 4);
+        let cube = ramp_cube(dims);
+        let mut raw = vec![0xAB; 17];
+        raw.extend(cube.data().iter().flat_map(|v| v.to_le_bytes()));
+        let path = write_raw(&dir, dims, "header offset = 17\n", &raw);
+        assert_eq!(read_cube(&path).unwrap(), cube);
+        // An offset past the end of the file is an error, not a panic.
+        let path = write_raw(&dir, dims, "header offset = 4096\n", &raw);
+        assert!(matches!(read_cube(&path), Err(EnviError::BadHeader(_))));
+        fs::remove_dir_all(dir).ok();
+    }
+
+    #[test]
+    fn unknown_byte_order_rejected() {
+        let dir = temp_dir("bo");
+        let dims = CubeDims::new(1, 1, 1);
+        let path = write_raw(&dir, dims, "byte order = 2\n", &[0; 4]);
+        assert!(matches!(read_cube(&path), Err(EnviError::BadHeader(_))));
+        fs::remove_dir_all(dir).ok();
+    }
+
+    /// Header values the fuzz draws from; `None` leaves the key out.
+    const VALUES: [Option<&str>; 13] = [
+        None,
+        Some("0"),
+        Some("1"),
+        Some("2"),
+        Some("3"),
+        Some("17"),
+        Some("-1"),
+        Some(""),
+        Some("x"),
+        Some("4294967296"),
+        Some("18446744073709551615"),
+        Some("18446744073709551616"),
+        Some("1e3"),
+    ];
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::Config::with_cases(256))]
+        #[test]
+        fn arbitrary_headers_and_raw_lengths_never_panic(
+            picks in proptest::collection::vec(0..VALUES.len(), 5),
+            raw_len in 0usize..128,
+            fill in proptest::prelude::any::<u8>(),
+        ) {
+            let dir = temp_dir("fuzz");
+            let keys = ["samples", "lines", "bands", "header offset", "byte order"];
+            let mut header = String::from("ENVI\ndata type = 4\ninterleave = bsq\n");
+            for (key, &pick) in keys.iter().zip(&picks) {
+                if let Some(value) = VALUES[pick] {
+                    header.push_str(&format!("{key} = {value}\n"));
+                }
+            }
+            let path = dir.join("cube.raw");
+            fs::write(&path, vec![fill; raw_len]).unwrap();
+            fs::write(dir.join("cube.raw.hdr"), header).unwrap();
+            // Any outcome but a panic.
+            let _ = read_cube(&path);
+            fs::remove_dir_all(dir).ok();
+        }
     }
 
     #[test]

@@ -17,8 +17,11 @@ fn video_memory_exhaustion_surfaces_as_pipeline_error() {
     })
     .unwrap();
     let amc = GpuAmc::new(StructuringElement::square(3).unwrap(), KernelMode::Isa);
-    // run_chunk bypasses the chunk planner, forcing the allocation failure.
-    let err = amc.run_chunk(&mut gpu, &cube).unwrap_err();
+    // One whole-image chunk bypasses the chunk planner, forcing the
+    // allocation failure.
+    let err = amc
+        .run_with_chunking(&mut gpu, &cube, Chunking::new(256, 0))
+        .unwrap_err();
     assert!(
         matches!(err, AmcError::Gpu(GpuError::OutOfVideoMemory { .. })),
         "{err}"
@@ -40,7 +43,16 @@ fn chunk_planner_makes_the_same_cube_fit() {
     let out = amc.run(&mut gpu, &cube).expect("chunked run fits");
     assert!(out.chunks > 1, "planner should have split the image");
     assert_eq!(gpu.allocated_bytes(), 0, "all textures freed");
-    assert_eq!(gpu.pooled_bytes(), 0, "pool drained after the run");
+    // The pool keeps the run's textures for the next one. This card is too
+    // small to hold every chunk height's size class at once, so a repeat
+    // run re-allocates what eviction dropped, and only that.
+    let cold = gpu.texture_allocs();
+    amc.run(&mut gpu, &cube).expect("repeat run fits");
+    let warm = gpu.texture_allocs() - cold;
+    assert!(
+        warm < cold,
+        "repeat run allocated {warm} textures, first {cold}"
+    );
 }
 
 #[test]

@@ -28,7 +28,9 @@ fn analytic_counts_match_execution_for_multiple_shapes() {
         let c = cube(w, h, bands);
         let se = StructuringElement::square(3).unwrap();
         let mut gpu = Gpu::new(GpuProfile::geforce_7800gtx());
-        let out = unfused(&se).run_chunk(&mut gpu, &c).unwrap();
+        let out = unfused(&se)
+            .run_with_chunking(&mut gpu, &c, Chunking::new(h, 0))
+            .unwrap();
         let pred = perf::predict_chunk_stats(w, h, bands, &se, &PredictConfig::default());
         assert_eq!(pred.passes, out.stats.passes, "{w}x{h}x{bands} passes");
         assert_eq!(pred.fragments, out.stats.fragments);
@@ -45,7 +47,9 @@ fn analytic_counts_match_execution_for_5x5_se() {
     let c = cube(14, 14, 6);
     let se = StructuringElement::square(5).unwrap();
     let mut gpu = Gpu::new(GpuProfile::geforce_7800gtx());
-    let out = unfused(&se).run_chunk(&mut gpu, &c).unwrap();
+    let out = unfused(&se)
+        .run_with_chunking(&mut gpu, &c, Chunking::new(14, 0))
+        .unwrap();
     let pred = perf::predict_chunk_stats(14, 14, 6, &se, &PredictConfig::default());
     assert_eq!(pred.instructions, out.stats.instructions);
     assert_eq!(pred.texel_fetches, out.stats.texel_fetches);
@@ -60,7 +64,9 @@ fn chunked_prediction_matches_chunked_execution() {
     let mut total = hyperspec::gpu::counters::PassStats::default();
     let amc = unfused(&se);
     for chunk in c.chunks(chunking) {
-        total.add(&amc.run_chunk(&mut gpu, &chunk.cube).unwrap().stats);
+        let whole_chunk = Chunking::new(chunk.cube.dims().height, 0);
+        let out = amc.run_with_chunking(&mut gpu, &chunk.cube, whole_chunk);
+        total.add(&out.unwrap().stats);
     }
     let pred = perf::predict_stats(c.dims(), &se, chunking, &PredictConfig::default());
     assert_eq!(pred.instructions, total.instructions);
@@ -124,10 +130,14 @@ fn cache_ablation_shifts_modeled_memory_time() {
     let se = StructuringElement::square(3).unwrap();
     let amc = GpuAmc::new(se, KernelMode::Isa);
     let mut with = Gpu::new(GpuProfile::fx5950_ultra());
-    let out_with = amc.run_chunk(&mut with, &c).unwrap();
+    let out_with = amc
+        .run_with_chunking(&mut with, &c, Chunking::new(16, 0))
+        .unwrap();
     let mut without = Gpu::new(GpuProfile::fx5950_ultra());
     without.set_cache_model(false);
-    let out_without = amc.run_chunk(&mut without, &c).unwrap();
+    let out_without = amc
+        .run_with_chunking(&mut without, &c, Chunking::new(16, 0))
+        .unwrap();
     assert_eq!(out_with.mei.scores, out_without.mei.scores);
     let t_with = timing::gpu_time(&out_with.stats, &GpuProfile::fx5950_ultra());
     let t_without = timing::gpu_time(&out_without.stats, &GpuProfile::fx5950_ultra());
