@@ -4,10 +4,8 @@
 //! cargo run --release -p hsi-bench --bin tables -- all
 //! cargo run --release -p hsi-bench --bin tables -- table3
 //! cargo run --release -p hsi-bench --bin tables -- fig5 out/
-//! cargo run --release -p hsi-bench --bin tables -- bench --trace out/trace.json
 //! cargo run --release -p hsi-bench --bin tables -- graph json --unfused
 //! cargo run --release -p hsi-bench --bin tables -- analyze --trace out/trace.json
-//! cargo run --release -p hsi-bench --bin tables -- bench-delta BENCH_results.json bench_current.json
 //! ```
 
 use gpu_sim::device::Compiler;
@@ -30,39 +28,6 @@ fn main() {
             format_time_table(Compiler::Icc, &time_rows(Compiler::Icc))
         ),
         "fig5" => run_fig5(args.get(1).map(String::as_str).unwrap_or("out")),
-        "bench" => {
-            let usage = || -> ! {
-                eprintln!(
-                    "usage: tables bench [path] [--trace <trace.json>] \
-                     [--devices <name,name,...>]"
-                );
-                std::process::exit(2);
-            };
-            let mut path = "BENCH_results.json";
-            let mut trace_path = None;
-            let mut devices = None;
-            let mut rest = args[1..].iter();
-            while let Some(a) = rest.next() {
-                if a == "--trace" {
-                    match rest.next() {
-                        Some(p) => trace_path = Some(p.as_str()),
-                        None => usage(),
-                    }
-                } else if a == "--devices" {
-                    let Some(list) = rest.next() else { usage() };
-                    match amc_core::fleet::parse_device_list(list) {
-                        Ok(p) => devices = Some(p),
-                        Err(e) => {
-                            eprintln!("error: {e}");
-                            std::process::exit(2);
-                        }
-                    }
-                } else {
-                    path = a.as_str();
-                }
-            }
-            run_bench(path, trace_path, devices);
-        }
         "graph" => {
             let mut format = "dot";
             let mut fuse = true;
@@ -99,37 +64,6 @@ fn main() {
             }
             run_analyze(trace_path);
         }
-        "bench-delta" => {
-            let mut thr = hsi_bench::delta::Thresholds::default();
-            let mut paths = Vec::new();
-            let usage = || -> ! {
-                eprintln!(
-                    "usage: tables bench-delta <baseline.json> <current.json> \
-                     [--max-stage-regress-pct X] [--min-stage-wall-s X] \
-                     [--min-pack-overlap X] [--min-fleet-load-balance X]"
-                );
-                std::process::exit(2);
-            };
-            let mut rest = args[1..].iter();
-            while let Some(a) = rest.next() {
-                let mut flag = |slot: &mut f64| match rest.next().and_then(|s| s.parse().ok()) {
-                    Some(x) => *slot = x,
-                    None => usage(),
-                };
-                match a.as_str() {
-                    "--max-stage-regress-pct" => flag(&mut thr.max_stage_regress_pct),
-                    "--min-stage-wall-s" => flag(&mut thr.min_stage_wall_s),
-                    "--min-pack-overlap" => flag(&mut thr.min_pack_overlap),
-                    "--min-fleet-load-balance" => flag(&mut thr.min_fleet_load_balance),
-                    other if other.starts_with("--") => usage(),
-                    path => paths.push(path.to_owned()),
-                }
-            }
-            let [baseline, current] = paths.as_slice() else {
-                usage()
-            };
-            run_bench_delta(baseline, current, &thr);
-        }
         "fig6" => print!("{}", format_fig6(&time_rows(Compiler::Gcc))),
         "ablations" => print!("{}", format_ablations()),
         "all" => {
@@ -157,104 +91,9 @@ fn main() {
         other => {
             eprintln!("unknown experiment `{other}`");
             eprintln!(
-                "usage: tables [table1|table2|table3|table4|table5|fig5|fig6|ablations|bench|graph|analyze|bench-delta|all]"
+                "usage: tables [table1|table2|table3|table4|table5|fig5|fig6|ablations|graph|analyze|all]"
             );
             std::process::exit(2);
-        }
-    }
-}
-
-fn run_bench(
-    path: &str,
-    trace_path: Option<&str>,
-    devices: Option<Vec<gpu_sim::device::GpuProfile>>,
-) {
-    if trace_path.is_some() {
-        trace::enable();
-    }
-    eprintln!(
-        "[bench] timing the end-to-end AMC run ({} worker threads)...",
-        rayon::max_threads()
-    );
-    let run = results::run_benchmark_with_devices(2026, devices.as_deref());
-    let json = results::to_json(&run);
-    std::fs::write(path, &json).expect("write benchmark results");
-    if let Some(tp) = trace_path {
-        trace::write_chrome_trace(Path::new(tp)).expect("write trace");
-        eprintln!("[bench] chrome trace (load in Perfetto or chrome://tracing) -> {tp}");
-    }
-    eprintln!(
-        "[bench] AMC wall {:.2}s (gpu pipeline {:.2}s + cpu tail {:.2}s) -> {path}",
-        run.amc_wall_s(),
-        run.gpu_pipeline_s,
-        run.cpu_tail_s
-    );
-    eprintln!(
-        "[bench] tail stages: selection {:.2}s, unmix {:.2}s (cpu), \
-         classify {:.2}s, argmax {:.2}s (cpu)",
-        run.tail.selection_s, run.tail.unmix_s, run.tail.classify_s, run.tail.argmax_s
-    );
-    let rollup = results::opt_rollup(&run);
-    eprintln!("[bench] shader optimizer (per-kernel, dynamic = fragments x instructions):");
-    for k in &rollup.kernels {
-        eprintln!(
-            "[bench]   {:<14} {:>2} -> {:>2} instrs | {:>4} passes | {:>9} frags | \
-             dynamic {:>9} -> {:>9}  (-{:.1}%)",
-            k.name,
-            k.raw_instructions,
-            k.opt_instructions,
-            k.passes,
-            k.fragments,
-            k.dynamic_raw(),
-            k.dynamic_opt(),
-            k.reduction_pct()
-        );
-    }
-    eprintln!(
-        "[bench]   total dynamic shaded instructions {} -> {} (-{:.1}%), \
-         isa microbench wall {:.3}s -> {:.3}s",
-        rollup.dynamic_raw(),
-        rollup.dynamic_opt(),
-        rollup.reduction_pct(),
-        run.opt_wall_raw_s,
-        run.opt_wall_opt_s
-    );
-    let fl = &run.fleet;
-    eprintln!(
-        "[bench] fleet scaling over {} chunks ({} lines + {} halo), \
-         baseline 1x{} modeled {:.6}s:",
-        fl.shapes.first().map_or(0, |s| s.chunks),
-        fl.lines_per_chunk,
-        fl.halo,
-        fl.baseline_device,
-        fl.baseline_modeled_s
-    );
-    eprintln!(
-        "[bench]   {:<24} {:>6} {:>6} {:>11} {:>8} {:>9}",
-        "shape", "chunks", "steals", "modeled_s", "speedup", "wall_s"
-    );
-    for shape in &fl.shapes {
-        eprintln!(
-            "[bench]   {:<24} {:>6} {:>6} {:>11.6} {:>7.2}x {:>9.3}",
-            shape.name,
-            shape.chunks,
-            shape.steals,
-            shape.modeled_makespan_s,
-            shape.modeled_speedup(fl.baseline_modeled_s),
-            shape.wall_s
-        );
-        for (i, d) in shape.devices.iter().enumerate() {
-            eprintln!(
-                "[bench]     dev{} {:<18} planned {:>2} -> executed {:>2} \
-                 ({} stolen) | modeled {:.6}s | wall {:.3}s",
-                i,
-                d.device,
-                d.planned.len(),
-                d.executed.len(),
-                d.steals,
-                d.modeled_s,
-                d.wall_s
-            );
         }
     }
 }
@@ -323,33 +162,6 @@ fn run_analyze(trace_path: Option<&str>) {
     }
     let analysis = trace::analyze::analyze(&trace::snapshot_events());
     print!("{}", trace::analyze::render_text(&analysis));
-}
-
-/// Compare two benchmark documents and exit 1 on any failed gate.
-fn run_bench_delta(baseline: &str, current: &str, thr: &hsi_bench::delta::Thresholds) {
-    let load = |path: &str| -> results::BenchRun {
-        let text = match std::fs::read_to_string(path) {
-            Ok(t) => t,
-            Err(e) => {
-                eprintln!("error: cannot read {path}: {e}");
-                std::process::exit(2);
-            }
-        };
-        match results::from_json(&text) {
-            Ok(run) => run,
-            Err(e) => {
-                eprintln!("error: {path}: {e}");
-                std::process::exit(2);
-            }
-        }
-    };
-    let baseline_run = load(baseline);
-    let current_run = load(current);
-    let violations = hsi_bench::delta::compare(&baseline_run, &current_run, thr);
-    print!("{}", hsi_bench::delta::render(&violations));
-    if !violations.is_empty() {
-        std::process::exit(1);
-    }
 }
 
 fn run_graph(format: &str, fuse: bool) {

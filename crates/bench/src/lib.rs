@@ -32,9 +32,7 @@ use hsi::morphology::StructuringElement;
 use hsi_scene::library::{indian_pines_classes, PAPER_OVERALL_ACCURACY};
 use hsi_scene::scene::{generate, SceneConfig};
 
-pub mod delta;
 pub mod paper;
-pub mod results;
 
 /// One labelled feature-table row: name plus a formatter over a profile.
 type FeatureRow<'a, P> = (&'a str, Box<dyn Fn(&P) -> String>);

@@ -1,15 +1,18 @@
 //! Malformed input never panics a JSON reader: random bytes and
-//! byte-mutated copies of a bench document and an exporter trace go through
-//! `json::parse`, `results::from_json` and `import_chrome_trace`, and each
+//! byte-mutated copies of an exporter trace and of the AMC render-graph
+//! document go through `json::parse` and `import_chrome_trace`, and each
 //! returns `Ok` or `Err`. Every trace that imports is also analyzed, which
 //! must not panic either.
 
-use hsi_bench::results::from_json;
+use amc_core::pipeline::{GpuAmc, KernelMode};
+use gpu_sim::device::GpuProfile;
+use hsi::classify::AmcConfig;
+use hsi_scene::scene::SceneConfig;
 use proptest::prelude::*;
+use std::sync::OnceLock;
 use trace::analyze::{analyze, import_chrome_trace};
 use trace::{json, ArgValue};
 
-const BENCH_DOC: &str = include_str!("../../../BENCH_results.json");
 /// Bytes that make random input look like JSON often enough to get past
 /// the first token.
 const ALPHABET: &[u8] = b"{}[]\":,.-+eE0123456789 \\utrfn\n";
@@ -30,10 +33,28 @@ fn exporter_trace() -> String {
     trace::chrome_trace_json()
 }
 
+/// The fused AMC render graph at the benchmark scene geometry, as
+/// `tables -- graph json` prints it.
+fn graph_document() -> &'static str {
+    static DOC: OnceLock<String> = OnceLock::new();
+    DOC.get_or_init(|| {
+        let cfg = SceneConfig::reduced_indian_pines(0);
+        GpuAmc::new(AmcConfig::paper_default(1).se, KernelMode::Isa)
+            .compile_graph(
+                &GpuProfile::geforce_7800gtx(),
+                cfg.width,
+                cfg.height,
+                cfg.bands,
+                true,
+            )
+            .expect("compile the AMC render graph")
+            .to_json()
+    })
+}
+
 fn read_everywhere(bytes: &[u8]) {
     let text = String::from_utf8_lossy(bytes);
     let _ = json::parse(&text);
-    let _ = from_json(&text);
     if let Ok(snap) = import_chrome_trace(&text) {
         let _ = analyze(&snap);
     }
@@ -56,7 +77,7 @@ proptest! {
         edits in prop::collection::vec((any::<usize>(), any::<u8>()), 1..6),
         keep in any::<usize>(),
     ) {
-        for doc in [BENCH_DOC.to_owned(), exporter_trace()] {
+        for doc in [graph_document().to_owned(), exporter_trace()] {
             let mut bytes = doc.into_bytes();
             for &(at, b) in &edits {
                 let i = at % bytes.len();

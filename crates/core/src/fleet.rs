@@ -80,7 +80,7 @@ impl std::fmt::Display for UnknownDeviceError {
 
 impl std::error::Error for UnknownDeviceError {}
 
-/// Parse a comma-separated `--devices` list (e.g. `fx5950,7800gtx`) into
+/// Parse a comma-separated device list (e.g. `fx5950,7800gtx`) into
 /// profiles. Empty tokens and an empty list are rejected like unknown
 /// names, so every accepted list yields a runnable fleet.
 pub fn parse_device_list(list: &str) -> std::result::Result<Vec<GpuProfile>, UnknownDeviceError> {
@@ -764,8 +764,8 @@ mod tests {
 
     #[test]
     fn modeled_two_7800gtx_clear_the_scaling_gate_at_bench_geometry() {
-        // The CI gate's model-side precondition at the real bench scene
-        // geometry (160×128×96): two 7800GTXs on a shared PCIe x16 link
+        // The modeled scaling floor at the benchmark scene geometry
+        // (160×128×96): two 7800GTXs on a shared PCIe x16 link
         // must model ≥ 1.8× the single-device throughput under the fleet
         // chunk plan.
         let amc = GpuAmc::new(StructuringElement::square(3).unwrap(), KernelMode::Isa);

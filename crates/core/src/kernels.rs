@@ -320,8 +320,7 @@ pub fn stage_specs() -> Vec<StageSpec> {
 
 /// Every stage kernel paired with the exact [`PassBindings`] the pipeline
 /// runs it under, in pipeline order (derived from [`stage_specs`]). This is
-/// what the optimizer keys its lowering-cache entries on, and what the
-/// bench opt table is computed from.
+/// what the optimizer keys its lowering-cache entries on.
 pub fn stage_cases() -> Vec<(Program, gpu_sim::verify::PassBindings)> {
     stage_specs()
         .into_iter()

@@ -41,8 +41,7 @@ use std::time::Instant;
 use trace::ArgValue;
 
 /// Which kernel form executes the pipeline. The assembled fp30 programs
-/// are the only form; the enum names it in the driver's constructor and in
-/// the benchmark document's `kernel_mode` field.
+/// are the only form; the enum names it in the driver's constructor.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum KernelMode {
     /// Assembled fp30-style programs, compiled into the render graph and
@@ -52,7 +51,7 @@ pub enum KernelMode {
 }
 
 impl KernelMode {
-    /// Stable lowercase name, as reported in benchmark JSON.
+    /// Stable lowercase name.
     pub fn as_str(self) -> &'static str {
         match self {
             KernelMode::Isa => "isa",
@@ -181,7 +180,7 @@ impl StageStats {
 /// Complements [`StageStats`]: the counters feed the *modeled* GPU
 /// milliseconds of `gpu_sim::timing`, while these are *measured* host
 /// seconds for the same stage sections — their ratio is the
-/// modeled-vs-wall skew the bench harness reports per stage.
+/// modeled-vs-wall skew `amc_profile` prints per stage.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct StageWall {
     /// Stage 1: stream uploading.
@@ -385,7 +384,7 @@ impl GpuAmc {
     }
 
     /// Compile the AMC render graph for one chunk geometry, for
-    /// introspection (the bench fusion attribution and `tables -- graph`):
+    /// introspection (`tables -- graph`):
     /// declares the same graph the executor runs and compiles it fresh —
     /// no cache — with fusion per `fuse`, independent of [`Self::fusion`].
     pub fn compile_graph(
@@ -1033,7 +1032,7 @@ mod tests {
 
     #[test]
     fn fusion_cuts_normalize_distance_fetches_by_thirty_percent() {
-        // Static form of the bench gate: at AVIRIS-like depth the fused
+        // Static form of the fusion floor: at AVIRIS-like depth the fused
         // schedule fetches ≥ 30% fewer texels per fragment across the
         // normalize and distance stages combined.
         let se = StructuringElement::square(3).unwrap();
@@ -1056,6 +1055,38 @@ mod tests {
         // Normalize inlining plus band-sum chain folding collapse the stage
         // to a couple of segmented passes.
         assert!(fused.stage_passes("normalize") < unfused.stage_passes("normalize") / 4);
+    }
+
+    #[test]
+    fn executed_counters_clear_the_fusion_and_optimizer_floors() {
+        // Executed form of the two reduction floors, on a 96-band cube.
+        // Fusion: the fused schedule fetches ≥ 30% fewer texels across the
+        // normalize and distance stages than the unfused one. Optimizer: on
+        // the unfused schedule, optimized programs shade ≥ 10% fewer
+        // instructions than raw ones. (Fused passes inline producer IR that
+        // is already optimized, so the device flag barely moves them.)
+        let cube = test_cube(32, 24, 96, 5);
+        let se = StructuringElement::square(3).unwrap();
+        let run = |fuse: bool, optimize: bool| {
+            let mut gpu = Gpu::new(GpuProfile::geforce_7800gtx());
+            gpu.set_optimizer(optimize);
+            let mut amc = GpuAmc::new(se.clone(), KernelMode::Isa);
+            amc.set_fusion(fuse);
+            amc.run(&mut gpu, &cube).unwrap()
+        };
+        let (fused, unfused, raw) = (run(true, true), run(false, true), run(false, false));
+        let fetches =
+            |o: &PipelineOutput| o.stages.normalize.texel_fetches + o.stages.distance.texel_fetches;
+        let (f, u) = (fetches(&fused), fetches(&unfused));
+        assert!(
+            f * 10 <= u * 7,
+            "normalize+distance texel fetches: fused {f} vs unfused {u} (< 30% cut)"
+        );
+        let (opt, raw) = (unfused.stats.instructions, raw.stats.instructions);
+        assert!(
+            opt * 10 <= raw * 9,
+            "unfused shaded instructions: optimized {opt} vs raw {raw} (< 10% cut)"
+        );
     }
 
     #[test]

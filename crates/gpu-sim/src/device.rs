@@ -133,8 +133,9 @@ impl GpuProfile {
     }
 
     /// Short CLI names of every known GPU profile, in paper order. These
-    /// are the strings `tables -- bench --devices` accepts and the single
-    /// source the lookup and [`Self::paper_gpus`] share.
+    /// are the strings a `GPU_SIM_DEVICES` list (the `fleet_classify`
+    /// example) accepts and the single source the lookup and
+    /// [`Self::paper_gpus`] share.
     pub fn known_device_names() -> &'static [&'static str] {
         &["fx5950", "7800gtx"]
     }

@@ -138,7 +138,7 @@ pub fn gpu_time(stats: &PassStats, profile: &GpuProfile) -> GpuTime {
         // A stage that moved no bytes issued no transfer, so it owes no
         // per-transfer setup latency — otherwise every zero-work stage
         // models to 2x bus latency and "modeled time is zero" can never
-        // happen, which hid a misleading 0.0 skew in the bench report.
+        // happen, which hid a misleading 0.0 skew in a per-stage report.
         upload_s: if stats.bytes_uploaded > 0 {
             profile.bus.upload_time(stats.bytes_uploaded as usize)
         } else {
@@ -344,9 +344,9 @@ mod tests {
     #[test]
     fn zero_work_stage_models_to_exactly_zero() {
         // No counted work at all → no modeled time, including bus setup
-        // latency (no bytes moved means no transfer was issued). The bench
-        // report relies on this to emit a `null` skew instead of dividing
-        // by a phantom latency.
+        // latency (no bytes moved means no transfer was issued).
+        // `amc_profile`'s skew column relies on this to print 0 instead of
+        // dividing by a phantom latency.
         let t = gpu_time(&PassStats::default(), &GpuProfile::geforce_7800gtx());
         assert_eq!(t.total_ms(), 0.0);
         // But any actual transfer still pays the per-transfer latency.

@@ -21,10 +21,11 @@
 //!   resolve, each with its units (ops, touches, texels), from the
 //!   `gpu.ledger` instants each traced pass records.
 //!
-//! Streams are segmented into *arms* by `bench.arm` spans (the bench
-//! harness brackets each measured configuration with one); a stream with no
-//! arm markers is analyzed as a single arm named `trace`. See DESIGN.md §17
-//! for the DAG reconstruction rules and the metric glossary.
+//! Streams are segmented into *arms* by `bench.arm` spans (`amcbench` and
+//! `tables -- analyze` bracket each measured configuration with one); a
+//! stream with no arm markers is analyzed as a single arm named `trace`.
+//! See DESIGN.md §17 for the DAG reconstruction rules and the metric
+//! glossary.
 
 use crate::json::{self, Error, Value};
 use crate::{ArgValue, Event, Phase, TraceSnapshot};

@@ -1,6 +1,6 @@
 //! JSON: one value type, one parser, one writer and one string escaper for
-//! every JSON document the workspace reads or writes (`BENCH_results.json`,
-//! imported Chrome traces, the render-graph dump).
+//! every JSON document the workspace reads or writes (imported Chrome
+//! traces, the render-graph dump).
 //!
 //! * [`Value`] keeps object members in document order and integers exact
 //!   over the whole `i64` and `u64` ranges.
@@ -153,14 +153,6 @@ impl Value {
         match self {
             Value::Str(s) => Ok(s),
             _ => Err(Error::WrongType("a string")),
-        }
-    }
-
-    /// A boolean.
-    pub fn as_bool(&self) -> Result<bool, Error> {
-        match *self {
-            Value::Bool(b) => Ok(b),
-            _ => Err(Error::WrongType("a boolean")),
         }
     }
 
@@ -373,11 +365,6 @@ pub fn write(v: &Value) -> String {
     write_value(&mut out, v, 0);
     out.push('\n');
     out
-}
-
-/// The value the float `x` reads back as after [`write`].
-pub fn as_written(x: f64) -> f64 {
-    format!("{x:.6}").parse().unwrap_or(x)
 }
 
 fn write_value(out: &mut String, v: &Value, indent: usize) {

@@ -4,8 +4,8 @@
 //! Unlike the timeline recorder in the crate root, the registry is not
 //! gated on [`crate::enabled`]: it is fed at pass/stage granularity (tens
 //! to thousands of updates per run), where one short mutex lock per update
-//! is negligible, and its snapshot feeds `BENCH_results.json` even when no
-//! trace is captured.
+//! is negligible, and its snapshot feeds `amcbench`'s cache counters and
+//! `amc_profile`'s latency report even when no trace is captured.
 
 use std::collections::BTreeMap;
 use std::sync::{Mutex, OnceLock};

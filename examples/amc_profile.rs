@@ -11,13 +11,13 @@
 //!
 //! After the run, the in-process analyzer (`trace::analyze`, DESIGN.md §17)
 //! prints the critical path, per-thread utilization and packer-overlap
-//! efficiency straight from the captured span stream. With
-//! `--analyze-only <trace.json>` the profiled run is skipped and a
-//! previously exported Chrome trace is analyzed instead.
+//! efficiency straight from the captured span stream. To analyze a
+//! previously exported Chrome trace instead, run
+//! `tables -- analyze --trace <trace.json>`.
 //!
 //! ```text
 //! cargo run --release --example amc_profile
-//! cargo run --release --example amc_profile -- --analyze-only out/amc_profile_trace.json
+//! cargo run --release -p hsi-bench --bin tables -- analyze --trace out/amc_profile_trace.json
 //! ```
 //!
 //! See DESIGN.md §12 for the full span taxonomy.
@@ -29,27 +29,6 @@ use hyperspec::trace;
 use std::path::Path;
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    if let Some(i) = args.iter().position(|a| a == "--analyze-only") {
-        let Some(path) = args.get(i + 1) else {
-            eprintln!("usage: amc_profile [--analyze-only <trace.json>]");
-            std::process::exit(2);
-        };
-        let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
-            eprintln!("error: cannot read {path}: {e}");
-            std::process::exit(2);
-        });
-        let snap = trace::analyze::import_chrome_trace(&text).unwrap_or_else(|e| {
-            eprintln!("error: {path} is not a loadable Chrome trace: {e}");
-            std::process::exit(2);
-        });
-        print!(
-            "{}",
-            trace::analyze::render_text(&trace::analyze::analyze(&snap))
-        );
-        return;
-    }
-
     trace::enable();
 
     let classes = indian_pines_classes();

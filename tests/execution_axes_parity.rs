@@ -1,6 +1,6 @@
 //! Differential test of the GPU AMC pipeline across its execution axes.
 //!
-//! The shader optimizer, the batched SoA executor, pass fusion, the worker
+//! The shader optimizer, the tile executor, pass fusion, the worker
 //! thread count, chunking and the device fleet must all be invisible in the
 //! output. Every configuration below runs the ISA render graph on one small
 //! synthetic scene and must reproduce the MEI bits and the min/max index

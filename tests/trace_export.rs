@@ -1,16 +1,27 @@
 //! Golden validation of the Chrome trace exporter on a real two-chunk
-//! pipeline run, plus the observability contract that matters most:
-//! tracing is an *observer* — enabling it must not change a single output
-//! bit.
+//! pipeline run and on a two-card fleet run, plus the observability
+//! contract that matters most: tracing is an *observer* — enabling it must
+//! not change a single output bit.
 //!
 //! Everything lives in one `#[test]` because the trace switch is
 //! process-global; integration-test binaries run their tests on separate
 //! threads and interleaved enable/disable would race.
 
 use hyperspec::amc::pipeline::{GpuAmc, KernelMode, PipelineOutput};
+use hyperspec::amc::DeviceFleet;
 use hyperspec::prelude::*;
 use hyperspec::trace;
 use hyperspec::trace::json::{self, Value};
+
+/// The six pipeline stages, each one `pipeline.stage` span per chunk.
+const STAGES: [&str; 6] = [
+    "upload",
+    "normalize",
+    "distance",
+    "minmax",
+    "mei",
+    "download",
+];
 
 fn pseudo_random_cube(w: usize, h: usize, bands: usize, seed: u64) -> Cube {
     let mut state = seed.wrapping_mul(0x9E3779B97F4A7C15) | 1;
@@ -146,14 +157,7 @@ fn chrome_export_is_golden_and_tracing_is_pure_observation() {
     // Per-chunk stage structure: all six stages appear once per chunk, and
     // the packer overlapped every chunk after the first.
     assert_eq!(chunk_spans, on.chunks, "one chunk span per chunk");
-    for stage in [
-        "upload",
-        "normalize",
-        "distance",
-        "minmax",
-        "mei",
-        "download",
-    ] {
+    for stage in STAGES {
         assert_eq!(
             stage_spans.get(stage).copied().unwrap_or(0),
             on.chunks,
@@ -174,5 +178,66 @@ fn chrome_export_is_golden_and_tracing_is_pure_observation() {
     assert_eq!(stages, ["normalize", "distance", "minmax", "mei"]);
     assert_eq!(ledger.iter().map(|l| l.texels).sum::<u64>(), texels);
     assert!(ledger.iter().all(|l| l.ops > 0 && l.shading_s() > 0.0));
+
+    // --- A traced two-card fleet over the same cube. ---
+    trace::reset();
+    trace::enable();
+    let fleet = DeviceFleet::new(vec![
+        GpuProfile::geforce_7800gtx(),
+        GpuProfile::geforce_7800gtx(),
+    ])
+    .run(&amc, &cube)
+    .expect("fleet run");
+    trace::disable();
+    assert_eq!(
+        fleet.pipeline.mei.scores, off.mei.scores,
+        "fleet MEI changed"
+    );
+    let json = trace::chrome_trace_json();
+    let doc = json::parse(&json).expect("the fleet export is JSON");
+    let events = doc.get("traceEvents").and_then(Value::as_array).unwrap();
+    let mut rows = std::collections::BTreeMap::new();
+    let mut chunks_per_tid: std::collections::BTreeMap<u64, usize> = Default::default();
+    let mut stage_spans: std::collections::BTreeMap<String, usize> = Default::default();
+    for ev in events {
+        let str_field = |key: &str| ev.get(key).and_then(Value::as_str).unwrap_or_default();
+        let tid = ev.get("tid").and_then(Value::as_u64).unwrap();
+        match (str_field("ph"), str_field("cat")) {
+            ("M", _) if str_field("name") == "thread_name" => {
+                let name = ev.get("args").and_then(|a| a.get("name")).unwrap();
+                rows.insert(name.as_str().unwrap().to_owned(), tid);
+            }
+            ("B", "fleet.chunk") => *chunks_per_tid.entry(tid).or_default() += 1,
+            ("B", "pipeline.chunk") => panic!("fleet chunks span as fleet.chunk: {ev:?}"),
+            ("B", "pipeline.stage") => {
+                *stage_spans.entry(str_field("name").to_owned()).or_default() += 1;
+            }
+            _ => {}
+        }
+    }
+    // One fleet.chunk span per executed chunk, on the row of the device
+    // that shaded it, and all six stage spans inside each.
+    let executed: usize = fleet.devices.iter().map(|d| d.executed.len()).sum();
+    assert_eq!(executed, fleet.pipeline.chunks);
+    assert!(executed >= 2, "the fleet must shard, got {executed} chunks");
+    assert_eq!(chunks_per_tid.values().sum::<usize>(), executed);
+    for stage in STAGES {
+        assert_eq!(
+            stage_spans.get(stage).copied().unwrap_or(0),
+            executed,
+            "fleet stage {stage} spans != executed chunks"
+        );
+    }
+    for (i, device) in fleet.devices.iter().enumerate() {
+        let row = format!("device{i}.{}", device.profile.short_name());
+        let tid = *rows
+            .get(&row)
+            .unwrap_or_else(|| panic!("no trace row `{row}` in {rows:?}"));
+        assert_eq!(
+            chunks_per_tid.get(&tid).copied().unwrap_or(0),
+            device.executed.len(),
+            "fleet.chunk spans on `{row}`"
+        );
+    }
     trace::reset();
 }
