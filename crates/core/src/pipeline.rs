@@ -905,6 +905,8 @@ mod tests {
         assert!(t.selection_s >= 0.0 && t.unmix_s >= 0.0);
         assert!(t.classify_s >= 0.0 && t.argmax_s >= 0.0);
         assert!(t.selection_s + t.classify_s <= hybrid.tail_wall_s + 1.0);
+        assert!(t.atgp_s >= 0.0 && t.means_s >= 0.0 && t.reseed_s >= 0.0);
+        assert_eq!(t.selection_s, t.atgp_s + t.means_s + t.reseed_s);
     }
 
     #[test]

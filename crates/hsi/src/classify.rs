@@ -116,8 +116,17 @@ impl AmcOutput {
 /// exceed the wall figure because it counts total CPU work.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct TailBreakdown {
-    /// Endmember selection, refinement bookkeeping and reseeding (wall).
+    /// Endmember selection, refinement bookkeeping and reseeding (wall):
+    /// `atgp_s + means_s + reseed_s`.
     pub selection_s: f64,
+    /// The initial endmember selection, ATGP or MEI-greedy (wall).
+    pub atgp_s: f64,
+    /// Refinement's class-mean sums, endmember updates and starved-class
+    /// list (wall).
+    pub means_s: f64,
+    /// Reseeding starved classes: the interim model fit,
+    /// [`residual_ranking`] and the reassignment (wall).
+    pub reseed_s: f64,
     /// Model fitting plus the abundance GEMM + constraint fix-up (CPU, summed
     /// across workers).
     pub unmix_s: f64,
@@ -183,7 +192,7 @@ impl AmcClassifier {
                 select_endmembers_atgp(cube, &mei_img, self.config.classes)?
             }
         };
-        tail.selection_s += t.elapsed().as_secs_f64();
+        tail.atgp_s += t.elapsed().as_secs_f64();
         drop(span);
 
         let dims = cube.dims();
@@ -231,6 +240,8 @@ impl AmcClassifier {
                     starved.push(k);
                 }
             }
+            tail.means_s += t.elapsed().as_secs_f64();
+            let t = Instant::now();
             if !starved.is_empty() {
                 let interim = LinearMixtureModel::new(&spectra(&endmembers))?;
                 let ranked = residual_ranking(&bip, &interim);
@@ -244,7 +255,7 @@ impl AmcClassifier {
                     endmembers[k].spectrum = cube.pixel(x, y);
                 }
             }
-            tail.selection_s += t.elapsed().as_secs_f64();
+            tail.reseed_s += t.elapsed().as_secs_f64();
             drop(span);
             let span = trace::span("tail", "unmix");
             let t = Instant::now();
@@ -263,6 +274,7 @@ impl AmcClassifier {
             tail.argmax_s += timings.argmax_s;
             labels = new_labels;
         }
+        tail.selection_s = tail.atgp_s + tail.means_s + tail.reseed_s;
 
         let out = AmcOutput {
             width: dims.width,

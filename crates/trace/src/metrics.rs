@@ -83,7 +83,7 @@ fn bucket_midpoint_ns(i: usize) -> u64 {
 /// Inclusive `[lo, hi]` bounds of bucket `i`: bucket 0 holds exactly 0 ns,
 /// bucket `i > 0` holds `[2^(i-1), 2^i - 1]`, and the last bucket is
 /// open-ended (its `hi` saturates at `u64::MAX`).
-pub fn bucket_bounds_ns(i: usize) -> (u64, u64) {
+fn bucket_bounds_ns(i: usize) -> (u64, u64) {
     if i == 0 {
         return (0, 0);
     }
@@ -122,17 +122,6 @@ pub fn observe(name: &'static str, d: std::time::Duration) {
     observe_ns(name, d.as_nanos() as u64);
 }
 
-/// One populated log₂ bucket of a latency histogram.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct HistBucket {
-    /// Inclusive lower bound of the bucket, nanoseconds.
-    pub lo_ns: u64,
-    /// Inclusive upper bound (`u64::MAX` for the open-ended last bucket).
-    pub hi_ns: u64,
-    /// Observations that landed in this bucket.
-    pub count: u64,
-}
-
 /// Summary of one latency histogram.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct HistSummary {
@@ -146,8 +135,6 @@ pub struct HistSummary {
     pub p95_ns: u64,
     /// 99th-percentile latency estimate, nanoseconds.
     pub p99_ns: u64,
-    /// The populated buckets (zero-count buckets omitted), in latency order.
-    pub buckets: Vec<HistBucket>,
 }
 
 /// Point-in-time copy of the registry, names sorted.
@@ -180,20 +167,6 @@ pub fn snapshot() -> Snapshot {
                         p50_ns: h.percentile_ns(0.50),
                         p95_ns: h.percentile_ns(0.95),
                         p99_ns: h.percentile_ns(0.99),
-                        buckets: h
-                            .buckets
-                            .iter()
-                            .enumerate()
-                            .filter(|(_, &c)| c > 0)
-                            .map(|(i, &count)| {
-                                let (lo_ns, hi_ns) = bucket_bounds_ns(i);
-                                HistBucket {
-                                    lo_ns,
-                                    hi_ns,
-                                    count,
-                                }
-                            })
-                            .collect(),
                     },
                 )
             })
@@ -229,6 +202,12 @@ mod tests {
         // Midpoint sits inside its own bucket.
         for i in 1..64 {
             assert_eq!(bucket_index(bucket_midpoint_ns(i)), i, "bucket {i}");
+        }
+        // Each bucket's bounds map back to its own index.
+        for i in 0..BUCKETS {
+            let (lo, hi) = bucket_bounds_ns(i);
+            assert_eq!(bucket_index(lo), i, "lo of bucket {i}");
+            assert_eq!(bucket_index(hi), i, "hi of bucket {i}");
         }
     }
 
@@ -269,45 +248,6 @@ mod tests {
         assert_eq!(bucket_index(h.p95_ns), bucket_index(1_000));
         assert_eq!(bucket_index(h.p99_ns), bucket_index(1_000_000));
         assert!(h.p50_ns <= h.p95_ns && h.p95_ns <= h.p99_ns);
-        reset();
-    }
-
-    #[test]
-    fn snapshot_exports_populated_bucket_bounds() {
-        let _g = TEST_LOCK.lock().unwrap();
-        reset();
-        observe_ns("lat", 0);
-        observe_ns("lat", 3);
-        observe_ns("lat", 3);
-        observe_ns("lat", 1_000);
-        let snap = snapshot();
-        let (_, h) = &snap.histograms[0];
-        assert_eq!(
-            h.buckets,
-            vec![
-                HistBucket {
-                    lo_ns: 0,
-                    hi_ns: 0,
-                    count: 1
-                },
-                HistBucket {
-                    lo_ns: 2,
-                    hi_ns: 3,
-                    count: 2
-                },
-                HistBucket {
-                    lo_ns: 512,
-                    hi_ns: 1023,
-                    count: 1
-                },
-            ]
-        );
-        assert_eq!(h.buckets.iter().map(|b| b.count).sum::<u64>(), h.count);
-        // Every sample's bucket bounds bracket the bucket's own index.
-        for (i, (lo, hi)) in (0..BUCKETS).map(|i| (i, bucket_bounds_ns(i))) {
-            assert_eq!(bucket_index(lo), i, "lo of bucket {i}");
-            assert_eq!(bucket_index(hi), i, "hi of bucket {i}");
-        }
         reset();
     }
 

@@ -59,6 +59,11 @@ fn main() {
         "pipeline: {} chunks, gpu wall {:.3}s, cpu tail wall {:.3}s",
         hybrid.pipeline.chunks, hybrid.gpu_wall_s, hybrid.tail_wall_s
     );
+    let tail = &hybrid.tail;
+    println!(
+        "tail: selection {:.3}s (atgp {:.3}, class means {:.3}, reseed {:.3}), batched classify {:.3}s",
+        tail.selection_s, tail.atgp_s, tail.means_s, tail.reseed_s, tail.classify_s
+    );
 
     // Measured host wall vs modeled device time, stage by stage.
     let device = gpu.profile().clone();
