@@ -44,26 +44,13 @@ fn main() {
             }
             run_graph(format, fuse);
         }
-        "analyze" => {
-            let mut trace_path = None;
-            let mut rest = args[1..].iter();
-            while let Some(a) = rest.next() {
-                if a == "--trace" {
-                    match rest.next() {
-                        Some(p) => trace_path = Some(p.as_str()),
-                        None => {
-                            eprintln!("usage: tables analyze [--trace <trace.json>]");
-                            std::process::exit(2);
-                        }
-                    }
-                } else {
-                    eprintln!("unknown analyze option `{a}`");
-                    eprintln!("usage: tables analyze [--trace <trace.json>]");
-                    std::process::exit(2);
-                }
+        "analyze" => match &args[1..] {
+            [flag, path] if flag == "--trace" => run_analyze(path),
+            _ => {
+                eprintln!("usage: tables analyze --trace <trace.json>");
+                std::process::exit(2);
             }
-            run_analyze(trace_path);
-        }
+        },
         "fig6" => print!("{}", format_fig6(&time_rows(Compiler::Gcc))),
         "ablations" => print!("{}", format_ablations()),
         "all" => {
@@ -98,70 +85,27 @@ fn main() {
     }
 }
 
-/// Analyze a captured Chrome trace, or — with no `--trace` — run a reduced
-/// traced workload (a shrunk-memory single-device arm so the pipeline must
-/// chunk and double-buffer, plus a dual-7800 GTX fleet arm) and report its
-/// critical path, utilization and overlap.
-fn run_analyze(trace_path: Option<&str>) {
-    if let Some(tp) = trace_path {
-        let text = match std::fs::read_to_string(tp) {
-            Ok(t) => t,
-            Err(e) => {
-                eprintln!("error: cannot read {tp}: {e}");
-                std::process::exit(2);
-            }
-        };
-        let snap = match trace::analyze::import_chrome_trace(&text) {
-            Ok(s) => s,
-            Err(e) => {
-                eprintln!("error: {tp} is not a loadable Chrome trace: {e}");
-                std::process::exit(2);
-            }
-        };
-        print!(
-            "{}",
-            trace::analyze::render_text(&trace::analyze::analyze(&snap))
-        );
-        return;
-    }
-
-    use amc_core::fleet::DeviceFleet;
-    use amc_core::pipeline::{GpuAmc, KernelMode};
-    use gpu_sim::device::GpuProfile;
-    use gpu_sim::gpu::Gpu;
-    use hsi::classify::AmcConfig;
-    use hsi_scene::library::indian_pines_classes;
-    use hsi_scene::scene::{generate, SceneConfig};
-
-    trace::enable();
-    trace::reset();
-    eprintln!("[analyze] running the reduced traced workload (no --trace given)...");
-    let classes = indian_pines_classes();
-    let scene = generate(&classes, &SceneConfig::reduced_indian_pines(2026));
-    let amc = GpuAmc::new(
-        AmcConfig::paper_default(classes.len()).se.clone(),
-        KernelMode::Isa,
+/// Analyze a captured Chrome trace: its critical path, utilization and
+/// overlap.
+fn run_analyze(tp: &str) {
+    let text = match std::fs::read_to_string(tp) {
+        Ok(t) => t,
+        Err(e) => {
+            eprintln!("error: cannot read {tp}: {e}");
+            std::process::exit(2);
+        }
+    };
+    let snap = match trace::analyze::import_chrome_trace(&text) {
+        Ok(s) => s,
+        Err(e) => {
+            eprintln!("error: {tp} is not a loadable Chrome trace: {e}");
+            std::process::exit(2);
+        }
+    };
+    print!(
+        "{}",
+        trace::analyze::render_text(&trace::analyze::analyze(&snap))
     );
-    {
-        // Shrink video memory so the cube cannot be resident at once: the
-        // run then chunks and the packer-overlap metrics are non-trivial.
-        let _arm = trace::span("bench.arm", "single_device");
-        let mut profile = GpuProfile::geforce_7800gtx();
-        profile.video_memory_mib = 8;
-        let mut gpu = Gpu::new(profile);
-        amc.run(&mut gpu, &scene.cube).expect("single-device run");
-    }
-    {
-        let _arm = trace::span("bench.arm", "fleet:7800gtx+7800gtx");
-        DeviceFleet::new(vec![
-            GpuProfile::geforce_7800gtx(),
-            GpuProfile::geforce_7800gtx(),
-        ])
-        .run(&amc, &scene.cube)
-        .expect("fleet run");
-    }
-    let analysis = trace::analyze::analyze(&trace::snapshot_events());
-    print!("{}", trace::analyze::render_text(&analysis));
 }
 
 fn run_graph(format: &str, fuse: bool) {

@@ -1,5 +1,5 @@
-//! The `tables` exit-code contract on malformed input: exit 2 with a
-//! message, never an abort.
+//! The `tables` exit-code contract on malformed input or a missing
+//! argument: exit 2 with a message, never an abort.
 
 use std::process::Command;
 
@@ -20,4 +20,19 @@ fn deeply_nested_documents_exit_2() {
     );
     assert!(stderr.contains("nesting deeper than"), "{stderr}");
     let _ = std::fs::remove_file(&path);
+}
+
+#[test]
+fn analyze_without_a_trace_prints_its_usage_and_exits_2() {
+    let out = Command::new(env!("CARGO_BIN_EXE_tables"))
+        .arg("analyze")
+        .output()
+        .expect("run tables");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "tables analyze: {stderr}");
+    assert!(
+        stderr.contains("usage: tables analyze --trace <trace.json>"),
+        "{stderr}"
+    );
+    assert!(out.stdout.is_empty());
 }

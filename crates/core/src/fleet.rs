@@ -7,10 +7,10 @@
 //!
 //! * **Planning** is fleet-shape-independent: the chunking is derived from
 //!   the cube, the structuring element and the *smallest* video memory in
-//!   the fleet, then refined to expose at least [`FleetConfig::target_chunks`]
-//!   shardable units. The same shape and inputs always produce the same
-//!   chunk list no matter how many devices execute it — the foundation of
-//!   the bit-identity guarantee below.
+//!   the fleet, then refined to expose at least `TARGET_CHUNKS` shardable
+//!   units. The same shape and inputs always produce the same chunk list
+//!   no matter how many devices execute it — the foundation of the
+//!   bit-identity guarantee below.
 //! * **Placement** uses the analytic perf model
 //!   ([`perf::predict_chunk_time_s`]): each chunk is priced per device at
 //!   the actual chunk geometry (occupancy, halo overhead, contended bus),
@@ -99,21 +99,11 @@ pub fn parse_device_list(list: &str) -> std::result::Result<Vec<GpuProfile>, Unk
     Ok(profiles)
 }
 
-/// Fleet execution knobs.
-#[derive(Debug, Clone, Copy)]
-pub struct FleetConfig {
-    /// Minimum chunk count the planner aims for, so a scene that fits one
-    /// device's memory in a single chunk still yields shardable units.
-    /// Deliberately independent of the fleet size: the chunk plan — and
-    /// therefore every counter — must not change with the device count.
-    pub target_chunks: usize,
-}
-
-impl Default for FleetConfig {
-    fn default() -> Self {
-        Self { target_chunks: 8 }
-    }
-}
+/// Minimum chunk count the planner aims for, so a scene that fits one
+/// device's memory in a single chunk still yields shardable units.
+/// Deliberately independent of the fleet size: the chunk plan — and
+/// therefore every counter — must not change with the device count.
+const TARGET_CHUNKS: usize = 8;
 
 /// One device's row in the fleet report.
 #[derive(Debug, Clone)]
@@ -206,7 +196,6 @@ impl Dispatch {
 /// A fleet of simulated GPUs sharing one host link.
 pub struct DeviceFleet {
     profiles: Vec<GpuProfile>,
-    config: FleetConfig,
     /// One device per profile, alive (pool and caches warm) for the
     /// fleet's lifetime.
     devices: Vec<Mutex<Gpu>>,
@@ -220,17 +209,7 @@ impl DeviceFleet {
             .iter()
             .map(|p| Mutex::new(Gpu::new(p.clone())))
             .collect();
-        Self {
-            profiles,
-            config: FleetConfig::default(),
-            devices,
-        }
-    }
-
-    /// Override the fleet configuration.
-    pub fn with_config(mut self, config: FleetConfig) -> Self {
-        self.config = config;
-        self
+        Self { profiles, devices }
     }
 
     /// The device profiles, in fleet order.
@@ -241,10 +220,10 @@ impl DeviceFleet {
     /// Plan the shared chunking for a cube: the binary-search planner under
     /// the *smallest* video memory in the fleet (every device must be able
     /// to hold any chunk), refined down so the plan yields at least
-    /// [`FleetConfig::target_chunks`] chunks when the image has the lines
-    /// for it. Depends on the fleet's *set* of memory sizes only — never on
-    /// the device count — so every fleet shape over the same hardware
-    /// generation(s) shares one plan.
+    /// `TARGET_CHUNKS` chunks when the image has the lines for it. Depends
+    /// on the fleet's *set* of memory sizes only — never on the device
+    /// count — so every fleet shape over the same hardware generation(s)
+    /// shares one plan.
     pub fn plan_chunking(&self, amc: &GpuAmc, cube: &Cube) -> Result<Chunking> {
         let dims = cube.dims();
         let budget = self
@@ -254,7 +233,7 @@ impl DeviceFleet {
             .min()
             .expect("fleet is non-empty");
         let planned = amc.plan_chunking_for_budget(budget, dims.width, dims.height, dims.bands)?;
-        let target_lines = dims.height.div_ceil(self.config.target_chunks.max(1));
+        let target_lines = dims.height.div_ceil(TARGET_CHUNKS);
         Ok(Chunking::new(
             planned.lines_per_chunk.min(target_lines.max(1)),
             planned.halo,

@@ -7,9 +7,10 @@
 //! SSA-style logical texture handles (each written by at most one pass).
 //! [`compile`] then:
 //!
-//! 1. **validates** the graph (single writer, producers precede consumers,
-//!    per-pass program verification) by lowering it to the
-//!    [`gpu_sim::opt::check_pipeline`] contract form;
+//! 1. **validates** the graph on its handles ([`RenderGraph::validate`]:
+//!    single writer, producers precede consumers, no pass samples its own
+//!    target, every address-mode requirement met, every pass program
+//!    verified under its own bindings);
 //! 2. runs **dead-pass elimination** — passes that cannot reach a declared
 //!    [`TexKind::Output`] are dropped and reported;
 //! 3. optionally **fuses producer→consumer pass pairs** by inlining the
@@ -97,7 +98,7 @@ pub enum TexKind {
 /// One logical texture declaration.
 #[derive(Debug, Clone)]
 pub struct TextureDecl {
-    /// Debug name (unique; doubles as the contract resource name).
+    /// Debug name (unique).
     pub name: String,
     /// Width in texels.
     pub width: usize,
@@ -166,12 +167,14 @@ impl RenderGraph {
         self.passes.push(pass);
     }
 
-    /// Validate the graph's shape against a device profile. Empty means
-    /// accepted. Graph-specific checks (handle bounds, imported textures
-    /// never written, non-zeroed transients produced before read) run
-    /// first; the rest lowers to [`opt::check_pipeline`], which verifies
-    /// every pass program under its exact bindings and enforces the
-    /// single-writer and producer-before-consumer contract per resource.
+    /// Validate the graph against a device profile. Empty means accepted.
+    ///
+    /// One walk over the passes, on [`TexHandle`]s: handles in range; each
+    /// texture written by at most one pass, and never an imported or
+    /// zero-seeded one; every input that needs a producer produced by an
+    /// earlier pass; no pass sampling its own render target; every required
+    /// address mode `ClampToEdge`, the mode the pool gives every texture;
+    /// and each program verifying under its own pass's [`pass_bindings`].
     pub fn validate(&self, profile: &GpuProfile) -> Vec<String> {
         let mut errors = Vec::new();
         let n = self.textures.len();
@@ -180,96 +183,83 @@ impl RenderGraph {
                 errors.push(format!("texture `{}` declared twice", t.name));
             }
         }
-        let mut produced = vec![false; n];
+        let mut producer: Vec<Option<&str>> = vec![None; n];
         for p in &self.passes {
-            for &(h, _) in &p.inputs {
-                if h.0 >= n {
+            for (si, &(h, required)) in p.inputs.iter().enumerate() {
+                let Some(input) = self.textures.get(h.0) else {
                     errors.push(format!(
                         "pass `{}`: input handle {} out of range",
                         p.name, h.0
                     ));
+                    continue;
+                };
+                let needs_producer = matches!(
+                    input.kind,
+                    TexKind::Transient { zeroed: false } | TexKind::Output
+                );
+                if needs_producer && producer[h.0].is_none() {
+                    errors.push(format!(
+                        "pass `{}`: reads `{}` before any pass produces it",
+                        p.name, input.name
+                    ));
+                }
+                if h == p.output {
+                    errors.push(format!(
+                        "pass `{}`: renders into `{}` while sampling it via tex{si}",
+                        p.name, input.name
+                    ));
+                }
+                if let Some(mode) = required.filter(|&m| m != AddressMode::ClampToEdge) {
+                    errors.push(format!(
+                        "pass `{}`: tex{si} (`{}`) requires address mode {mode:?}, \
+                         but every texture is ClampToEdge",
+                        p.name, input.name
+                    ));
                 }
             }
-            if p.output.0 >= n {
+            let bindings = pass_bindings(p.inputs.len(), p.texcoords.len(), &p.constants);
+            for message in verify_errors(&p.program, profile, &bindings) {
+                errors.push(format!("pass `{}`: {message}", p.name));
+            }
+            let Some(target) = self.textures.get(p.output.0) else {
                 errors.push(format!(
                     "pass `{}`: output handle {} out of range",
                     p.name, p.output.0
                 ));
                 continue;
-            }
-            match self.textures[p.output.0].kind {
+            };
+            match target.kind {
                 TexKind::Imported => errors.push(format!(
                     "pass `{}`: renders into imported texture `{}`",
-                    p.name, self.textures[p.output.0].name
+                    p.name, target.name
                 )),
                 TexKind::Transient { zeroed: true } => errors.push(format!(
                     "pass `{}`: renders into zero-seeded texture `{}` (seeds have no producer)",
-                    p.name, self.textures[p.output.0].name
+                    p.name, target.name
                 )),
                 _ => {}
             }
-            for &(h, _) in &p.inputs {
-                if h.0 >= n {
-                    continue;
-                }
-                let needs_producer = matches!(
-                    self.textures[h.0].kind,
-                    TexKind::Transient { zeroed: false } | TexKind::Output
-                );
-                if needs_producer && !produced[h.0] {
-                    errors.push(format!(
-                        "pass `{}`: reads `{}` before any pass produces it",
-                        p.name, self.textures[h.0].name
-                    ));
-                }
+            match producer[p.output.0] {
+                Some(first) => errors.push(format!(
+                    "pass `{}`: renders into `{}`, which pass `{first}` already produced",
+                    p.name, target.name
+                )),
+                None => producer[p.output.0] = Some(&p.name),
             }
-            produced[p.output.0] = true;
         }
-        for (i, t) in self.textures.iter().enumerate() {
-            if matches!(t.kind, TexKind::Output) && !produced[i] {
+        for (t, first) in self.textures.iter().zip(&producer) {
+            if matches!(t.kind, TexKind::Output) && first.is_none() {
                 errors.push(format!("output texture `{}` is never produced", t.name));
             }
         }
-        if !errors.is_empty() {
-            return errors;
-        }
-        let (resources, stages) = self.to_contracts();
-        errors.extend(opt::check_pipeline(profile, &resources, &stages));
         errors
-    }
-
-    /// Lower the graph to the [`opt::check_pipeline`] contract form: one
-    /// resource per logical texture (the pool configures every texture
-    /// `ClampToEdge`), one stage per pass.
-    fn to_contracts(&self) -> (Vec<opt::ResourceDecl>, Vec<opt::StageContract>) {
-        let resources = self
-            .textures
-            .iter()
-            .map(|t| opt::ResourceDecl {
-                name: t.name.clone(),
-                mode: AddressMode::ClampToEdge,
-            })
-            .collect();
-        let stages = self
-            .passes
-            .iter()
-            .map(|p| opt::StageContract {
-                name: p.name.clone(),
-                program: p.program.clone(),
-                bindings: pass_bindings(p.inputs.len(), p.texcoords.len(), &p.constants),
-                inputs: p
-                    .inputs
-                    .iter()
-                    .map(|&(h, m)| (self.textures[h.0].name.clone(), m))
-                    .collect(),
-                output: self.textures[p.output.0].name.clone(),
-            })
-            .collect();
-        (resources, stages)
     }
 }
 
-fn pass_bindings(
+/// The bindings a pass with `samplers` inputs, `texcoord_sets` coordinate
+/// sets and `constants` runs under: what the device verifies its program
+/// against and keys its optimized lowering on.
+pub fn pass_bindings(
     samplers: usize,
     texcoord_sets: usize,
     constants: &[(u8, [f32; 4])],
@@ -281,6 +271,15 @@ fn pass_bindings(
         // The executor resolves only O0 to the render target.
         outputs_read: [true, false, false, false],
     }
+}
+
+/// The verifier's error messages for `program` under `bindings`.
+fn verify_errors(program: &Program, profile: &GpuProfile, bindings: &PassBindings) -> Vec<String> {
+    gpu_sim::verify::verify(program, profile, Some(bindings))
+        .into_iter()
+        .filter(|d| d.severity == gpu_sim::verify::Severity::Error)
+        .map(|d| d.message)
+        .collect()
 }
 
 /// Graph compilation failure: the accumulated validation errors.
@@ -722,16 +721,11 @@ fn fuse_into(
     let (mut fused, _) = opt::optimize(&fused, &bindings);
     opt::compact_temps(&mut fused);
     fused.name = consumer.program.name.clone();
-    let diags = gpu_sim::verify::verify(&fused, profile, Some(&bindings));
-    if gpu_sim::verify::has_errors(&diags) {
+    let errors = verify_errors(&fused, profile, &bindings);
+    if !errors.is_empty() {
         return Err(format!(
             "fused program fails verification: {}",
-            diags
-                .iter()
-                .filter(|d| d.severity == gpu_sim::verify::Severity::Error)
-                .map(|d| d.message.as_str())
-                .collect::<Vec<_>>()
-                .join("; ")
+            errors.join("; ")
         ));
     }
     let rec = FusionRecord {
@@ -1204,36 +1198,68 @@ mod tests {
     #[test]
     fn validate_rejects_malformed_graphs() {
         let profile = GpuProfile::fx5950_ultra();
+        let rejects = |g: &RenderGraph, what: &str| {
+            let errs = g.validate(&profile);
+            assert!(errs.iter().any(|e| e.contains(what)), "{what}: {errs:?}");
+        };
         // Duplicate texture names.
         let mut g = RenderGraph::new();
         g.texture("x", 4, 4, TexKind::Imported);
         g.texture("x", 4, 4, TexKind::Imported);
-        assert!(g
-            .validate(&profile)
-            .iter()
-            .any(|e| e.contains("declared twice")));
+        rejects(&g, "declared twice");
         // Rendering into an imported texture.
         let mut g = RenderGraph::new();
         let a = g.texture("a", 4, 4, TexKind::Imported);
         g.add_pass(pass("p", copy_program(), vec![(a, None)], a));
-        assert!(g.validate(&profile).iter().any(|e| e.contains("imported")));
+        rejects(&g, "imported");
         // Reading a transient before any pass produces it.
         let mut g = RenderGraph::new();
         let t = g.texture("t", 4, 4, TexKind::Transient { zeroed: false });
         let o = g.texture("o", 4, 4, TexKind::Output);
         g.add_pass(pass("p", copy_program(), vec![(t, None)], o));
-        assert!(g
-            .validate(&profile)
-            .iter()
-            .any(|e| e.contains("before any pass produces")));
+        rejects(&g, "before any pass produces");
         // Declared output that nothing renders.
         let mut g = RenderGraph::new();
         g.texture("o", 4, 4, TexKind::Output);
-        let errs = g.validate(&profile);
-        assert!(errs.iter().any(|e| e.contains("never produced")));
+        rejects(&g, "never produced");
         // compile surfaces the same diagnostics as a typed error.
         let err = compile(&g, &profile, true).unwrap_err();
         assert!(err.to_string().contains("render graph rejected"));
+
+        // src → first → mid → second → dst, `first` asking `mode` of src.
+        let chain = |mode| {
+            let mut g = RenderGraph::new();
+            let src = g.texture("src", 4, 4, TexKind::Imported);
+            let mid = g.texture("mid", 4, 4, TexKind::Transient { zeroed: false });
+            let dst = g.texture("dst", 4, 4, TexKind::Output);
+            g.add_pass(pass("first", copy_program(), vec![(src, mode)], mid));
+            g.add_pass(pass("second", copy_program(), vec![(mid, None)], dst));
+            g
+        };
+        let clamp = Some(AddressMode::ClampToEdge);
+        let errs = chain(clamp).validate(&profile);
+        assert!(errs.is_empty(), "{errs:?}");
+        // A sampler asking for a mode no texture has.
+        rejects(&chain(Some(AddressMode::Repeat)), "requires address mode");
+        // Feedback: `second` samples its own target.
+        let mut g = chain(clamp);
+        g.passes[1].inputs[0].0 = g.passes[1].output;
+        rejects(&g, "while sampling it");
+        // Misorder: `second` reads `mid` before `first` produces it.
+        let mut g = chain(clamp);
+        g.passes.swap(0, 1);
+        rejects(&g, "before any pass produces");
+        // Two writers of one output, and nothing else wrong.
+        let mut g = RenderGraph::new();
+        let src = g.texture("src", 4, 4, TexKind::Imported);
+        let o = g.texture("o", 4, 4, TexKind::Output);
+        g.add_pass(pass("p0", copy_program(), vec![(src, None)], o));
+        g.add_pass(pass("p1", copy_program(), vec![(src, None)], o));
+        assert_eq!(
+            g.validate(&profile),
+            ["pass `p1`: renders into `o`, which pass `p0` already produced"]
+        );
+        assert!(compile(&g, &profile, false).is_err());
     }
 
     #[test]

@@ -226,108 +226,6 @@ pub fn offset_lut(offsets: &[(i32, i32)], width: usize, height: usize) -> Vec<f3
     out
 }
 
-/// One row of the stage-resource table: everything static about how the
-/// pipeline runs a kernel — the program, its exact [`PassBindings`], the
-/// pipeline stage it belongs to, and the abstract resources it samples and
-/// produces. This is the single source of truth the pipeline contract
-/// checker ([`crate::pipeline::amc_stage_contracts`]), the optimizer cases
-/// ([`stage_cases`]), and the render-graph builder all derive from.
-#[derive(Debug, Clone)]
-pub struct StageSpec {
-    /// The assembled program.
-    pub program: Program,
-    /// Exact bindings the pipeline runs it under.
-    pub bindings: gpu_sim::verify::PassBindings,
-    /// Pipeline stage tag (trace-span / stats-bucket name).
-    pub stage: &'static str,
-    /// One `(resource name, required address mode)` per sampler, in
-    /// sampler order. Resources fetched through δ-shifted coordinate sets
-    /// or dependent reads require `ClampToEdge` — that is what makes halo
-    /// sampling at chunk edges exact.
-    pub inputs: &'static [(&'static str, Option<gpu_sim::texture::AddressMode>)],
-    /// The abstract resource the kernel renders into.
-    pub output: &'static str,
-}
-
-/// The stage-resource table, in pipeline order: band-sum, normalize,
-/// partial SID, min/max init, min/max update, MEI.
-pub fn stage_specs() -> Vec<StageSpec> {
-    use gpu_sim::texture::AddressMode;
-    const CLAMP: Option<AddressMode> = Some(AddressMode::ClampToEdge);
-    let ctx = |samplers, texcoord_sets, constants: Vec<u8>| gpu_sim::verify::PassBindings {
-        samplers,
-        texcoord_sets,
-        constants,
-        outputs_read: [true, false, false, false],
-    };
-    let spec = |program, bindings, stage, inputs, output| StageSpec {
-        program,
-        bindings,
-        stage,
-        inputs,
-        output,
-    };
-    vec![
-        spec(
-            band_sum_program(),
-            ctx(2, 1, vec![]),
-            "normalize",
-            &[("band", None), ("sum_prev", None)],
-            "sum",
-        ),
-        spec(
-            normalize_program(),
-            ctx(2, 1, vec![]),
-            "normalize",
-            &[("band", None), ("sum", None)],
-            "norm",
-        ),
-        spec(
-            sid_partial_program(),
-            ctx(2, 2, vec![]),
-            "distance",
-            &[("norm", CLAMP), ("sid_prev", None)],
-            "sid",
-        ),
-        spec(
-            minmax_init_program(),
-            ctx(1, 1, vec![]),
-            "minmax",
-            &[("sid", CLAMP)],
-            "state",
-        ),
-        spec(
-            minmax_update_program(),
-            ctx(2, 2, vec![0]),
-            "minmax",
-            &[("state", None), ("sid", CLAMP)],
-            "state2",
-        ),
-        spec(
-            mei_partial_program(),
-            ctx(4, 1, vec![2]),
-            "mei",
-            &[
-                ("norm", CLAMP),
-                ("state2", None),
-                ("mei_prev", None),
-                ("lut", CLAMP),
-            ],
-            "mei",
-        ),
-    ]
-}
-
-/// Every stage kernel paired with the exact [`PassBindings`] the pipeline
-/// runs it under, in pipeline order (derived from [`stage_specs`]). This is
-/// what the optimizer keys its lowering-cache entries on.
-pub fn stage_cases() -> Vec<(Program, gpu_sim::verify::PassBindings)> {
-    stage_specs()
-        .into_iter()
-        .map(|s| (s.program, s.bindings))
-        .collect()
-}
-
 /// The partial SID of one 4-band group, computed with the exact operation
 /// sequence of [`sid_partial_program`] (ε-guard, reciprocal multiply,
 /// `log2·ln2`, lane-ordered `DP4` summation).
@@ -349,6 +247,7 @@ pub fn sid_partial_value(p: [f32; 4], q: [f32; 4]) -> f32 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::pipeline::stage_cases;
 
     #[test]
     fn all_programs_assemble_with_expected_costs() {

@@ -34,5 +34,5 @@ pub mod layout;
 pub mod perf;
 pub mod pipeline;
 
-pub use fleet::{DeviceFleet, FleetConfig, FleetOutput};
+pub use fleet::{DeviceFleet, FleetOutput};
 pub use pipeline::{GpuAmc, KernelMode, PipelineOutput};

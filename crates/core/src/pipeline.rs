@@ -30,8 +30,10 @@ use crate::layout;
 use gpu_sim::counters::PassStats;
 use gpu_sim::device::GpuProfile;
 use gpu_sim::gpu::{Gpu, TextureId};
-use gpu_sim::opt;
+use gpu_sim::isa::Program;
 use gpu_sim::raster::TexCoordSet;
+use gpu_sim::texture::AddressMode;
+use gpu_sim::verify::PassBindings;
 use hsi::cube::{Chunking, Cube};
 use hsi::morphology::{MeiImage, StructuringElement};
 use std::collections::HashMap;
@@ -274,55 +276,22 @@ pub struct HybridOutput {
     pub tail_wall_s: f64,
 }
 
-/// The 6-stage AMC pipeline as a static producer→consumer contract: one
-/// representative pass per stage (one band group, one SE neighbour), with
-/// the exact programs and [`gpu_sim::verify::PassBindings`] the driver uses.
-///
-/// Resources the pipeline samples through δ-shifted coordinate sets or
-/// dependent reads declare a `ClampToEdge` requirement — that is what makes
-/// halo sampling at chunk edges exact, so a mismatched mode is a pipeline
-/// bug even though each pass would verify in isolation.
-pub fn amc_stage_contracts() -> (Vec<opt::ResourceDecl>, Vec<opt::StageContract>) {
-    let clamp = gpu_sim::texture::AddressMode::ClampToEdge;
-    let specs = kernels::stage_specs();
-    // Resources in first-mention order across the stage-resource table.
-    let mut resources: Vec<opt::ResourceDecl> = Vec::new();
-    let mut declare = |name: &str| {
-        if !resources.iter().any(|r| r.name == name) {
-            resources.push(opt::ResourceDecl {
-                name: name.into(),
-                mode: clamp,
-            });
+/// Every stage kernel with the exact [`PassBindings`] the device runs it
+/// under, in pipeline order (band sum, normalize, partial SID, min/max
+/// init, min/max update, MEI): the first pass of each program in the
+/// declared AMC graph, with [`graph::pass_bindings`]. This is what the
+/// optimizer keys its lowering-cache entries on.
+pub fn stage_cases() -> Vec<(Program, PassBindings)> {
+    let se = StructuringElement::square(3).expect("3x3 is a valid SE");
+    let (g, ..) = GpuAmc::new(se, KernelMode::Isa).declare_amc_graph(4, 4, 4);
+    let mut cases: Vec<(Program, PassBindings)> = Vec::new();
+    for p in g.passes {
+        if cases.iter().all(|(prog, _)| prog.name != p.program.name) {
+            let bindings = graph::pass_bindings(p.inputs.len(), p.texcoords.len(), &p.constants);
+            cases.push((p.program, bindings));
         }
-    };
-    for spec in &specs {
-        for &(name, _) in spec.inputs {
-            declare(name);
-        }
-        declare(spec.output);
     }
-    let stages = specs
-        .into_iter()
-        .map(|spec| opt::StageContract {
-            name: spec.program.name.clone(),
-            program: spec.program,
-            bindings: spec.bindings,
-            inputs: spec
-                .inputs
-                .iter()
-                .map(|&(n, m)| (n.to_string(), m))
-                .collect(),
-            output: spec.output.into(),
-        })
-        .collect();
-    (resources, stages)
-}
-
-/// Run the cross-pass static checker over the full AMC stage chain for one
-/// device profile. Empty means every producer→consumer contract holds.
-pub fn check_amc_pipeline(profile: &gpu_sim::GpuProfile) -> Vec<String> {
-    let (resources, stages) = amc_stage_contracts();
-    opt::check_pipeline(profile, &resources, &stages)
+    cases
 }
 
 /// Cache key for compiled AMC graphs: device profile + chunk geometry.
@@ -415,21 +384,22 @@ impl GpuAmc {
 
     /// Declare the AMC chunk pipeline as a [`RenderGraph`]: the Fig. 4
     /// pass chain in SSA form (each accumulator is a chain of single-writer
-    /// logical textures), with every program, coordinate set, and pass
-    /// constant drawn from [`kernels::stage_specs`].
+    /// logical textures), with every program, stage tag, coordinate set and
+    /// pass constant.
+    ///
+    /// Inputs sampled through δ-shifted coordinate sets or dependent reads
+    /// require `ClampToEdge`: that is what makes halo sampling at chunk
+    /// edges exact.
     fn declare_amc_graph(
         &self,
         w: usize,
         h: usize,
         bands: usize,
     ) -> (RenderGraph, Vec<TexHandle>, TexHandle, TexHandle, TexHandle) {
+        const CLAMP: Option<AddressMode> = Some(AddressMode::ClampToEdge);
         let groups = layout::band_groups(bands);
         let offsets = self.se.offsets();
         let p_b = offsets.len();
-        let specs = kernels::stage_specs();
-        let [band_sum, normalize, sid, minmax_init, minmax_update, mei] = &specs[..] else {
-            unreachable!("stage_specs is the 6-kernel table");
-        };
         let mut g = RenderGraph::new();
         let transient = TexKind::Transient { zeroed: false };
         let bands_h: Vec<TexHandle> = (0..groups)
@@ -438,14 +408,15 @@ impl GpuAmc {
         let lut = g.texture("lut", p_b, 1, TexKind::Imported);
         // Normalization: band-sum accumulator chain, then one normalize
         // pass per group.
+        let band_sum = kernels::band_sum_program();
         let mut sum = g.texture("sum_seed", w, h, TexKind::Transient { zeroed: true });
         for (i, &bt) in bands_h.iter().enumerate() {
             let next = g.texture(format!("sum{i}"), w, h, transient);
             g.add_pass(PassDecl {
                 name: format!("band_sum{i}"),
-                stage: band_sum.stage,
-                program: band_sum.program.clone(),
-                inputs: vec![(bt, band_sum.inputs[0].1), (sum, band_sum.inputs[1].1)],
+                stage: "normalize",
+                program: band_sum.clone(),
+                inputs: vec![(bt, None), (sum, None)],
                 texcoords: vec![TexCoordSet::identity()],
                 constants: vec![],
                 output: next,
@@ -455,27 +426,29 @@ impl GpuAmc {
         let norms: Vec<TexHandle> = (0..groups)
             .map(|i| g.texture(format!("norm{i}"), w, h, transient))
             .collect();
+        let normalize = kernels::normalize_program();
         for (i, (&bt, &nt)) in bands_h.iter().zip(&norms).enumerate() {
             g.add_pass(PassDecl {
                 name: format!("normalize{i}"),
-                stage: normalize.stage,
-                program: normalize.program.clone(),
-                inputs: vec![(bt, normalize.inputs[0].1), (sum, normalize.inputs[1].1)],
+                stage: "normalize",
+                program: normalize.clone(),
+                inputs: vec![(bt, None), (sum, None)],
                 texcoords: vec![TexCoordSet::identity()],
                 constants: vec![],
                 output: nt,
             });
         }
         // Cumulative distance: one accumulator chain over (δ, group).
+        let sid = kernels::sid_partial_program();
         let mut d = g.texture("d_seed", w, h, TexKind::Transient { zeroed: true });
         for (di, &(dx, dy)) in offsets.iter().filter(|&&o| o != (0, 0)).enumerate() {
             for (i, &nt) in norms.iter().enumerate() {
                 let next = g.texture(format!("d{di}_{i}"), w, h, transient);
                 g.add_pass(PassDecl {
                     name: format!("sid{di}_{i}"),
-                    stage: sid.stage,
-                    program: sid.program.clone(),
-                    inputs: vec![(nt, sid.inputs[0].1), (d, sid.inputs[1].1)],
+                    stage: "distance",
+                    program: sid.clone(),
+                    inputs: vec![(nt, CLAMP), (d, None)],
                     texcoords: vec![
                         TexCoordSet::identity(),
                         TexCoordSet::shifted_texels(dx, dy, w, h),
@@ -492,14 +465,15 @@ impl GpuAmc {
             let (dx, dy) = offsets[0];
             g.add_pass(PassDecl {
                 name: "minmax_init".into(),
-                stage: minmax_init.stage,
-                program: minmax_init.program.clone(),
-                inputs: vec![(d, minmax_init.inputs[0].1)],
+                stage: "minmax",
+                program: kernels::minmax_init_program(),
+                inputs: vec![(d, CLAMP)],
                 texcoords: vec![TexCoordSet::shifted_texels(dx, dy, w, h)],
                 constants: vec![],
                 output: state,
             });
         }
+        let minmax_update = kernels::minmax_update_program();
         for (k, &(dx, dy)) in offsets.iter().enumerate().skip(1) {
             let next = if k + 1 == p_b {
                 g.texture("state_out", w, h, TexKind::Output)
@@ -508,12 +482,9 @@ impl GpuAmc {
             };
             g.add_pass(PassDecl {
                 name: format!("minmax_update{k}"),
-                stage: minmax_update.stage,
-                program: minmax_update.program.clone(),
-                inputs: vec![
-                    (state, minmax_update.inputs[0].1),
-                    (d, minmax_update.inputs[1].1),
-                ],
+                stage: "minmax",
+                program: minmax_update.clone(),
+                inputs: vec![(state, None), (d, CLAMP)],
                 texcoords: vec![
                     TexCoordSet::identity(),
                     TexCoordSet::shifted_texels(dx, dy, w, h),
@@ -524,6 +495,7 @@ impl GpuAmc {
             state = next;
         }
         // MEI accumulation over the band groups.
+        let mei = kernels::mei_partial_program();
         let mut mei_acc = g.texture("mei_seed", w, h, TexKind::Transient { zeroed: true });
         let mei_const = [1.0 / p_b as f32, 0.5 / p_b as f32, 0.5, 0.0];
         for (i, &nt) in norms.iter().enumerate() {
@@ -534,14 +506,9 @@ impl GpuAmc {
             };
             g.add_pass(PassDecl {
                 name: format!("mei{i}"),
-                stage: mei.stage,
-                program: mei.program.clone(),
-                inputs: vec![
-                    (nt, mei.inputs[0].1),
-                    (state, mei.inputs[1].1),
-                    (mei_acc, mei.inputs[2].1),
-                    (lut, mei.inputs[3].1),
-                ],
+                stage: "mei",
+                program: mei.clone(),
+                inputs: vec![(nt, CLAMP), (state, None), (mei_acc, None), (lut, CLAMP)],
                 texcoords: vec![TexCoordSet::identity()],
                 constants: vec![(2, mei_const)],
                 output: next,
@@ -1359,56 +1326,64 @@ mod tests {
 
     #[test]
     fn amc_contract_is_accepted_on_both_paper_gpus() {
+        let amc = GpuAmc::new(StructuringElement::square(3).unwrap(), KernelMode::Isa);
+        let (g, ..) = amc.declare_amc_graph(16, 8, 12);
         for profile in GpuProfile::paper_gpus() {
-            let errors = check_amc_pipeline(&profile);
+            let errors = g.validate(&profile);
             assert!(errors.is_empty(), "on {}: {errors:?}", profile.name);
         }
     }
 
     #[test]
     fn amc_contract_rejects_deliberate_mismatches() {
-        use gpu_sim::texture::AddressMode;
         let profile = GpuProfile::fx5950_ultra();
+        let amc = GpuAmc::new(StructuringElement::square(3).unwrap(), KernelMode::Isa);
+        let declared = || amc.declare_amc_graph(16, 8, 12).0;
+        let pass = |g: &RenderGraph, name: &str| {
+            g.passes
+                .iter()
+                .position(|p| p.name == name)
+                .unwrap_or_else(|| panic!("no pass `{name}`"))
+        };
+        let rejects = |g: &RenderGraph, what: &str| {
+            let errors = g.validate(&profile);
+            assert!(
+                errors.iter().any(|e| e.contains(what)),
+                "{what}: {errors:?}"
+            );
+        };
 
-        // Wrong address mode on a halo-sampled resource.
-        let (mut resources, stages) = amc_stage_contracts();
-        resources
-            .iter_mut()
-            .find(|r| r.name == "norm")
-            .unwrap()
-            .mode = AddressMode::Repeat;
-        let errors = opt::check_pipeline(&profile, &resources, &stages);
-        assert!(
-            errors.iter().any(|e| e.contains("requires address mode")),
-            "{errors:?}"
-        );
+        // A halo-sampled input asking for a mode no texture has.
+        let mut g = declared();
+        let i = pass(&g, "sid0_0");
+        g.passes[i].inputs[0].1 = Some(AddressMode::Repeat);
+        rejects(&g, "requires address mode");
 
-        // Feedback: a stage sampling its own render target.
-        let (resources, mut stages) = amc_stage_contracts();
-        stages[5].inputs[2].0 = "mei".into();
-        let errors = opt::check_pipeline(&profile, &resources, &stages);
-        assert!(
-            errors.iter().any(|e| e.contains("renders into")),
-            "{errors:?}"
-        );
+        // Feedback: the last MEI pass samples its own render target.
+        let mut g = declared();
+        let i = pass(&g, "mei2");
+        g.passes[i].inputs[2].0 = g.passes[i].output;
+        rejects(&g, "while sampling it");
 
-        // Misordered stages: normalize consumes `sum` before it exists.
-        let (resources, mut stages) = amc_stage_contracts();
-        stages.swap(0, 1);
-        let errors = opt::check_pipeline(&profile, &resources, &stages);
-        assert!(
-            errors.iter().any(|e| e.contains("later stage")),
-            "{errors:?}"
-        );
+        // Misorder: normalize0 reads the final band sum before band_sum2
+        // produces it.
+        let mut g = declared();
+        let (a, b) = (pass(&g, "band_sum2"), pass(&g, "normalize0"));
+        g.passes.swap(a, b);
+        rejects(&g, "before any pass produces it");
 
-        // Sampler-count drift between bindings and declared inputs.
-        let (resources, mut stages) = amc_stage_contracts();
-        stages[0].inputs.pop();
-        let errors = opt::check_pipeline(&profile, &resources, &stages);
-        assert!(
-            errors.iter().any(|e| e.contains("sampler(s)")),
-            "{errors:?}"
-        );
+        // An MEI pass that lost its offset LUT binds three samplers while
+        // its program fetches from four.
+        let mut g = declared();
+        let i = pass(&g, "mei1");
+        g.passes[i].inputs.pop();
+        rejects(&g, "binds 3 texture(s)");
+
+        // Two writers: minmax_update2 renders into minmax_update1's target.
+        let mut g = declared();
+        let (a, b) = (pass(&g, "minmax_update1"), pass(&g, "minmax_update2"));
+        g.passes[b].output = g.passes[a].output;
+        rejects(&g, "which pass `minmax_update1` already produced");
     }
 
     #[test]

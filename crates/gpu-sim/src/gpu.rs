@@ -183,8 +183,6 @@ pub struct Gpu {
     /// Whether passes shade the statically optimized program form
     /// (default; [`Gpu::set_optimizer`] disables).
     opt_enabled: bool,
-    opt_runs: u64,
-    opt_reports: Vec<opt::OptReport>,
     /// Whether passes shade tiles through the tile executor (default;
     /// [`Gpu::set_batch_execution`] falls back to the per-fragment
     /// oracle).
@@ -213,8 +211,6 @@ impl Gpu {
             lower_runs: 0,
             lower_cache_hits: 0,
             opt_enabled: true,
-            opt_runs: 0,
-            opt_reports: Vec::new(),
             batch_enabled: true,
         }
     }
@@ -319,8 +315,7 @@ impl Gpu {
         let mut shaded = program;
         let optimized;
         if self.opt_enabled {
-            let (opt_program, report) = opt::optimize(program, bindings);
-            self.opt_runs += 1;
+            let (opt_program, _) = opt::optimize(program, bindings);
             trace::metrics::incr("gpu.opt.runs", 1);
             // Every optimized program must still satisfy the verifier; a
             // rewrite that breaks verification would be an optimizer bug, so
@@ -331,20 +326,12 @@ impl Gpu {
             } else {
                 optimized = opt_program;
                 shaded = &optimized;
-                if !self.opt_reports.contains(&report) {
-                    self.opt_reports.push(report);
-                }
             }
         }
         let resolved = interp::resolve_constants(shaded, constants);
         let lowered = Arc::new(interp::lower(shaded, &resolved));
         self.lowered_cache.insert(key, Arc::clone(&lowered));
         lowered
-    }
-
-    /// Whether passes shade statically optimized programs (on by default).
-    pub fn optimizer_enabled(&self) -> bool {
-        self.opt_enabled
     }
 
     /// Turn the optimizer on or off for this device; off shades the raw
@@ -354,24 +341,6 @@ impl Gpu {
     /// key).
     pub fn set_optimizer(&mut self, enabled: bool) {
         self.opt_enabled = enabled;
-    }
-
-    /// Number of optimizer runs executed on this device (one per
-    /// lowering-cache miss while the optimizer is enabled).
-    pub fn opt_runs(&self) -> u64 {
-        self.opt_runs
-    }
-
-    /// Deduplicated per-kernel before/after reports for every program this
-    /// device optimized.
-    pub fn opt_reports(&self) -> &[opt::OptReport] {
-        &self.opt_reports
-    }
-
-    /// Whether passes shade tiles through the tile executor (on by
-    /// default).
-    pub fn batch_execution_enabled(&self) -> bool {
-        self.batch_enabled
     }
 
     /// Turn tile execution on or off for this device; off shades fragment
@@ -869,10 +838,7 @@ mod tests {
         assert_eq!(stats.texel_fetches, 16);
         assert_eq!(stats.bytes_written, 256);
         assert_eq!(stats.passes, 1);
-        assert_eq!(gpu.opt_runs(), 1);
-        let reports = gpu.opt_reports();
-        assert_eq!(reports.len(), 1);
-        assert_eq!((reports[0].before, reports[0].after), (2, 1));
+        assert_eq!(gpu.lowerings(), 1);
     }
 
     #[test]
@@ -889,8 +855,7 @@ mod tests {
             .unwrap();
         assert_eq!(gpu.download(dst).unwrap(), data);
         assert_eq!(stats.instructions, 32); // 2 per fragment, unoptimized
-        assert_eq!(gpu.opt_runs(), 0);
-        assert!(gpu.opt_reports().is_empty());
+        assert_eq!(gpu.lowerings(), 1);
         // Re-enabling keys a distinct lowering: same program, new entry.
         gpu.set_optimizer(true);
         let stats = gpu
@@ -970,7 +935,7 @@ mod tests {
         };
         let batched = shade(&mut gpu);
         assert_eq!(gpu.lowerings(), 1);
-        gpu.set_batch_execution(!gpu.batch_execution_enabled());
+        gpu.set_batch_execution(false);
         let scalar = shade(&mut gpu);
         assert_eq!(gpu.lowerings(), 1, "toggling batching must not re-lower");
         assert_eq!(gpu.lower_cache_hits(), 1);

@@ -26,21 +26,13 @@
 //! finite, infinite, and NaN input the interpreter produces. Rewrites that
 //! would *not* be exact (e.g. `x + 0.0`, which breaks `-0.0`) are never
 //! attempted. See DESIGN.md §13 for the full exactness argument.
-//!
-//! The module also hosts the cross-pass static checker
-//! ([`check_pipeline`]): a declarative producer→consumer contract over a
-//! sequence of render passes, validating binding counts, address-mode
-//! expectations, target-not-input, and stage ordering — groundwork for
-//! render-graph fusion.
 
 use crate::interp;
 use crate::isa::{
     ConstDef, Dst, Instr, Opcode, Program, Reg, Src, Swizzle, NUM_CONSTS, NUM_OUTPUTS, NUM_TEMPS,
     NUM_TEXCOORDS,
 };
-use crate::texture::AddressMode;
 use crate::verify::{self, PassBindings};
-use crate::GpuProfile;
 use std::fmt;
 
 /// Fold a constant source operand against its resolved register value:
@@ -1330,118 +1322,6 @@ pub fn inline_producer(
     }
 }
 
-// ---------------------------------------------------------------------------
-// Cross-pass pipeline contract checker
-// ---------------------------------------------------------------------------
-
-/// Declared properties of one texture resource flowing between pipeline
-/// stages.
-#[derive(Debug, Clone)]
-pub struct ResourceDecl {
-    /// Unique resource name referenced by [`StageContract`]s.
-    pub name: String,
-    /// Address mode the texture is configured with.
-    pub mode: AddressMode,
-}
-
-/// One stage of a multi-pass pipeline contract: the program it runs, the
-/// bindings it runs under, and the resources it consumes and produces.
-#[derive(Debug, Clone)]
-pub struct StageContract {
-    /// Stage name, used in error messages.
-    pub name: String,
-    /// The fragment program this stage shades with.
-    pub program: Program,
-    /// Exact pass bindings the stage runs under.
-    pub bindings: PassBindings,
-    /// One entry per bound sampler, in sampler order: the resource name and
-    /// the address mode the program's fetch pattern requires (if any).
-    pub inputs: Vec<(String, Option<AddressMode>)>,
-    /// The resource this stage renders into.
-    pub output: String,
-}
-
-/// Statically validate producer→consumer contracts across a pipeline.
-///
-/// Checks, per stage: the program verifies error-free under its bindings;
-/// the sampler count matches the declared inputs; the render target is not
-/// simultaneously bound as an input; every referenced resource is declared;
-/// each input's required address mode matches the resource's declared mode;
-/// and any input produced by the pipeline is produced by an *earlier* stage.
-/// Returns human-readable errors — empty means the pipeline is accepted.
-pub fn check_pipeline(
-    profile: &GpuProfile,
-    resources: &[ResourceDecl],
-    stages: &[StageContract],
-) -> Vec<String> {
-    let mut errors = Vec::new();
-    for (i, r) in resources.iter().enumerate() {
-        if resources[..i].iter().any(|prev| prev.name == r.name) {
-            errors.push(format!("resource `{}` declared twice", r.name));
-        }
-    }
-    let find = |name: &str| resources.iter().find(|r| r.name == name);
-    // First stage index producing each resource name.
-    let producer = |name: &str| stages.iter().position(|s| s.output == name);
-    for (k, stage) in stages.iter().enumerate() {
-        let diags = verify::verify(&stage.program, profile, Some(&stage.bindings));
-        for d in diags
-            .iter()
-            .filter(|d| d.severity == verify::Severity::Error)
-        {
-            errors.push(format!("stage `{}`: {}", stage.name, d.message));
-        }
-        if stage.inputs.len() != stage.bindings.samplers {
-            errors.push(format!(
-                "stage `{}`: {} input(s) declared but bindings specify {} sampler(s)",
-                stage.name,
-                stage.inputs.len(),
-                stage.bindings.samplers
-            ));
-        }
-        if find(&stage.output).is_none() {
-            errors.push(format!(
-                "stage `{}`: output resource `{}` is not declared",
-                stage.name, stage.output
-            ));
-        }
-        for (si, (input, required)) in stage.inputs.iter().enumerate() {
-            if input == &stage.output {
-                errors.push(format!(
-                    "stage `{}`: renders into `{}` while sampling it via tex{si}",
-                    stage.name, stage.output
-                ));
-            }
-            let Some(decl) = find(input) else {
-                errors.push(format!(
-                    "stage `{}`: input resource `{input}` is not declared",
-                    stage.name
-                ));
-                continue;
-            };
-            if let Some(required) = required {
-                if *required != decl.mode {
-                    errors.push(format!(
-                        "stage `{}`: tex{si} (`{input}`) requires address mode {required:?} \
-                         but the resource is declared {:?}",
-                        stage.name, decl.mode
-                    ));
-                }
-            }
-            if let Some(pk) = producer(input) {
-                if pk >= k {
-                    errors.push(format!(
-                        "stage `{}`: consumes `{input}` which is first produced by later \
-                         stage `{}`",
-                        stage.name, stages[pk].name
-                    ));
-                }
-            }
-        }
-    }
-    errors
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1449,6 +1329,7 @@ mod tests {
     use crate::interp::{execute, resolve_constants, FragmentInput};
     use crate::texture::Texture2D;
     use crate::verify::has_errors;
+    use crate::GpuProfile;
 
     fn bindings() -> PassBindings {
         PassBindings {
@@ -1935,100 +1816,5 @@ mod tests {
         )
         .unwrap_err();
         assert!(err.contains("dying sampler"), "{err}");
-    }
-
-    #[test]
-    fn checker_accepts_a_well_formed_two_stage_chain() {
-        let resources = vec![
-            ResourceDecl {
-                name: "src".into(),
-                mode: AddressMode::ClampToEdge,
-            },
-            ResourceDecl {
-                name: "mid".into(),
-                mode: AddressMode::ClampToEdge,
-            },
-            ResourceDecl {
-                name: "dst".into(),
-                mode: AddressMode::ClampToEdge,
-            },
-        ];
-        let program = assemble("TEX R0, T0, tex0\nADD OC, R0, R0").unwrap();
-        let b = PassBindings {
-            samplers: 1,
-            texcoord_sets: 1,
-            constants: vec![],
-            outputs_read: [true, false, false, false],
-        };
-        let stages = vec![
-            StageContract {
-                name: "first".into(),
-                program: program.clone(),
-                bindings: b.clone(),
-                inputs: vec![("src".into(), Some(AddressMode::ClampToEdge))],
-                output: "mid".into(),
-            },
-            StageContract {
-                name: "second".into(),
-                program,
-                bindings: b,
-                inputs: vec![("mid".into(), None)],
-                output: "dst".into(),
-            },
-        ];
-        let errors = check_pipeline(&GpuProfile::fx5950_ultra(), &resources, &stages);
-        assert!(errors.is_empty(), "{errors:?}");
-    }
-
-    #[test]
-    fn checker_rejects_mode_mismatch_feedback_and_misorder() {
-        let resources = vec![
-            ResourceDecl {
-                name: "src".into(),
-                mode: AddressMode::Repeat,
-            },
-            ResourceDecl {
-                name: "dst".into(),
-                mode: AddressMode::ClampToEdge,
-            },
-        ];
-        let program = assemble("TEX R0, T0, tex0\nADD OC, R0, R0").unwrap();
-        let b = PassBindings {
-            samplers: 1,
-            texcoord_sets: 1,
-            constants: vec![],
-            outputs_read: [true, false, false, false],
-        };
-        let stage = |name: &str, input: &str, required, output: &str| StageContract {
-            name: name.into(),
-            program: program.clone(),
-            bindings: b.clone(),
-            inputs: vec![(input.into(), required)],
-            output: output.into(),
-        };
-        // Address-mode mismatch.
-        let errors = check_pipeline(
-            &GpuProfile::fx5950_ultra(),
-            &resources,
-            &[stage("s", "src", Some(AddressMode::ClampToEdge), "dst")],
-        );
-        assert_eq!(errors.len(), 1, "{errors:?}");
-        // Render-target feedback.
-        let errors = check_pipeline(
-            &GpuProfile::fx5950_ultra(),
-            &resources,
-            &[stage("s", "dst", None, "dst")],
-        );
-        assert!(!errors.is_empty());
-        // Consumed before produced.
-        let errors = check_pipeline(
-            &GpuProfile::fx5950_ultra(),
-            &resources,
-            &[
-                stage("a", "dst", None, "src"),
-                stage("b", "src", None, "dst"),
-            ],
-        );
-        assert!(errors.iter().any(|e| e.contains("later stage")));
     }
 }

@@ -15,12 +15,12 @@ use gpu_sim::raster::{fragment_input, TexCoordSet};
 use gpu_sim::texture::Texture2D;
 use gpu_sim::verify::{has_errors, verify, PassBindings};
 use gpu_sim::{optimize, GpuProfile};
-use hyperspec::amc::kernels;
+use hyperspec::amc::pipeline;
 use proptest::prelude::*;
 
 /// The stage kernels' source text, the seed corpus for mutation.
 fn kernel_sources() -> Vec<String> {
-    kernels::stage_cases()
+    pipeline::stage_cases()
         .into_iter()
         .map(|(program, _)| program.to_asm())
         .collect()
