@@ -9,8 +9,7 @@
 //!
 //! 1. **validates** the graph on its handles ([`RenderGraph::validate`]:
 //!    single writer, producers precede consumers, no pass samples its own
-//!    target, every address-mode requirement met, every pass program
-//!    verified under its own bindings);
+//!    target, every pass program verified under its own bindings);
 //! 2. runs **dead-pass elimination** — passes that cannot reach a declared
 //!    [`TexKind::Output`] are dropped and reported;
 //! 3. optionally **fuses producer→consumer pass pairs** by inlining the
@@ -65,7 +64,6 @@ use gpu_sim::gpu::{Gpu, TextureId};
 use gpu_sim::isa::{Opcode, Program, Reg, NUM_SAMPLERS, NUM_TEXCOORDS};
 use gpu_sim::opt::{self, InlineMode, InlineRequest};
 use gpu_sim::raster::TexCoordSet;
-use gpu_sim::texture::AddressMode;
 use gpu_sim::verify::PassBindings;
 use gpu_sim::GpuError;
 use std::fmt;
@@ -118,9 +116,8 @@ pub struct PassDecl {
     pub stage: &'static str,
     /// The fp30 program the pass shades with.
     pub program: Program,
-    /// Sampler bindings in order: the texture and the address mode the
-    /// program's fetch pattern requires of it (if any).
-    pub inputs: Vec<(TexHandle, Option<AddressMode>)>,
+    /// Sampler bindings in order.
+    pub inputs: Vec<TexHandle>,
     /// Interpolated coordinate sets, in `T` register order.
     pub texcoords: Vec<TexCoordSet>,
     /// Pass-bound constants overriding program `DEF`s.
@@ -172,9 +169,8 @@ impl RenderGraph {
     /// One walk over the passes, on [`TexHandle`]s: handles in range; each
     /// texture written by at most one pass, and never an imported or
     /// zero-seeded one; every input that needs a producer produced by an
-    /// earlier pass; no pass sampling its own render target; every required
-    /// address mode `ClampToEdge`, the mode the pool gives every texture;
-    /// and each program verifying under its own pass's [`pass_bindings`].
+    /// earlier pass; no pass sampling its own render target; and each
+    /// program verifying under its own pass's [`pass_bindings`].
     pub fn validate(&self, profile: &GpuProfile) -> Vec<String> {
         let mut errors = Vec::new();
         let n = self.textures.len();
@@ -185,7 +181,7 @@ impl RenderGraph {
         }
         let mut producer: Vec<Option<&str>> = vec![None; n];
         for p in &self.passes {
-            for (si, &(h, required)) in p.inputs.iter().enumerate() {
+            for (si, &h) in p.inputs.iter().enumerate() {
                 let Some(input) = self.textures.get(h.0) else {
                     errors.push(format!(
                         "pass `{}`: input handle {} out of range",
@@ -206,13 +202,6 @@ impl RenderGraph {
                 if h == p.output {
                     errors.push(format!(
                         "pass `{}`: renders into `{}` while sampling it via tex{si}",
-                        p.name, input.name
-                    ));
-                }
-                if let Some(mode) = required.filter(|&m| m != AddressMode::ClampToEdge) {
-                    errors.push(format!(
-                        "pass `{}`: tex{si} (`{}`) requires address mode {mode:?}, \
-                         but every texture is ClampToEdge",
                         p.name, input.name
                     ));
                 }
@@ -416,7 +405,7 @@ pub fn compile(
             name: p.name.clone(),
             stage: p.stage,
             program: p.program.clone(),
-            inputs: p.inputs.iter().map(|&(h, _)| h).collect(),
+            inputs: p.inputs.clone(),
             texcoords: p.texcoords.clone(),
             constants: p.constants.clone(),
             output: p.output,
@@ -1094,7 +1083,7 @@ mod tests {
     fn pass(
         name: impl Into<String>,
         program: Program,
-        inputs: Vec<(TexHandle, Option<AddressMode>)>,
+        inputs: Vec<TexHandle>,
         output: TexHandle,
     ) -> PassDecl {
         PassDecl {
@@ -1122,13 +1111,8 @@ mod tests {
             };
             let out = g.texture(format!("t{j}"), 4, 4, kind);
             let p = match prev {
-                None => pass(format!("p{j}"), copy_program(), vec![(src, None)], out),
-                Some(t) => pass(
-                    format!("p{j}"),
-                    acc_program(),
-                    vec![(t, None), (src, None)],
-                    out,
-                ),
+                None => pass(format!("p{j}"), copy_program(), vec![src], out),
+                Some(t) => pass(format!("p{j}"), acc_program(), vec![t, src], out),
             };
             g.add_pass(p);
             prev = Some(out);
@@ -1210,13 +1194,13 @@ mod tests {
         // Rendering into an imported texture.
         let mut g = RenderGraph::new();
         let a = g.texture("a", 4, 4, TexKind::Imported);
-        g.add_pass(pass("p", copy_program(), vec![(a, None)], a));
+        g.add_pass(pass("p", copy_program(), vec![a], a));
         rejects(&g, "imported");
         // Reading a transient before any pass produces it.
         let mut g = RenderGraph::new();
         let t = g.texture("t", 4, 4, TexKind::Transient { zeroed: false });
         let o = g.texture("o", 4, 4, TexKind::Output);
-        g.add_pass(pass("p", copy_program(), vec![(t, None)], o));
+        g.add_pass(pass("p", copy_program(), vec![t], o));
         rejects(&g, "before any pass produces");
         // Declared output that nothing renders.
         let mut g = RenderGraph::new();
@@ -1226,35 +1210,32 @@ mod tests {
         let err = compile(&g, &profile, true).unwrap_err();
         assert!(err.to_string().contains("render graph rejected"));
 
-        // src → first → mid → second → dst, `first` asking `mode` of src.
-        let chain = |mode| {
+        // src → first → mid → second → dst.
+        let chain = || {
             let mut g = RenderGraph::new();
             let src = g.texture("src", 4, 4, TexKind::Imported);
             let mid = g.texture("mid", 4, 4, TexKind::Transient { zeroed: false });
             let dst = g.texture("dst", 4, 4, TexKind::Output);
-            g.add_pass(pass("first", copy_program(), vec![(src, mode)], mid));
-            g.add_pass(pass("second", copy_program(), vec![(mid, None)], dst));
+            g.add_pass(pass("first", copy_program(), vec![src], mid));
+            g.add_pass(pass("second", copy_program(), vec![mid], dst));
             g
         };
-        let clamp = Some(AddressMode::ClampToEdge);
-        let errs = chain(clamp).validate(&profile);
+        let errs = chain().validate(&profile);
         assert!(errs.is_empty(), "{errs:?}");
-        // A sampler asking for a mode no texture has.
-        rejects(&chain(Some(AddressMode::Repeat)), "requires address mode");
         // Feedback: `second` samples its own target.
-        let mut g = chain(clamp);
-        g.passes[1].inputs[0].0 = g.passes[1].output;
+        let mut g = chain();
+        g.passes[1].inputs[0] = g.passes[1].output;
         rejects(&g, "while sampling it");
         // Misorder: `second` reads `mid` before `first` produces it.
-        let mut g = chain(clamp);
+        let mut g = chain();
         g.passes.swap(0, 1);
         rejects(&g, "before any pass produces");
         // Two writers of one output, and nothing else wrong.
         let mut g = RenderGraph::new();
         let src = g.texture("src", 4, 4, TexKind::Imported);
         let o = g.texture("o", 4, 4, TexKind::Output);
-        g.add_pass(pass("p0", copy_program(), vec![(src, None)], o));
-        g.add_pass(pass("p1", copy_program(), vec![(src, None)], o));
+        g.add_pass(pass("p0", copy_program(), vec![src], o));
+        g.add_pass(pass("p1", copy_program(), vec![src], o));
         assert_eq!(
             g.validate(&profile),
             ["pass `p1`: renders into `o`, which pass `p0` already produced"]
@@ -1268,8 +1249,8 @@ mod tests {
         let src = g.texture("src", 4, 4, TexKind::Imported);
         let dead = g.texture("dead", 4, 4, TexKind::Transient { zeroed: false });
         let out = g.texture("out", 4, 4, TexKind::Output);
-        g.add_pass(pass("pd", copy_program(), vec![(src, None)], dead));
-        g.add_pass(pass("p1", copy_program(), vec![(src, None)], out));
+        g.add_pass(pass("pd", copy_program(), vec![src], dead));
+        g.add_pass(pass("p1", copy_program(), vec![src], out));
         let c = compile(&g, &GpuProfile::fx5950_ultra(), false).unwrap();
         assert_eq!(c.passes.len(), 1);
         assert_eq!(c.eliminated, vec!["pd".to_string()]);
@@ -1283,12 +1264,7 @@ mod tests {
         let src = g.texture("src", 4, 4, TexKind::Imported);
         let seed = g.texture("seed", 4, 4, TexKind::Transient { zeroed: true });
         let out = g.texture("out", 4, 4, TexKind::Output);
-        g.add_pass(pass(
-            "p0",
-            acc_program(),
-            vec![(seed, None), (src, None)],
-            out,
-        ));
+        g.add_pass(pass("p0", acc_program(), vec![seed, src], out));
         let c = compile(&g, &GpuProfile::fx5950_ultra(), true).unwrap();
         // The seed has no producer: it must materialize zero-filled. The
         // rendered output is fully overwritten, so its alloc may skip the
@@ -1395,11 +1371,11 @@ mod tests {
                     };
                     let out = g.texture(format!("c{ci}t{j}"), w, h, kind);
                     let p = match prevs[ci] {
-                        None => pass(format!("c{ci}p{j}"), copy_program(), vec![(srcs[cls], None)], out),
+                        None => pass(format!("c{ci}p{j}"), copy_program(), vec![srcs[cls]], out),
                         Some(t) => pass(
                             format!("c{ci}p{j}"),
                             acc_program(),
-                            vec![(t, None), (srcs[cls], None)],
+                            vec![t, srcs[cls]],
                             out,
                         ),
                     };

@@ -32,7 +32,6 @@ use gpu_sim::device::GpuProfile;
 use gpu_sim::gpu::{Gpu, TextureId};
 use gpu_sim::isa::Program;
 use gpu_sim::raster::TexCoordSet;
-use gpu_sim::texture::AddressMode;
 use gpu_sim::verify::PassBindings;
 use hsi::cube::{Chunking, Cube};
 use hsi::morphology::{MeiImage, StructuringElement};
@@ -385,18 +384,14 @@ impl GpuAmc {
     /// Declare the AMC chunk pipeline as a [`RenderGraph`]: the Fig. 4
     /// pass chain in SSA form (each accumulator is a chain of single-writer
     /// logical textures), with every program, stage tag, coordinate set and
-    /// pass constant.
-    ///
-    /// Inputs sampled through δ-shifted coordinate sets or dependent reads
-    /// require `ClampToEdge`: that is what makes halo sampling at chunk
-    /// edges exact.
+    /// pass constant. Its δ-shifted halo reads and dependent LUT reads are
+    /// exact at chunk edges because every texture clamps to the edge.
     fn declare_amc_graph(
         &self,
         w: usize,
         h: usize,
         bands: usize,
     ) -> (RenderGraph, Vec<TexHandle>, TexHandle, TexHandle, TexHandle) {
-        const CLAMP: Option<AddressMode> = Some(AddressMode::ClampToEdge);
         let groups = layout::band_groups(bands);
         let offsets = self.se.offsets();
         let p_b = offsets.len();
@@ -416,7 +411,7 @@ impl GpuAmc {
                 name: format!("band_sum{i}"),
                 stage: "normalize",
                 program: band_sum.clone(),
-                inputs: vec![(bt, None), (sum, None)],
+                inputs: vec![bt, sum],
                 texcoords: vec![TexCoordSet::identity()],
                 constants: vec![],
                 output: next,
@@ -432,7 +427,7 @@ impl GpuAmc {
                 name: format!("normalize{i}"),
                 stage: "normalize",
                 program: normalize.clone(),
-                inputs: vec![(bt, None), (sum, None)],
+                inputs: vec![bt, sum],
                 texcoords: vec![TexCoordSet::identity()],
                 constants: vec![],
                 output: nt,
@@ -448,7 +443,7 @@ impl GpuAmc {
                     name: format!("sid{di}_{i}"),
                     stage: "distance",
                     program: sid.clone(),
-                    inputs: vec![(nt, CLAMP), (d, None)],
+                    inputs: vec![nt, d],
                     texcoords: vec![
                         TexCoordSet::identity(),
                         TexCoordSet::shifted_texels(dx, dy, w, h),
@@ -467,7 +462,7 @@ impl GpuAmc {
                 name: "minmax_init".into(),
                 stage: "minmax",
                 program: kernels::minmax_init_program(),
-                inputs: vec![(d, CLAMP)],
+                inputs: vec![d],
                 texcoords: vec![TexCoordSet::shifted_texels(dx, dy, w, h)],
                 constants: vec![],
                 output: state,
@@ -484,7 +479,7 @@ impl GpuAmc {
                 name: format!("minmax_update{k}"),
                 stage: "minmax",
                 program: minmax_update.clone(),
-                inputs: vec![(state, None), (d, CLAMP)],
+                inputs: vec![state, d],
                 texcoords: vec![
                     TexCoordSet::identity(),
                     TexCoordSet::shifted_texels(dx, dy, w, h),
@@ -508,7 +503,7 @@ impl GpuAmc {
                 name: format!("mei{i}"),
                 stage: "mei",
                 program: mei.clone(),
-                inputs: vec![(nt, CLAMP), (state, None), (mei_acc, None), (lut, CLAMP)],
+                inputs: vec![nt, state, mei_acc, lut],
                 texcoords: vec![TexCoordSet::identity()],
                 constants: vec![(2, mei_const)],
                 output: next,
@@ -1353,16 +1348,10 @@ mod tests {
             );
         };
 
-        // A halo-sampled input asking for a mode no texture has.
-        let mut g = declared();
-        let i = pass(&g, "sid0_0");
-        g.passes[i].inputs[0].1 = Some(AddressMode::Repeat);
-        rejects(&g, "requires address mode");
-
         // Feedback: the last MEI pass samples its own render target.
         let mut g = declared();
         let i = pass(&g, "mei2");
-        g.passes[i].inputs[2].0 = g.passes[i].output;
+        g.passes[i].inputs[2] = g.passes[i].output;
         rejects(&g, "while sampling it");
 
         // Misorder: normalize0 reads the final band sum before band_sum2

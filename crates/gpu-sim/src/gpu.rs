@@ -13,10 +13,10 @@
 //! tile, each with its own texture-cache model). Per-tile counters are
 //! merged in tile order, so aggregate statistics and output texels are
 //! bit-identical at every thread count. Programs execute through a
-//! [`LoweredProgram`](crate::interp::LoweredProgram) — operands decoded,
-//! constants folded and the straight-line per-component form specialized
-//! once per (program, constants) bind, cached on the device next to the
-//! verification cache. Tiles run the specialized form through
+//! [`LoweredProgram`] — operands decoded, constants folded and the
+//! straight-line per-component form specialized once per (program,
+//! constants) bind, cached on the device next to the verification cache.
+//! Tiles run the specialized form through
 //! [`interp::execute_tile`]; while tracing is on, each pass also records
 //! where its tiles' time went (a [`ShadeLedger`] in a `gpu.ledger` trace
 //! instant).
@@ -35,7 +35,7 @@ use crate::isa::Program;
 use crate::opt;
 use crate::raster::{self, fragment_input, Quad, TexCoordSet};
 use crate::texcache::TextureCache;
-use crate::texture::{AddressMode, Texel, Texture2D};
+use crate::texture::{Texel, Texture2D};
 use crate::verify;
 use rayon::prelude::*;
 use std::collections::{HashMap, HashSet};
@@ -423,10 +423,9 @@ impl Gpu {
     }
 
     /// Allocate a `w x h` texture, preferring a released pooled texture of
-    /// the same size class. Reused textures are explicitly zero-filled and
-    /// reset to the default address mode, so a pooled allocation is
-    /// indistinguishable from a fresh one (pipelines may rely on
-    /// zero-initialised accumulators).
+    /// the same size class. Reused textures are explicitly zero-filled, so
+    /// a pooled allocation is indistinguishable from a fresh one (pipelines
+    /// may rely on zero-initialised accumulators).
     pub fn alloc_pooled(&mut self, width: usize, height: usize) -> Result<TextureId> {
         self.alloc_pooled_inner(width, height, true)
     }
@@ -434,9 +433,8 @@ impl Gpu {
     /// [`Gpu::alloc_pooled`] without the zero-fill on reuse. Only sound
     /// when the caller statically proves every texel is overwritten before
     /// it is read — which the render-graph compiler does for transient
-    /// textures whose producer pass draws a full-target quad. Address mode
-    /// is still reset, so the only observable difference from
-    /// [`Gpu::alloc_pooled`] is the skipped clear.
+    /// textures whose producer pass draws a full-target quad. The skipped
+    /// clear is the only observable difference from [`Gpu::alloc_pooled`].
     pub fn alloc_pooled_uninit(&mut self, width: usize, height: usize) -> Result<TextureId> {
         self.alloc_pooled_inner(width, height, false)
     }
@@ -460,7 +458,6 @@ impl Gpu {
                     self.zero_fill_skips += 1;
                     trace::metrics::incr("gpu.pool.zero_fill_skips", 1);
                 }
-                tex.set_address_mode(AddressMode::ClampToEdge);
                 self.allocated_bytes += tex.bytes();
                 let id = self.next_id;
                 self.next_id += 1;
@@ -511,15 +508,6 @@ impl Gpu {
         self.textures
             .get(&id.0)
             .ok_or(GpuError::InvalidTexture { id: id.0 })
-    }
-
-    /// Set a texture's addressing mode.
-    pub fn set_address_mode(&mut self, id: TextureId, mode: AddressMode) -> Result<()> {
-        self.textures
-            .get_mut(&id.0)
-            .ok_or(GpuError::InvalidTexture { id: id.0 })?
-            .set_address_mode(mode);
-        Ok(())
     }
 
     /// Upload flat f32 data (4 per texel) host → device. Counts bus bytes.
@@ -1059,20 +1047,18 @@ mod tests {
         assert_eq!(gpu.pool_hits(), 0);
         let junk: Vec<f32> = (0..4 * 4 * 4).map(|i| i as f32 + 1.0).collect();
         gpu.upload(t, &junk).unwrap();
-        gpu.set_address_mode(t, AddressMode::Repeat).unwrap();
         gpu.release_pooled(t).unwrap();
         assert_eq!(gpu.allocated_bytes(), 0);
         assert_eq!(gpu.pooled_bytes(), 4 * 4 * 16);
         assert!(gpu.texture(t).is_err(), "released handle must be dead");
 
-        // Same size class: served from the pool, scrubbed back to defaults.
+        // Same size class: served from the pool, zero-filled.
         let t2 = gpu.alloc_pooled(4, 4).unwrap();
         assert_eq!(gpu.texture_allocs(), 1, "no new allocation");
         assert_eq!(gpu.pool_hits(), 1);
         assert_eq!(gpu.pooled_bytes(), 0);
         let tex = gpu.texture(t2).unwrap();
         assert!(tex.texels().iter().all(|t| *t == [0.0; 4]));
-        assert_eq!(tex.fetch(-5, 0), tex.fetch(0, 0), "mode reset to clamp");
 
         // Different size class: a genuine allocation.
         let t3 = gpu.alloc_pooled(8, 8).unwrap();
@@ -1184,37 +1170,46 @@ mod tests {
     }
 
     #[test]
-    fn border_fetches_generate_no_cache_traffic() {
+    fn far_fetches_tag_the_clamped_edge_texel() {
+        // Every fetch clamps to the edge, so a pass shifted 100 texels right
+        // must read, fetch, hit and miss exactly like one that samples the
+        // last column directly, and a pass shifted far up-left exactly like
+        // one that samples texel (0, 0).
+        let (w, h) = (16, 16);
+        let (wf, hf) = (w as f32, h as f32);
         let mut gpu = small_gpu();
-        let src = gpu.alloc_texture(4, 4).unwrap();
-        let dst = gpu.alloc_texture(4, 4).unwrap();
-        gpu.set_address_mode(src, AddressMode::ClampToBorder([0.0; 4]))
-            .unwrap();
-        // Every fetch lands 100 texels right of the texture: the border
-        // colour is returned without touching any texel, so the cache sees
-        // nothing.
+        let src = gpu.alloc_texture(w, h).unwrap();
+        let dst = gpu.alloc_texture(w, h).unwrap();
+        let data: Vec<f32> = (0..w * h * 4).map(|i| i as f32).collect();
+        gpu.upload(src, &data).unwrap();
         let prog = assemble("TEX R0, T0, tex0\nMOV OC, R0").unwrap();
-        let far = [TexCoordSet::shifted_texels(100, 0, 4, 4)];
-        let stats = gpu.run_pass(&prog, &[src], &[], &far, dst, None).unwrap();
-        assert_eq!(stats.texel_fetches, 16);
-        assert_eq!(stats.cache_hits + stats.cache_misses, 0);
-    }
-
-    #[test]
-    fn repeat_mode_wraps_cache_tags_to_the_same_texel() {
-        let mut gpu = small_gpu();
-        let src = gpu.alloc_texture(4, 4).unwrap();
-        let dst = gpu.alloc_texture(4, 4).unwrap();
-        gpu.set_address_mode(src, AddressMode::Repeat).unwrap();
-        let prog = assemble("TEX R0, T0, tex0\nMOV OC, R0").unwrap();
-        let mut pass = |set: TexCoordSet| gpu.run_pass(&prog, &[src], &[], &[set], dst, None);
-        let in_range = pass(TexCoordSet::identity()).unwrap();
-        let wrapped = pass(TexCoordSet::shifted_texels(4, 4, 4, 4)).unwrap();
-        // A whole-period shift resolves to identical texels, so the cache
-        // behaviour must match the in-range pass exactly.
-        assert_eq!(wrapped.cache_hits, in_range.cache_hits);
-        assert_eq!(wrapped.cache_misses, in_range.cache_misses);
-        assert_eq!(wrapped.cache_hits + wrapped.cache_misses, 16);
+        let mut pass = |set: TexCoordSet| {
+            let stats = gpu.run_pass(&prog, &[src], &[], &[set], dst, None).unwrap();
+            let colors = gpu.download(dst).unwrap();
+            (
+                stats.texel_fetches,
+                stats.cache_hits,
+                stats.cache_misses,
+                colors,
+            )
+        };
+        let edge_column = TexCoordSet {
+            scale: [0.0, 1.0],
+            offset: [(wf - 0.5) / wf, 0.0],
+        };
+        let corner = TexCoordSet {
+            scale: [0.0, 0.0],
+            offset: [0.5 / wf, 0.5 / hf],
+        };
+        for (far, edge) in [
+            (TexCoordSet::shifted_texels(100, 0, w, h), edge_column),
+            (TexCoordSet::shifted_texels(-100, -100, w, h), corner),
+        ] {
+            let (far, edge) = (pass(far), pass(edge));
+            assert_eq!(far.0, (w * h) as u64);
+            assert_eq!(far.1 + far.2, far.0, "cache model is on");
+            assert_eq!(far, edge);
+        }
     }
 
     #[test]

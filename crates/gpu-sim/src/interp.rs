@@ -25,7 +25,7 @@ use crate::isa::{
     Opcode, Program, Reg, Swizzle, NUM_CONSTS, NUM_OUTPUTS, NUM_TEMPS, NUM_TEXCOORDS,
 };
 use crate::texcache::TextureCache;
-use crate::texture::{AddressMode, Texture2D};
+use crate::texture::Texture2D;
 use std::collections::HashMap;
 use std::time::Instant;
 
@@ -79,9 +79,9 @@ const LG2_TINY: f32 = f32::MIN_POSITIVE;
 /// zero/negative/NaN/subnormal inputs never reach this function.
 ///
 /// Every consumer that must stay bit-identical to shaded `LG2` results —
-/// the scalar and tile executors, the specializer's folder, the optimizer's constant folder (via
-/// [`alu`]), and the SIMD4 CPU baseline in `amc_core` — goes through
-/// this one definition.
+/// the scalar and tile executors, the specializer's folder, the
+/// optimizer's constant folder (via `alu`), and the SIMD4 CPU baseline in
+/// `amc_core` — goes through this one definition.
 #[inline(always)]
 pub fn lg2(x: f32) -> f32 {
     let bits = x.to_bits();
@@ -250,7 +250,7 @@ pub(crate) fn alu(op: Opcode, s: impl Fn(usize) -> [f32; 4]) -> [f32; 4] {
 }
 
 /// The texture path shared by both executors: counts the fetch, tags the
-/// cache with the texel the sampler actually touches, and samples.
+/// cache with the texel the sampler reads, and samples it.
 #[inline(always)]
 fn tex_fetch(
     tex: &Texture2D,
@@ -260,17 +260,11 @@ fn tex_fetch(
     texel_fetches: &mut u64,
 ) -> [f32; 4] {
     *texel_fetches += 1;
+    let (x, y) = tex.nearest(coord[0], coord[1]);
     if let Some(cache) = cache.as_deref_mut() {
-        // Tag the cache with the texel the sampler actually touches under
-        // its address mode; a border fetch that resolves to no texel
-        // generates no cache traffic.
-        let x = (coord[0] * tex.width() as f32).floor() as i64;
-        let y = (coord[1] * tex.height() as f32).floor() as i64;
-        if let Some((cx, cy)) = tex.resolve_coords(x, y) {
-            cache.access(sampler as u32, cx, cy);
-        }
+        cache.access(sampler as u32, x, y);
     }
-    tex.sample(coord[0], coord[1])
+    tex.texel(x, y)
 }
 
 /// Masked, optionally saturating write-back shared by both executors.
@@ -1220,40 +1214,20 @@ fn gather(
     let record = !touches.is_empty();
     let touch = |l: usize| l * tex_slots + t.ordinal as usize;
     let mut texels = [[0.0f32; 4]; LANES];
-    if let AddressMode::ClampToEdge = tex.address_mode() {
-        // The GPGPU-default mode, hoisted out of the lane loop; the clamp
-        // mirrors `Texture2D`'s own resolution (every coordinate resolves,
-        // never a border). i32 truncation is exact here: both i32 and i64
-        // saturation points lie far outside `[0, edge]`, so the clamped
-        // texel is the same one the scalar path's i64 floor resolves to.
-        let xs: [i32; LANES] = std::array::from_fn(|l| floor_to_i32(us[l] * wf));
-        let ys: [i32; LANES] = std::array::from_fn(|l| floor_to_i32(vs[l] * hf));
-        let (xmax, ymax) = (tex.width() as i32 - 1, tex.height() as i32 - 1);
-        for (l, texel) in texels.iter_mut().enumerate().take(active) {
-            let cx = xs[l].clamp(0, xmax) as usize;
-            let cy = ys[l].clamp(0, ymax) as usize;
-            if record {
-                touches[touch(l)] = pack_touch(sampler, cx, cy);
-            }
-            *texel = tex.texel(cx, cy);
+    // `Texture2D::resolve_coords`'s clamp to the edge, lane by lane. i32
+    // truncation is exact here: both i32 and i64 saturation points lie far
+    // outside `[0, edge]`, so the clamped texel is the same one the scalar
+    // path's i64 floor resolves to.
+    let xs: [i32; LANES] = std::array::from_fn(|l| floor_to_i32(us[l] * wf));
+    let ys: [i32; LANES] = std::array::from_fn(|l| floor_to_i32(vs[l] * hf));
+    let (xmax, ymax) = (tex.width() as i32 - 1, tex.height() as i32 - 1);
+    for (l, texel) in texels.iter_mut().enumerate().take(active) {
+        let cx = xs[l].clamp(0, xmax) as usize;
+        let cy = ys[l].clamp(0, ymax) as usize;
+        if record {
+            touches[touch(l)] = pack_touch(sampler, cx, cy);
         }
-    } else {
-        // Wrap/mirror/border arithmetic is sensitive to the saturation
-        // bound, so these modes keep the scalar path's full i64
-        // coordinates.
-        for (l, texel) in texels.iter_mut().enumerate().take(active) {
-            let x = floor_to_i64(us[l] * wf);
-            let y = floor_to_i64(vs[l] * hf);
-            *texel = match tex.resolve_coords(x, y) {
-                Some((cx, cy)) => {
-                    if record {
-                        touches[touch(l)] = pack_touch(sampler, cx, cy);
-                    }
-                    tex.texel(cx, cy)
-                }
-                None => tex.border_texel(),
-            };
-        }
+        *texel = tex.texel(cx, cy);
     }
     for (c, &d) in t.dst.iter().enumerate() {
         if d != DEAD {
@@ -1354,7 +1328,7 @@ fn shade_tile(
     let tex_slots = program.tex_count as usize;
     let fragments: usize = rows.iter().map(|r| r.len()).sum();
     let mut touches = if cache.is_some() {
-        vec![NO_TOUCH; fragments * tex_slots]
+        vec![0; fragments * tex_slots]
     } else {
         Vec::new()
     };
@@ -1385,15 +1359,8 @@ fn shade_tile(
         }
     }
     let swept = clock.map(|t| t.elapsed());
-    let mut replayed_touches = 0u64;
     if let Some(cache) = cache {
-        cache.access_all(
-            touches
-                .iter()
-                .filter(|&&t| t != NO_TOUCH)
-                .inspect(|_| replayed_touches += 1)
-                .map(|&t| unpack_touch(t)),
-        );
+        cache.access_all(touches.iter().map(|&t| unpack_touch(t)));
     }
     let replayed = clock.map(|t| t.elapsed());
     let mut groups = o0.iter();
@@ -1412,7 +1379,7 @@ fn shade_tile(
             sweep_ns: swept.as_nanos() as u64,
             ops: (tp.ops.len() * o0.len()) as u64,
             replay_ns: (replayed - swept).as_nanos() as u64,
-            touches: replayed_touches,
+            touches: touches.len() as u64,
             resolve_ns: (resolved - replayed).as_nanos() as u64,
             texels: fragments as u64,
         });
@@ -1424,29 +1391,19 @@ fn shade_tile(
     )
 }
 
-/// `v.floor() as i64` without the libm `floorf` call: truncate toward
-/// zero, then step down when truncation rounded up (negative non-integer
-/// inputs). Result-identical to the scalar path's `v.floor() as i64` for
-/// every f32: NaN → 0 either way, and out-of-range values saturate at the
-/// same bounds (the correction term never fires at a saturated truncation
-/// except below `i64::MIN`, where `saturating_sub` pins it).
-#[inline(always)]
-fn floor_to_i64(v: f32) -> i64 {
-    let t = v as i64;
-    t.saturating_sub(i64::from(t as f32 > v))
-}
-
-/// [`floor_to_i64`] truncated to i32 (vectorizable `cvttps2dq` path). Only
-/// valid where the caller clamps the result to a range both widths
-/// saturate outside of, e.g. `ClampToEdge`'s `[0, size-1]`.
+/// `v.floor() as i32` without the libm `floorf` call (vectorizable
+/// `cvttps2dq` path): truncate toward zero, then step down when truncation
+/// rounded up (negative non-integer inputs). NaN maps to 0, as
+/// `v.floor() as i64` does, and out-of-range values saturate at the i32
+/// bounds (the correction term never fires at a saturated truncation
+/// except below `i32::MIN`, where `saturating_sub` pins it). Only valid
+/// where the caller clamps the result to a texture's `[0, size-1]`, which
+/// both widths saturate outside of.
 #[inline(always)]
 fn floor_to_i32(v: f32) -> i32 {
     let t = v as i32;
     t.saturating_sub(i32::from(t as f32 > v))
 }
-
-/// Sentinel for a (TEX, lane) slot that generated no cache traffic.
-const NO_TOUCH: u64 = u64::MAX;
 
 /// Pack a resolved cache touch into one word (24 bits per coordinate —
 /// far beyond any allocatable texture edge — and the sampler on top).
@@ -1858,6 +1815,54 @@ mod tests {
             &[&tex],
             TextureCache::new(4, 2),
             TextureCache::new(4, 2),
+        );
+    }
+
+    #[test]
+    fn tile_gather_clamps_extreme_coordinates_like_the_scalar_path() {
+        // The tile gather floors to i32 and the scalar path to i64; after
+        // the clamp to the edge both must pick the same texel for NaN,
+        // ±inf, ±3e9 (past i32), ±1e19 (past i64), -0.5 and exactly 1.0.
+        // `T0.w` is 1, so `MUL R0, T0.w, Cn` loads pass constant `Cn`
+        // exactly; the last TEX scales `T0` so its lanes straddle both
+        // edges. The 5x3 texture is bound to two samplers, so a 1-set,
+        // 2-way cache sees four block tags (column 4 is a block of its
+        // own) and any other texel choice changes its hits and misses.
+        let mut tex = Texture2D::new(5, 3);
+        for y in 0..3 {
+            for x in 0..5 {
+                let v = (y * 5 + x) as f32;
+                tex.set_texel(x, y, [v, 0.5 * v + 1.0, -v, 0.25 * v]);
+            }
+        }
+        let p = assemble(
+            "MUL R0, T0.w, C0\nTEX R1, R0, tex0\nTEX R2, R0.zwzw, tex1\n\
+             MUL R0, T0.w, C1\nTEX R3, R0, tex1\nTEX R4, R0.zwzw, tex0\n\
+             MUL R0, T0.w, C2\nTEX R5, R0, tex0\nTEX R6, R0.zwzw, tex1\n\
+             MAD R0, T0, C3, C4\nTEX R7, R0, tex1\n\
+             ADD R1, R1, R2\nADD R1, R1, R3\nADD R1, R1, R4\n\
+             ADD R1, R1, R5\nADD R1, R1, R6\nADD OC, R1, R7",
+        )
+        .unwrap();
+        let constants = resolve_constants(
+            &p,
+            &[
+                (0, [f32::NAN, f32::INFINITY, f32::NEG_INFINITY, 3e9]),
+                (1, [-3e9, 1e19, -1e19, -0.5]),
+                (2, [1.0, -0.5, -0.5, 1.0]),
+                (3, [3.0, 2.0, 0.0, 0.0]),
+                (4, [-1.0, -0.5, 0.0, 0.0]),
+            ],
+        );
+        let lowered = lower(&p, &constants);
+        assert_tile_matches_row_loop(
+            &lowered,
+            &[crate::raster::TexCoordSet::identity()],
+            (0, 0, 21, 3),
+            (21, 3),
+            &[&tex, &tex],
+            TextureCache::new(1, 2),
+            TextureCache::new(1, 2),
         );
     }
 

@@ -5,8 +5,8 @@
 //! devices are unobtainable and modern GPU crates cannot target them, so this
 //! crate provides a functional **and** performance-modelling substitute:
 //!
-//! * [`texture`] — 2D RGBA32F textures with the addressing modes the
-//!   graphics pipeline provides (streams live in textures).
+//! * [`texture`] — 2D RGBA32F textures whose fetches clamp to the edge,
+//!   as GPGPU passes sample them (streams live in textures).
 //! * [`isa`]/[`asm`]/[`interp`] — an fp30-flavoured SIMD4 fragment ISA, a
 //!   textual assembler, and an interpreter (kernels are fragment programs)
 //!   whose tile executor runs each program's straight-line specialization.

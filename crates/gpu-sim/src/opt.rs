@@ -1,8 +1,8 @@
 //! Lane-precise optimizing dataflow framework for the straight-line fp30 IR.
 //!
-//! The verifier ([`crate::verify`]) already computes lane-precise use/def
+//! The verifier ([`mod@crate::verify`]) already computes lane-precise use/def
 //! facts to diagnose programs; this module reuses the same per-lane machinery
-//! ([`verify::read_lanes`], [`verify::dst_mask`]) to *transform* them. The
+//! (`verify::read_lanes`, `verify::dst_mask`) to *transform* them. The
 //! framework provides the classic straight-line analyses — backward
 //! [`liveness`], forward [`reaching_defs`], and (internally) copy/constant
 //! lattices and texture-fetch availability — plus a fixpoint pipeline of
@@ -20,7 +20,7 @@
 //!
 //! Every rewrite preserves results *bit for bit* on the interpreter in
 //! [`crate::interp`]: folding evaluates through the interpreter's own
-//! [`interp::alu`]; `MAD` fusion is exact because the interpreter's `MAD` is
+//! `interp::alu`; `MAD` fusion is exact because the interpreter's `MAD` is
 //! the unfused two-rounding `a*b + c`; dot fusion only fires against a
 //! provable all-ones constant, and `x * 1.0` is the identity for every
 //! finite, infinite, and NaN input the interpreter produces. Rewrites that
@@ -101,7 +101,7 @@ pub struct Liveness {
 
 /// Backward lane-precise liveness. A lane is live when some later
 /// instruction (or the pass read-back, per `outputs_read`) observes it
-/// before it is overwritten. Read lanes come from [`verify::read_lanes`],
+/// before it is overwritten. Read lanes come from `verify::read_lanes`,
 /// so the optimizer and verifier can never disagree about what is dead.
 pub fn liveness(instrs: &[Instr], outputs_read: [bool; NUM_OUTPUTS]) -> Liveness {
     let n = instrs.len();
@@ -268,7 +268,7 @@ const MAX_ROUNDS: usize = 8;
 /// `bindings` matters twice: pass-bound constant registers have unknown
 /// values (never folded), and `outputs_read` seeds liveness for dead-code
 /// elimination. Returns the optimized program and an [`OptReport`].
-/// Structurally malformed programs (which [`crate::verify`] rejects) are
+/// Structurally malformed programs (which [`fn@crate::verify`] rejects) are
 /// returned unchanged.
 pub fn optimize(program: &Program, bindings: &PassBindings) -> (Program, OptReport) {
     let mut p = program.clone();
@@ -1053,8 +1053,8 @@ pub enum InlineMode {
     /// function of the sampling position, so recomputing the body at the
     /// site's coordinate reproduces the texel the site would have fetched
     /// — provided the caller's textures share the producer target's size
-    /// and clamp addressing, which is the graph compiler's side of the
-    /// contract.
+    /// (every texture clamps to the edge), which is the graph compiler's
+    /// side of the contract.
     SubstituteSiteCoord,
     /// Keep producer coordinate operands, remapped through
     /// `texcoord_map`. Exact when the consuming site's own coordinate set

@@ -5,30 +5,23 @@
 //! bands and the fragment processors' SIMD4 ALUs process four bands per
 //! instruction. All simulator textures are RGBA32F: float textures were the
 //! GPGPU workhorse format on both NV3x and G7x.
+//!
+//! Every fetch clamps to the edge (GL's `CLAMP_TO_EDGE`): an out-of-range
+//! coordinate reads the nearest border texel. The paper's δ-shifted
+//! neighbour reads and the MEI's dependent reads rely on that border
+//! replication, `hsi::morphology` mirrors it on the CPU, and it is what
+//! makes halo'd chunks exact. It is the only addressing rule, and
+//! [`Texture2D::resolve_coords`] is where it lives (the tile executor's
+//! gather applies the same clamp lane by lane).
 
 /// One RGBA texel.
 pub type Texel = [f32; 4];
-
-/// Texture coordinate addressing mode (GL wrap modes).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum AddressMode {
-    /// Coordinates clamp to the edge texel (GPGPU default; gives the
-    /// morphological window its border-replication semantics).
-    ClampToEdge,
-    /// Coordinates wrap around (tiling).
-    Repeat,
-    /// Coordinates reflect at each edge.
-    MirroredRepeat,
-    /// Out-of-range fetches return the border color.
-    ClampToBorder(Texel),
-}
 
 /// A 2D texture of RGBA32F texels, row-major.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Texture2D {
     width: usize,
     height: usize,
-    address_mode: AddressMode,
     texels: Vec<Texel>,
 }
 
@@ -38,7 +31,6 @@ impl Texture2D {
         Self {
             width,
             height,
-            address_mode: AddressMode::ClampToEdge,
             texels: vec![[0.0; 4]; width * height],
         }
     }
@@ -49,7 +41,6 @@ impl Texture2D {
         Self {
             width,
             height,
-            address_mode: AddressMode::ClampToEdge,
             texels,
         }
     }
@@ -72,16 +63,6 @@ impl Texture2D {
     /// Height in texels.
     pub fn height(&self) -> usize {
         self.height
-    }
-
-    /// Set the addressing mode used by out-of-range fetches.
-    pub fn set_address_mode(&mut self, mode: AddressMode) {
-        self.address_mode = mode;
-    }
-
-    /// Current addressing mode.
-    pub fn address_mode(&self) -> AddressMode {
-        self.address_mode
     }
 
     /// Video-memory footprint in bytes (16 B per texel).
@@ -120,63 +101,30 @@ impl Texture2D {
         self.texels[y * self.width + x] = value;
     }
 
-    /// Resolve a (possibly out-of-range) integer coordinate along one axis.
-    fn resolve(coord: i64, size: usize, mode: &AddressMode) -> Option<usize> {
-        let n = size as i64;
-        match mode {
-            AddressMode::ClampToEdge => Some(coord.clamp(0, n - 1) as usize),
-            AddressMode::Repeat => Some(coord.rem_euclid(n) as usize),
-            AddressMode::MirroredRepeat => {
-                let period = 2 * n;
-                let m = coord.rem_euclid(period);
-                let idx = if m < n { m } else { period - 1 - m };
-                Some(idx as usize)
-            }
-            AddressMode::ClampToBorder(_) => {
-                if coord < 0 || coord >= n {
-                    None
-                } else {
-                    Some(coord as usize)
-                }
-            }
-        }
+    /// Nearest-neighbour sample at normalized coordinates `(u, v)` in `[0,1]²`
+    /// (texel centres at `(x + 0.5) / width`).
+    pub fn sample(&self, u: f32, v: f32) -> Texel {
+        let (x, y) = self.nearest(u, v);
+        self.texel(x, y)
     }
 
-    /// Nearest-neighbour sample at normalized coordinates `(u, v)` in `[0,1]²`
-    /// (texel centres at `(x + 0.5) / width`), honouring the address mode.
-    pub fn sample(&self, u: f32, v: f32) -> Texel {
+    /// The texel a nearest-neighbour sample at `(u, v)` reads, which is the
+    /// one a texture cache must tag.
+    #[inline]
+    pub(crate) fn nearest(&self, u: f32, v: f32) -> (usize, usize) {
         let x = (u * self.width as f32).floor() as i64;
         let y = (v * self.height as f32).floor() as i64;
-        self.fetch(x, y)
+        self.resolve_coords(x, y)
     }
 
-    /// Resolve integer coordinates through the address mode to the texel a
-    /// fetch would actually touch, or `None` when a `ClampToBorder` fetch
-    /// falls outside the texture and touches no texel at all. Cache models
-    /// must tag accesses with *these* coordinates, not naively clamped ones.
-    pub fn resolve_coords(&self, x: i64, y: i64) -> Option<(usize, usize)> {
-        let rx = Self::resolve(x, self.width, &self.address_mode)?;
-        let ry = Self::resolve(y, self.height, &self.address_mode)?;
-        Some((rx, ry))
-    }
-
-    /// Integer fetch honouring the address mode.
-    pub fn fetch(&self, x: i64, y: i64) -> Texel {
-        match self.resolve_coords(x, y) {
-            Some((x, y)) => self.texel(x, y),
-            None => self.border_texel(),
-        }
-    }
-
-    /// The texel an unresolvable fetch returns. Only reachable under
-    /// [`AddressMode::ClampToBorder`] — every other mode resolves every
-    /// coordinate.
-    #[inline(always)]
-    pub fn border_texel(&self) -> Texel {
-        match self.address_mode {
-            AddressMode::ClampToBorder(border) => border,
-            _ => unreachable!("non-border modes always resolve"),
-        }
+    /// The texel a fetch at integer coordinates `(x, y)` reads: each axis
+    /// clamped to the edge.
+    #[inline]
+    pub fn resolve_coords(&self, x: i64, y: i64) -> (usize, usize) {
+        (
+            x.clamp(0, self.width as i64 - 1) as usize,
+            y.clamp(0, self.height as i64 - 1) as usize,
+        )
     }
 }
 
@@ -228,62 +176,19 @@ mod tests {
 
     #[test]
     fn clamp_to_edge_replicates_border() {
-        let t = gradient();
-        assert_eq!(t.fetch(-5, 1), t.texel(0, 1));
-        assert_eq!(t.fetch(10, 1), t.texel(3, 1));
-        assert_eq!(t.fetch(2, -1), t.texel(2, 0));
-        assert_eq!(t.fetch(2, 99), t.texel(2, 2));
-    }
-
-    #[test]
-    fn repeat_wraps() {
-        let mut t = gradient();
-        t.set_address_mode(AddressMode::Repeat);
-        assert_eq!(t.fetch(4, 0), t.texel(0, 0));
-        assert_eq!(t.fetch(-1, 0), t.texel(3, 0));
-        assert_eq!(t.fetch(0, 3), t.texel(0, 0));
-        assert_eq!(t.fetch(0, -3), t.texel(0, 0));
-    }
-
-    #[test]
-    fn mirrored_repeat_reflects() {
-        let mut t = gradient();
-        t.set_address_mode(AddressMode::MirroredRepeat);
-        // x = -1 reflects to 0, x = 4 reflects to 3, x = 5 to 2.
-        assert_eq!(t.fetch(-1, 0), t.texel(0, 0));
-        assert_eq!(t.fetch(4, 0), t.texel(3, 0));
-        assert_eq!(t.fetch(5, 0), t.texel(2, 0));
-    }
-
-    #[test]
-    fn clamp_to_border_returns_border() {
-        let mut t = gradient();
-        let border = [9.0, 9.0, 9.0, 9.0];
-        t.set_address_mode(AddressMode::ClampToBorder(border));
-        assert_eq!(t.fetch(-1, 0), border);
-        assert_eq!(t.fetch(0, 5), border);
-        assert_eq!(t.fetch(1, 1), t.texel(1, 1));
-    }
-
-    #[test]
-    fn default_mode_is_clamp_to_edge() {
-        let t = Texture2D::new(1, 1);
-        assert_eq!(t.address_mode(), AddressMode::ClampToEdge);
+        let t = gradient(); // 4x3
+        assert_eq!(t.sample(-1.25, 0.5), t.texel(0, 1));
+        assert_eq!(t.sample(2.6, 0.5), t.texel(3, 1));
+        assert_eq!(t.sample(0.6, -0.2), t.texel(2, 0));
+        assert_eq!(t.sample(0.6, 33.0), t.texel(2, 2));
     }
 
     #[test]
     fn resolve_coords_follows_address_mode() {
-        let mut t = gradient(); // 4x3
-        assert_eq!(t.resolve_coords(-5, 1), Some((0, 1)));
-        assert_eq!(t.resolve_coords(10, 2), Some((3, 2)));
-        t.set_address_mode(AddressMode::Repeat);
-        assert_eq!(t.resolve_coords(4, 0), Some((0, 0)));
-        assert_eq!(t.resolve_coords(-1, 3), Some((3, 0)));
-        t.set_address_mode(AddressMode::MirroredRepeat);
-        assert_eq!(t.resolve_coords(4, 0), Some((3, 0)));
-        t.set_address_mode(AddressMode::ClampToBorder([0.0; 4]));
-        assert_eq!(t.resolve_coords(-1, 0), None);
-        assert_eq!(t.resolve_coords(0, 3), None);
-        assert_eq!(t.resolve_coords(1, 2), Some((1, 2)));
+        let t = gradient(); // 4x3
+        assert_eq!(t.resolve_coords(-5, 1), (0, 1));
+        assert_eq!(t.resolve_coords(10, 2), (3, 2));
+        assert_eq!(t.resolve_coords(i64::MIN, i64::MAX), (0, 2));
+        assert_eq!(t.resolve_coords(1, 2), (1, 2));
     }
 }

@@ -12,7 +12,7 @@ use gpu_sim::interp::{
 use gpu_sim::isa::{ConstDef, Dst, Instr, Opcode, Program, Reg, Src, Swizzle};
 use gpu_sim::raster::{fragment_input, TexCoordSet};
 use gpu_sim::texcache::TextureCache;
-use gpu_sim::texture::{AddressMode, Texture2D};
+use gpu_sim::texture::Texture2D;
 use gpu_sim::verify::{has_errors, verify, PassBindings};
 use gpu_sim::GpuProfile;
 use proptest::prelude::*;
@@ -210,20 +210,13 @@ const EPILOGUES: [&str; 5] = [
 ];
 
 /// A small texture with pseudo-random contents (negative values and zeros
-/// included), a random size and a random address mode.
+/// included) and a random size.
 fn texture_strategy() -> impl Strategy<Value = Texture2D> {
-    (1usize..10, 1usize..10, 0u8..4, 0u32..1000).prop_map(|(w, h, mode, seed)| {
+    (1usize..10, 1usize..10, 0u32..1000).prop_map(|(w, h, seed)| {
         let data: Vec<f32> = (0..w * h * 4)
             .map(|i| ((i as u32 * 37 + seed) % 23) as f32 * 0.17 - 1.5)
             .collect();
-        let mut tex = Texture2D::from_flat(w, h, &data);
-        tex.set_address_mode(match mode {
-            0 => AddressMode::ClampToEdge,
-            1 => AddressMode::Repeat,
-            2 => AddressMode::MirroredRepeat,
-            _ => AddressMode::ClampToBorder([seed as f32 * 0.01, -0.5, 0.0, 1.0]),
-        });
-        tex
+        Texture2D::from_flat(w, h, &data)
     })
 }
 
@@ -372,8 +365,8 @@ proptest! {
         // computed coordinates, reads of O1..O3 and dead TEX; `sets` may
         // stop short of the bound T1 (reads past `sets.len()` see
         // [0, 0, 0, 1]); rows are ragged; the two textures have random
-        // sizes and address modes; and a 1-set, 2-way cache makes any
-        // replay-order or missing-touch mistake change the counters.
+        // sizes; and a 1-set, 2-way cache makes any replay-order or
+        // missing-touch mistake change the counters.
         let mut program = gpu_sim::asm::assemble(TILE_PROLOGUE).unwrap();
         program.instrs.extend(body.iter().map(decode_tile_instr));
         program.instrs.extend(gpu_sim::asm::assemble(EPILOGUES[epilogue]).unwrap().instrs);

@@ -17,10 +17,7 @@
 //!
 //! This is the variant whose complexity matches the paper's stated
 //! `O(p_f · p_B · N)` and whose `accum_k` streams (one cumulative stream per
-//! SE neighbour, Section 3.2) the GPU pipeline materialises. The
-//! morphological-endmember literature also uses a *window-local* variant in
-//! which `D` is recomputed relative to each window; it costs a factor `p_B`
-//! more and is provided as [`mei_window_local`] for ablation.
+//! SE neighbour, Section 3.2) the GPU pipeline materialises.
 //!
 //! The per-pixel **MEI** score (step 2 of AMC) is the SID between the
 //! dilation and erosion pixels of each neighbourhood.
@@ -384,7 +381,7 @@ fn mei_from_morph(
     }
 }
 
-/// Compute the MEI image with the paper's field semantics (the default).
+/// Compute the MEI image with the paper's field semantics.
 pub fn mei(
     normalized: &Cube,
     se: &StructuringElement,
@@ -482,90 +479,6 @@ pub fn close_image(raw: &Cube, se: &StructuringElement, distance: SpectralDistan
     let dilated = dilate_image(raw, &norm, se, distance);
     let dilated_norm = normalize_cube(&dilated);
     erode_image(&dilated, &dilated_norm, se, distance)
-}
-
-/// Window-local cumulative distances at one anchor (ablation variant):
-/// entry `k` is `Σ_{m∈B} SID(f((x,y)+δ_k), f((x,y)+δ_m))`, i.e. `D` is
-/// recomputed relative to the window anchored at `(x, y)`.
-pub fn window_local_distances(
-    normalized: &Cube,
-    se: &StructuringElement,
-    distance: SpectralDistance,
-    x: usize,
-    y: usize,
-) -> Vec<f32> {
-    let dims = normalized.dims();
-    let offsets = se.offsets();
-    let window: Vec<&[f32]> = offsets
-        .iter()
-        .map(|&(dx, dy)| {
-            let nx = clamp_coord(x as i64 + dx as i64, dims.width);
-            let ny = clamp_coord(y as i64 + dy as i64, dims.height);
-            normalized
-                .pixel_slice(nx, ny)
-                .expect("normalized cube is BIP")
-        })
-        .collect();
-    let mut out = vec![0.0f32; window.len()];
-    for (k, &cand) in window.iter().enumerate() {
-        let mut acc = 0.0f32;
-        for &other in &window {
-            acc += distance.eval_normalized(cand, other);
-        }
-        out[k] = acc;
-    }
-    out
-}
-
-/// MEI with the window-local ordering (ablation; `p_B` times the cost of
-/// [`mei`]).
-pub fn mei_window_local(
-    normalized: &Cube,
-    se: &StructuringElement,
-    distance: SpectralDistance,
-) -> (MeiImage, MorphResult) {
-    let dims = normalized.dims();
-    let (w, h) = (dims.width, dims.height);
-    let mut min_index = vec![0u32; w * h];
-    let mut max_index = vec![0u32; w * h];
-    let mut min_value = vec![0.0f32; w * h];
-    let mut max_value = vec![0.0f32; w * h];
-
-    min_index
-        .par_chunks_mut(w)
-        .zip(max_index.par_chunks_mut(w))
-        .zip(min_value.par_chunks_mut(w))
-        .zip(max_value.par_chunks_mut(w))
-        .enumerate()
-        .for_each(|(y, (((mini, maxi), minv), maxv))| {
-            for x in 0..w {
-                let dists = window_local_distances(normalized, se, distance, x, y);
-                let (mut kmin, mut kmax) = (0usize, 0usize);
-                for (k, &d) in dists.iter().enumerate() {
-                    if d < dists[kmin] {
-                        kmin = k;
-                    }
-                    if d > dists[kmax] {
-                        kmax = k;
-                    }
-                }
-                mini[x] = kmin as u32;
-                maxi[x] = kmax as u32;
-                minv[x] = dists[kmin];
-                maxv[x] = dists[kmax];
-            }
-        });
-
-    let morph = MorphResult {
-        width: w,
-        height: h,
-        min_index,
-        max_index,
-        min_value,
-        max_value,
-    };
-    let img = mei_from_morph(normalized, se, distance, &morph);
-    (img, morph)
 }
 
 #[cfg(test)]
@@ -758,41 +671,6 @@ mod tests {
             .iter()
             .zip(&morph.max_value)
             .all(|(a, b)| a <= b));
-    }
-
-    #[test]
-    fn window_local_variant_agrees_on_anomaly_scene() {
-        // Both orderings must find the anomaly as the dilation pixel and
-        // produce the same MEI peak structure on this simple scene.
-        let cube = two_material_cube();
-        let norm = normalize_cube(&cube);
-        let se = StructuringElement::square(3).unwrap();
-        let (field_mei, _) = mei(&norm, &se, SpectralDistance::Sid);
-        let (local_mei, local_morph) = mei_window_local(&norm, &se, SpectralDistance::Sid);
-        let offsets = se.offsets();
-        let i = 2 * 5 + 2;
-        let (mx, my) = neighbour_coords(&offsets, 5, 5, 2, 2, local_morph.max_index[i]);
-        assert_eq!((mx, my), (2, 2));
-        assert!((field_mei.get(2, 2) - local_mei.get(2, 2)).abs() < 1e-5);
-        assert!(local_mei.get(0, 0) < 1e-5);
-    }
-
-    #[test]
-    fn window_local_distances_uniform_window_is_zero() {
-        let cube = two_material_cube();
-        let norm = normalize_cube(&cube);
-        let se = StructuringElement::square(3).unwrap();
-        let d = window_local_distances(&norm, &se, SpectralDistance::Sid, 0, 0);
-        assert!(d.iter().all(|&v| v.abs() < 1e-5), "{d:?}");
-        // Centred on the anomaly, the anomaly index (4 = centre) dominates.
-        let d = window_local_distances(&norm, &se, SpectralDistance::Sid, 2, 2);
-        let kmax = d
-            .iter()
-            .enumerate()
-            .max_by(|a, b| a.1.partial_cmp(b.1).unwrap())
-            .unwrap()
-            .0;
-        assert_eq!(kmax, 4);
     }
 
     #[test]

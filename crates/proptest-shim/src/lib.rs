@@ -196,7 +196,7 @@ pub mod collection {
     use crate::strategy::Strategy;
     use crate::test_runner::TestRng;
 
-    /// Length specification for [`vec`]: an exact length or a range.
+    /// Length specification for [`fn@vec`]: an exact length or a range.
     #[derive(Debug, Clone)]
     pub struct SizeRange {
         /// Minimum length (inclusive).

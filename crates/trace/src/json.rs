@@ -8,7 +8,7 @@
 //!   text, on containers nested deeper than [`MAX_DEPTH`], and on anything
 //!   but whitespace after the top-level value. Every JSON escape is read,
 //!   surrogate pairs included.
-//! * [`write`] prints floats with 6 fixed decimals (non-finite ones as
+//! * [`fn@write`] prints floats with 6 fixed decimals (non-finite ones as
 //!   `null`) under one layout rule: a container holding only scalars goes on
 //!   one line, any other container puts one member per line. Hence
 //!   `write(&parse(&write(v))?) == write(v)` for every `v`.
