@@ -1169,14 +1169,15 @@ mod tests {
         assert_eq!(gpu.verify_cache_hits(), 0);
     }
 
-    #[test]
-    fn far_fetches_tag_the_clamped_edge_texel() {
-        // Every fetch clamps to the edge, so a pass shifted 100 texels right
-        // must read, fetch, hit and miss exactly like one that samples the
-        // last column directly, and a pass shifted far up-left exactly like
-        // one that samples texel (0, 0).
+    /// Runs `TEX R0, T0, tex0` over a 16x16 texture once through `far` and
+    /// once through `edge`. Every fetch clamps to the edge, so when `edge`
+    /// samples the texels `far` clamps to, both passes must read, fetch, hit
+    /// and miss exactly alike.
+    fn assert_far_fetches_match(
+        far: impl Fn(usize, usize) -> TexCoordSet,
+        edge: impl Fn(f32, f32) -> TexCoordSet,
+    ) {
         let (w, h) = (16, 16);
-        let (wf, hf) = (w as f32, h as f32);
         let mut gpu = small_gpu();
         let src = gpu.alloc_texture(w, h).unwrap();
         let dst = gpu.alloc_texture(w, h).unwrap();
@@ -1193,23 +1194,36 @@ mod tests {
                 colors,
             )
         };
-        let edge_column = TexCoordSet {
-            scale: [0.0, 1.0],
-            offset: [(wf - 0.5) / wf, 0.0],
-        };
-        let corner = TexCoordSet {
-            scale: [0.0, 0.0],
-            offset: [0.5 / wf, 0.5 / hf],
-        };
-        for (far, edge) in [
-            (TexCoordSet::shifted_texels(100, 0, w, h), edge_column),
-            (TexCoordSet::shifted_texels(-100, -100, w, h), corner),
-        ] {
-            let (far, edge) = (pass(far), pass(edge));
-            assert_eq!(far.0, (w * h) as u64);
-            assert_eq!(far.1 + far.2, far.0, "cache model is on");
-            assert_eq!(far, edge);
-        }
+        let (far, edge) = (pass(far(w, h)), pass(edge(w as f32, h as f32)));
+        assert_eq!(far.0, (w * h) as u64);
+        assert_eq!(far.1 + far.2, far.0, "cache model is on");
+        assert_eq!(far, edge);
+    }
+
+    #[test]
+    fn far_right_fetches_tag_the_edge_column() {
+        // A pass shifted 100 texels right behaves like one that samples the
+        // last column directly.
+        assert_far_fetches_match(
+            |w, h| TexCoordSet::shifted_texels(100, 0, w, h),
+            |wf, _| TexCoordSet {
+                scale: [0.0, 1.0],
+                offset: [(wf - 0.5) / wf, 0.0],
+            },
+        );
+    }
+
+    #[test]
+    fn far_up_left_fetches_tag_the_corner_texel() {
+        // A pass shifted 100 texels up-left behaves like one that samples
+        // texel (0, 0) directly.
+        assert_far_fetches_match(
+            |w, h| TexCoordSet::shifted_texels(-100, -100, w, h),
+            |wf, hf| TexCoordSet {
+                scale: [0.0, 0.0],
+                offset: [0.5 / wf, 0.5 / hf],
+            },
+        );
     }
 
     #[test]
