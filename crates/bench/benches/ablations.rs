@@ -7,7 +7,6 @@ use gpu_sim::device::GpuProfile;
 use gpu_sim::gpu::Gpu;
 use hsi::cube::{Chunking, Cube, CubeDims, Interleave};
 use hsi::morphology::{self, StructuringElement};
-use hsi::spectral::SpectralDistance;
 use std::time::Duration;
 
 fn cube(w: usize, h: usize, bands: usize) -> Cube {
@@ -28,7 +27,7 @@ fn bench_se_size(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::from_parameter(side), &side, |b, &side| {
             let se = StructuringElement::square(side).unwrap();
             let norm = morphology::normalize_cube(&cb);
-            b.iter(|| morphology::mei(&norm, &se, SpectralDistance::Sid))
+            b.iter(|| morphology::mei(&norm, &se))
         });
     }
     group.finish();

@@ -157,6 +157,19 @@ fn run_fig5(dir: &str) {
     use hsi_scene::render;
     use hsi_scene::scene::{generate, SceneConfig};
 
+    // Fail before the scene is generated when the figures cannot be written.
+    let out = Path::new(dir);
+    if let Err(e) = std::fs::create_dir_all(out) {
+        eprintln!("error: cannot write {dir}/: {e}");
+        std::process::exit(2);
+    }
+    let write = |name: &str, bytes: &[u8]| {
+        let path = out.join(name);
+        if let Err(e) = render::write_file(&path, bytes) {
+            eprintln!("error: cannot write {}: {e}", path.display());
+            std::process::exit(2);
+        }
+    };
     eprintln!(
         "[fig5] rendering scene band, ground truth, MEI and classification maps to {dir}/ ..."
     );
@@ -166,26 +179,19 @@ fn run_fig5(dir: &str) {
     // The paper shows the 587nm band: that wavelength lands at ~9% of the
     // 0.4–2.5um range.
     let band = dims.bands * 9 / 100;
-    let out = Path::new(dir);
-    render::write_file(
-        &out.join("fig5a_band.pgm"),
-        &render::band_to_pgm(&scene.cube, band),
-    )
-    .expect("write fig5a");
-    render::write_file(
-        &out.join("fig5b_ground_truth.ppm"),
+    write("fig5a_band.pgm", &render::band_to_pgm(&scene.cube, band));
+    write(
+        "fig5b_ground_truth.ppm",
         &render::labels_to_ppm(&scene.ground_truth, dims.width, dims.height),
-    )
-    .expect("write fig5b");
+    );
 
     let amc =
         hsi::classify::AmcClassifier::new(hsi::classify::AmcConfig::paper_default(classes.len()));
     let result = amc.classify(&scene.cube).expect("AMC");
-    render::write_file(
-        &out.join("mei.pgm"),
+    write(
+        "mei.pgm",
         &render::scores_to_pgm(&result.mei.scores, dims.width, dims.height),
-    )
-    .expect("write mei");
+    );
     let mapped = hsi::metrics::map_clusters_to_truth(
         &scene.ground_truth,
         &result.labels,
@@ -193,10 +199,9 @@ fn run_fig5(dir: &str) {
         classes.len(),
     )
     .expect("mapping");
-    render::write_file(
-        &out.join("classification.ppm"),
+    write(
+        "classification.ppm",
         &render::labels_to_ppm(&mapped, dims.width, dims.height),
-    )
-    .expect("write classification");
+    );
     eprintln!("[fig5] wrote fig5a_band.pgm, fig5b_ground_truth.ppm, mei.pgm, classification.ppm");
 }

@@ -385,7 +385,6 @@ pub fn format_ablations() -> String {
             "no cache (every fetch to DRAM)",
             PredictConfig {
                 cache_hit_rate: 0.0,
-                include_transfers: true,
             },
         ),
     ] {

@@ -18,7 +18,6 @@ use crate::layout;
 use gpu_sim::timing::CpuWork;
 use hsi::cube::Cube;
 use hsi::morphology::{self, MeiImage, MorphResult, StructuringElement};
-use hsi::spectral::SpectralDistance;
 
 /// Floating-point operations we charge per band per SID evaluation
 /// (2 ε-guards, reciprocal, ratio multiply, log, ln-scale multiply,
@@ -62,7 +61,7 @@ pub fn amc_work(dims: hsi::cube::CubeDims, p_b: usize) -> CpuWork {
 /// natural-log SID of the `hsi` crate.
 pub fn run_scalar(cube: &Cube, se: &StructuringElement) -> CpuAmcResult {
     let normalized = morphology::normalize_cube(cube);
-    let (mei, morph) = morphology::mei(&normalized, se, SpectralDistance::Sid);
+    let (mei, morph) = morphology::mei(&normalized, se);
     CpuAmcResult {
         mei,
         morph,

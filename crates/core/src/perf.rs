@@ -28,20 +28,18 @@ pub const DEFAULT_CACHE_HIT_RATE: f64 = 0.94;
 pub struct PredictConfig {
     /// Assumed texture-cache hit rate (`[0, 1]`).
     pub cache_hit_rate: f64,
-    /// Include host↔device stream transfer counts.
-    pub include_transfers: bool,
 }
 
 impl Default for PredictConfig {
     fn default() -> Self {
         Self {
             cache_hit_rate: DEFAULT_CACHE_HIT_RATE,
-            include_transfers: true,
         }
     }
 }
 
-/// Exact per-chunk work counts (cache split governed by the config).
+/// Exact per-chunk work counts, host↔device stream transfers included (cache
+/// split governed by the config).
 pub fn predict_chunk_stats(
     width: usize,
     height: usize,
@@ -72,12 +70,9 @@ pub fn predict_chunk_stats(
                       // Every pass writes one RGBA32F texel per fragment.
     let bytes_written = frag * 16 * passes;
 
-    let (bytes_uploaded, bytes_downloaded) = if config.include_transfers {
-        let plane = layout::plane_bytes(width, height) as u64;
-        (g * plane + p_b * 16, 2 * plane)
-    } else {
-        (0, 0)
-    };
+    let plane = layout::plane_bytes(width, height) as u64;
+    let bytes_uploaded = g * plane + p_b * 16;
+    let bytes_downloaded = 2 * plane;
 
     let cache_misses = ((texel_fetches as f64) * (1.0 - config.cache_hit_rate)).round() as u64;
     // Tile geometry is deterministic: every pass covers the chunk with the
@@ -192,7 +187,6 @@ mod tests {
     fn config_no_cache_assumption() -> PredictConfig {
         PredictConfig {
             cache_hit_rate: 0.5,
-            include_transfers: true,
         }
     }
 

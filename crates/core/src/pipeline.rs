@@ -795,7 +795,6 @@ mod tests {
     use gpu_sim::device::GpuProfile;
     use hsi::cube::{CubeDims, Interleave};
     use hsi::morphology::{self, StructuringElement};
-    use hsi::spectral::SpectralDistance;
 
     fn test_cube(w: usize, h: usize, bands: usize, seed: u64) -> Cube {
         // Deterministic pseudo-random positive radiances.
@@ -814,7 +813,7 @@ mod tests {
 
     fn reference_mei(cube: &Cube, se: &StructuringElement) -> (MeiImage, Vec<u32>, Vec<u32>) {
         let norm = morphology::normalize_cube(cube);
-        let (mei, morph) = morphology::mei(&norm, se, SpectralDistance::Sid);
+        let (mei, morph) = morphology::mei(&norm, se);
         (mei, morph.min_index, morph.max_index)
     }
 

@@ -182,11 +182,12 @@ impl TileCounts {
     }
 }
 
-/// Where shading tiles spent their thread time, layer by layer, with the
-/// units each layer processed. Tiles fill it only while the trace recorder
-/// is on (`trace::enabled()`); a pass merges its tiles' ledgers in tile
-/// order and records the total as one `gpu.ledger` trace instant, which
-/// `trace::analyze` sums per pipeline stage.
+/// Where shading tiles spent their thread time, layer by layer. Tiles fill
+/// it only while the trace recorder is on (`trace::enabled()`); a pass
+/// merges its tiles' ledgers in tile order and records the total, with the
+/// pass's texel fetches and fragments from its [`PassStats`], as one
+/// `gpu.ledger` trace instant, which `trace::analyze` sums per pipeline
+/// stage.
 ///
 /// The three parts partition a tile's time: `sweep_ns + replay_ns +
 /// resolve_ns` is the whole tile.
@@ -199,12 +200,8 @@ pub struct ShadeLedger {
     pub ops: u64,
     /// Nanoseconds replaying TEX touches through the texture-cache model.
     pub replay_ns: u64,
-    /// Touches replayed.
-    pub touches: u64,
     /// Nanoseconds storing `O0` into the tile's rows.
     pub resolve_ns: u64,
-    /// Texels stored.
-    pub texels: u64,
 }
 
 impl ShadeLedger {
@@ -213,9 +210,7 @@ impl ShadeLedger {
         self.sweep_ns += other.sweep_ns;
         self.ops += other.ops;
         self.replay_ns += other.replay_ns;
-        self.touches += other.touches;
         self.resolve_ns += other.resolve_ns;
-        self.texels += other.texels;
     }
 }
 

@@ -738,9 +738,9 @@ impl Gpu {
                     ("sweep_ns", ArgValue::U64(ledger.sweep_ns)),
                     ("ops", ArgValue::U64(ledger.ops)),
                     ("replay_ns", ArgValue::U64(ledger.replay_ns)),
-                    ("touches", ArgValue::U64(ledger.touches)),
+                    ("fetches", ArgValue::U64(pass.texel_fetches)),
                     ("resolve_ns", ArgValue::U64(ledger.resolve_ns)),
-                    ("texels", ArgValue::U64(ledger.texels)),
+                    ("texels", ArgValue::U64(pass.fragments)),
                 ],
             );
         }

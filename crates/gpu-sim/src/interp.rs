@@ -1379,9 +1379,7 @@ fn shade_tile(
             sweep_ns: swept.as_nanos() as u64,
             ops: (tp.ops.len() * o0.len()) as u64,
             replay_ns: (replayed - swept).as_nanos() as u64,
-            touches: touches.len() as u64,
             resolve_ns: (resolved - replayed).as_nanos() as u64,
-            texels: fragments as u64,
         });
     }
     let fragments = fragments as u64;

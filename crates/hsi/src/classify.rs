@@ -11,69 +11,49 @@
 //!    per-pixel sub-pixel abundances with the standard linear mixture model;
 //! 4. label each pixel with the class of its largest abundance fraction.
 //!
+//! Step 3 selects by MEI-seeded ATGP, the reproduction's documented deviation
+//! in that step (see [`crate::endmember`]).
+//!
 //! The GPU stream implementation in `amc-core` accelerates steps 1–2 (the
 //! O(p_f · p_B · N) morphological part, which dominates); this module is the
 //! oracle its outputs are validated against.
 
 use crate::cube::{Cube, Interleave};
-use crate::endmember::{
-    residual_ranking, select_endmembers, select_endmembers_atgp, spectra, Endmember,
-    SelectionConfig,
-};
+use crate::endmember::{residual_ranking, select_endmembers_atgp, spectra, Endmember};
 use crate::error::Result;
 use crate::morphology::{mei, normalize_cube, MeiImage, StructuringElement};
-use crate::spectral::SpectralDistance;
 use crate::unmix::{AbundanceConstraint, LinearMixtureModel};
 
-/// How step 3 picks its `c` endmember pixels from the MEI image.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SelectionMethod {
-    /// Descending MEI with greedy pairwise-SID separation — the literal
-    /// reading of the paper's step 3. Fragile when one material boundary
-    /// dominates the MEI ranking (kept as an ablation).
-    MeiGreedy,
-    /// MEI-seeded residual-driven selection (ATGP, Chang 2003 — the paper's
-    /// reference \[2\]); robust default.
-    #[default]
-    MeiAtgp,
-}
+/// Clusters smaller than this are considered starved during refinement and
+/// reseeded at high-residual pixels.
+const MIN_CLUSTER_PIXELS: u64 = 20;
 
 /// AMC configuration.
+///
+/// SID always orders the pixels (eq. 2) and MEI-seeded ATGP always picks
+/// the endmembers ([`select_endmembers_atgp`]); these are the choices the
+/// reproduction evaluates, so they are not configurable.
 #[derive(Debug, Clone)]
 pub struct AmcConfig {
-    /// Structuring element (the paper evaluates with 3×3).
+    /// Square structuring element (the paper evaluates with 3×3).
     pub se: StructuringElement,
     /// Number of classes `c` to extract.
     pub classes: usize,
-    /// Spectral distance driving the morphological ordering (paper: SID).
-    pub distance: SpectralDistance,
     /// Abundance constraint for the mixture model.
     pub constraint: AbundanceConstraint,
-    /// Minimum pairwise SID between selected endmembers
-    /// ([`SelectionMethod::MeiGreedy`] only).
-    pub min_endmember_sid: f32,
-    /// Endmember selection strategy.
-    pub selection: SelectionMethod,
     /// Iterations of class-mean endmember refinement after the initial
     /// classification (0 = the plain single-pass algorithm).
     pub refine_iterations: usize,
-    /// Clusters smaller than this are considered starved during refinement
-    /// and reseeded at high-residual pixels.
-    pub min_cluster_pixels: usize,
 }
 
 impl AmcConfig {
-    /// The paper's evaluation configuration: 3×3 SE, SID ordering.
+    /// The paper's evaluation configuration: 3×3 SE.
     pub fn paper_default(classes: usize) -> Self {
         Self {
             se: StructuringElement::square(3).expect("3x3 SE is valid"),
             classes,
-            distance: SpectralDistance::Sid,
             constraint: AbundanceConstraint::SumToOneNonNeg,
-            min_endmember_sid: 1e-4,
-            selection: SelectionMethod::MeiAtgp,
             refine_iterations: 5,
-            min_cluster_pixels: 20,
         }
     }
 }
@@ -119,7 +99,7 @@ pub struct TailBreakdown {
     /// Endmember selection, refinement bookkeeping and reseeding (wall):
     /// `atgp_s + means_s + reseed_s`.
     pub selection_s: f64,
-    /// The initial endmember selection, ATGP or MEI-greedy (wall).
+    /// The initial ATGP endmember selection (wall).
     pub atgp_s: f64,
     /// Refinement's class-mean sums, endmember updates and starved-class
     /// list (wall).
@@ -156,7 +136,7 @@ impl AmcClassifier {
     /// Run the full AMC pipeline on a cube.
     pub fn classify(&self, cube: &Cube) -> Result<AmcOutput> {
         let normalized = normalize_cube(cube);
-        let (mei_img, _morph) = mei(&normalized, &self.config.se, self.config.distance);
+        let (mei_img, _morph) = mei(&normalized, &self.config.se);
         self.classify_with_mei(cube, mei_img)
     }
 
@@ -179,19 +159,7 @@ impl AmcClassifier {
 
         let span = trace::span("tail", "selection");
         let t = Instant::now();
-        let mut endmembers = match self.config.selection {
-            SelectionMethod::MeiGreedy => select_endmembers(
-                cube,
-                &mei_img,
-                SelectionConfig {
-                    count: self.config.classes,
-                    min_sid: self.config.min_endmember_sid,
-                },
-            )?,
-            SelectionMethod::MeiAtgp => {
-                select_endmembers_atgp(cube, &mei_img, self.config.classes)?
-            }
-        };
+        let mut endmembers = select_endmembers_atgp(cube, &mei_img, self.config.classes)?;
         tail.atgp_s += t.elapsed().as_secs_f64();
         drop(span);
 
@@ -231,7 +199,7 @@ impl AmcClassifier {
             }
             let mut starved = Vec::new();
             for k in 0..c {
-                if counts[k] >= self.config.min_cluster_pixels as u64 {
+                if counts[k] >= MIN_CLUSTER_PIXELS {
                     endmembers[k].spectrum = sums[k]
                         .iter()
                         .map(|v| (*v / counts[k] as f64) as f32)
@@ -312,7 +280,6 @@ mod tests {
         let cfg = AmcConfig::paper_default(30);
         assert_eq!(cfg.classes, 30);
         assert_eq!(cfg.se.extent(), (3, 3));
-        assert_eq!(cfg.distance, SpectralDistance::Sid);
     }
 
     #[test]
@@ -364,9 +331,27 @@ mod tests {
         let amc = AmcClassifier::new(AmcConfig::paper_default(2));
         let full = amc.classify(&cube).unwrap();
         let normalized = normalize_cube(&cube);
-        let (mei_img, _) = mei(&normalized, &amc.config().se, SpectralDistance::Sid);
+        let (mei_img, _) = mei(&normalized, &amc.config().se);
         let hybrid = amc.classify_with_mei(&cube, mei_img).unwrap();
         assert_eq!(full.labels, hybrid.labels);
+    }
+
+    #[test]
+    fn classify_with_a_transposed_mei_is_an_error() {
+        let cube = half_plane_cube();
+        let amc = AmcClassifier::new(AmcConfig::paper_default(2));
+        let transposed = MeiImage {
+            width: 6,
+            height: 10,
+            scores: vec![0.0; 60],
+        };
+        assert_eq!(
+            amc.classify_with_mei(&cube, transposed).unwrap_err(),
+            crate::error::HsiError::ShapeMismatch {
+                left: (6, 10),
+                right: (10, 6)
+            }
+        );
     }
 
     #[test]

@@ -2,17 +2,17 @@
 //!
 //! The paper selects "the set of c pixel vectors in f with higher associated
 //! score in the resulting MEI image". A literal top-c by score tends to pick
-//! the same spectral signature many times (a strong anomaly peaks every
-//! window that contains it), which makes the endmember matrix singular. As in
-//! the morphological endmember-extraction literature the paper builds on
-//! (Plaza et al. 2002), we add a greedy spectral-separation test: a candidate
-//! is accepted only if its SID to every already-accepted endmember exceeds a
-//! threshold.
+//! the same spectral signature many times: a strong anomaly peaks every
+//! window that contains it, and one material boundary yields a continuum of
+//! mixed spectra. Either makes the endmember matrix singular. The
+//! reproduction's one documented deviation in step 3 is therefore MEI-seeded
+//! ATGP (Chang 2003, the paper's reference \[2\]): the highest-MEI pixel
+//! seeds the set, and each further endmember is the pixel worst explained by
+//! those chosen so far ([`select_endmembers_atgp`]).
 
 use crate::cube::Cube;
 use crate::error::{HsiError, Result};
 use crate::morphology::MeiImage;
-use crate::spectral;
 
 /// One selected endmember.
 #[derive(Debug, Clone)]
@@ -27,74 +27,6 @@ pub struct Endmember {
     pub spectrum: Vec<f32>,
 }
 
-/// Configuration for endmember selection.
-#[derive(Debug, Clone, Copy)]
-pub struct SelectionConfig {
-    /// Number of endmembers (classes) to select — the paper's `c`.
-    pub count: usize,
-    /// Minimum pairwise SID between accepted endmembers.
-    pub min_sid: f32,
-}
-
-impl Default for SelectionConfig {
-    fn default() -> Self {
-        Self {
-            count: 16,
-            min_sid: 1e-4,
-        }
-    }
-}
-
-/// Greedily select up to `config.count` endmembers by descending MEI score,
-/// enforcing pairwise spectral separation.
-///
-/// Returns fewer than `count` endmembers only when the image does not contain
-/// that many spectrally distinct high-MEI pixels; at least one endmember is
-/// always returned for a non-empty image.
-pub fn select_endmembers(
-    cube: &Cube,
-    mei: &MeiImage,
-    config: SelectionConfig,
-) -> Result<Vec<Endmember>> {
-    let dims = cube.dims();
-    if config.count == 0 || config.count > dims.pixels() {
-        return Err(HsiError::InvalidClassCount {
-            requested: config.count,
-            available: dims.pixels(),
-        });
-    }
-    // Rank every pixel by MEI descending (deterministic tie-break).
-    let ranked = mei.top_k(mei.scores.len());
-    let mut selected: Vec<Endmember> = Vec::with_capacity(config.count);
-    let mut selected_norm: Vec<Vec<f32>> = Vec::with_capacity(config.count);
-    for (x, y) in ranked {
-        if selected.len() == config.count {
-            break;
-        }
-        let spectrum = cube.pixel(x, y);
-        let norm = crate::pixel::normalized(&spectrum);
-        let distinct = selected_norm
-            .iter()
-            .all(|e| spectral::sid_normalized(&norm, e) > config.min_sid);
-        if distinct {
-            selected.push(Endmember {
-                x,
-                y,
-                score: mei.get(x, y),
-                spectrum,
-            });
-            selected_norm.push(norm);
-        }
-    }
-    if selected.is_empty() {
-        return Err(HsiError::InvalidClassCount {
-            requested: config.count,
-            available: 0,
-        });
-    }
-    Ok(selected)
-}
-
 /// Borrow the spectra of a selected endmember set as `&[f32]` slices, the
 /// form [`crate::unmix::LinearMixtureModel::new`] consumes.
 pub fn spectra(endmembers: &[Endmember]) -> Vec<&[f32]> {
@@ -102,16 +34,16 @@ pub fn spectra(endmembers: &[Endmember]) -> Vec<&[f32]> {
 }
 
 /// Residual-driven endmember selection (ATGP, after Chang — the paper's
-/// reference \[2\]): seed with the highest-MEI pixel, then repeatedly add the
-/// pixel **worst explained** (largest orthogonal-projection residual) by the
-/// endmembers selected so far.
+/// reference \[2\]): seed with the highest-MEI pixel ([`MeiImage::peak`]),
+/// then repeatedly add the pixel **worst explained** (largest
+/// orthogonal-projection residual) by the endmembers selected so far.
 ///
-/// Greedy MEI + pairwise-SID dedup ([`select_endmembers`]) fails on scenes
-/// where one strong material boundary produces a *continuum* of mixed
-/// spectra: the continuum yields arbitrarily many "distinct" signatures and
-/// the selection never leaves that boundary. Residual-driven selection is
-/// immune — once both ends of a mixing line are in the set, every point on
-/// the line reconstructs exactly and is skipped.
+/// A descending-MEI walk that skips near-duplicates by pairwise SID fails on
+/// scenes where one strong material boundary produces a *continuum* of
+/// mixed spectra: the continuum yields arbitrarily many "distinct"
+/// signatures and the walk never leaves that boundary. Residual-driven
+/// selection is immune — once both ends of a mixing line are in the set,
+/// every point on the line reconstructs exactly and is skipped.
 ///
 /// The projection residuals are maintained *incrementally*: an orthonormal
 /// basis of the selected spectra is grown by Gram-Schmidt, and adding one
@@ -119,9 +51,26 @@ pub fn spectra(endmembers: &[Endmember]) -> Vec<&[f32]> {
 /// (`r ← r − (q·p)²`) instead of refitting a mixture model and sweeping the
 /// image through it. Selecting `c` endmembers therefore costs `O(c·N·bands)`
 /// total rather than `O(c²·N·bands)`, with no per-pixel allocation.
+///
+/// This is the first reader of the MEI on every classification path, so it
+/// checks the MEI against the cube: [`HsiError::ShapeMismatch`] when its
+/// `(width, height)` differs from the cube's, [`HsiError::DimensionMismatch`]
+/// when it holds other than `width · height` scores.
 pub fn select_endmembers_atgp(cube: &Cube, mei: &MeiImage, count: usize) -> Result<Vec<Endmember>> {
     use rayon::prelude::*;
     let dims = cube.dims();
+    if (mei.width, mei.height) != (dims.width, dims.height) {
+        return Err(HsiError::ShapeMismatch {
+            left: (mei.width, mei.height),
+            right: (dims.width, dims.height),
+        });
+    }
+    if mei.scores.len() != dims.pixels() {
+        return Err(HsiError::DimensionMismatch {
+            expected: dims.pixels(),
+            actual: mei.scores.len(),
+        });
+    }
     if count == 0 || count > dims.pixels() {
         return Err(HsiError::InvalidClassCount {
             requested: count,
@@ -178,7 +127,7 @@ pub fn select_endmembers_atgp(cube: &Cube, mei: &MeiImage, count: usize) -> Resu
         true
     };
 
-    let seed = mei.top_k(1)[0];
+    let seed = mei.peak().expect("a non-empty cube has an MEI peak");
     let mut selected = vec![Endmember {
         x: seed.0,
         y: seed.1,
@@ -244,7 +193,7 @@ mod tests {
     use super::*;
     use crate::cube::{CubeDims, Interleave};
     use crate::morphology::{mei_of_raw, StructuringElement};
-    use crate::spectral::SpectralDistance;
+    use crate::spectral;
 
     /// 8x8 cube with three materials in vertical strips.
     fn three_material_cube() -> Cube {
@@ -259,25 +208,15 @@ mod tests {
         .unwrap()
     }
 
+    fn mei_of(cube: &Cube) -> MeiImage {
+        mei_of_raw(cube, &StructuringElement::square(3).unwrap()).0
+    }
+
     #[test]
     fn selects_spectrally_distinct_endmembers() {
         let cube = three_material_cube();
-        let (mei, _) = mei_of_raw(
-            &cube,
-            &StructuringElement::square(3).unwrap(),
-            SpectralDistance::Sid,
-        );
-        let ems = select_endmembers(
-            &cube,
-            &mei,
-            SelectionConfig {
-                count: 3,
-                min_sid: 1e-3,
-            },
-        )
-        .unwrap();
+        let ems = select_endmembers_atgp(&cube, &mei_of(&cube), 3).unwrap();
         assert_eq!(ems.len(), 3);
-        // Pairwise SIDs all exceed the threshold.
         for i in 0..3 {
             for j in i + 1..3 {
                 assert!(spectral::sid(&ems[i].spectrum, &ems[j].spectrum) > 1e-3);
@@ -301,85 +240,90 @@ mod tests {
 
     #[test]
     fn returns_fewer_when_scene_lacks_diversity() {
-        // Constant image: only one distinct signature exists.
+        // Constant image: the seed explains every pixel.
         let cube = Cube::from_fn(CubeDims::new(6, 6, 3), Interleave::Bip, |_, _, b| {
             (b + 1) as f32
         })
         .unwrap();
-        let (mei, _) = mei_of_raw(
-            &cube,
-            &StructuringElement::square(3).unwrap(),
-            SpectralDistance::Sid,
-        );
-        let ems = select_endmembers(
-            &cube,
-            &mei,
-            SelectionConfig {
-                count: 5,
-                min_sid: 1e-4,
-            },
-        )
-        .unwrap();
+        let ems = select_endmembers_atgp(&cube, &mei_of(&cube), 5).unwrap();
         assert_eq!(ems.len(), 1);
     }
 
     #[test]
     fn invalid_counts_rejected() {
         let cube = three_material_cube();
-        let (mei, _) = mei_of_raw(
-            &cube,
-            &StructuringElement::square(3).unwrap(),
-            SpectralDistance::Sid,
-        );
-        assert!(select_endmembers(
-            &cube,
-            &mei,
-            SelectionConfig {
-                count: 0,
-                min_sid: 0.0
-            }
-        )
-        .is_err());
-        assert!(select_endmembers(
-            &cube,
-            &mei,
-            SelectionConfig {
-                count: 10_000,
-                min_sid: 0.0
-            }
-        )
-        .is_err());
+        let mei = mei_of(&cube);
+        assert!(matches!(
+            select_endmembers_atgp(&cube, &mei, 0),
+            Err(HsiError::InvalidClassCount { requested: 0, .. })
+        ));
+        assert!(matches!(
+            select_endmembers_atgp(&cube, &mei, 10_000),
+            Err(HsiError::InvalidClassCount {
+                requested: 10_000,
+                available: 64
+            })
+        ));
     }
 
     #[test]
     fn endmember_records_location_and_score() {
         let cube = three_material_cube();
-        let (mei, _) = mei_of_raw(
-            &cube,
-            &StructuringElement::square(3).unwrap(),
-            SpectralDistance::Sid,
-        );
-        let ems = select_endmembers(&cube, &mei, SelectionConfig::default()).unwrap();
-        let first = &ems[0];
-        assert_eq!(first.score, mei.get(first.x, first.y));
-        assert_eq!(first.spectrum, cube.pixel(first.x, first.y));
-        // Scores are non-increasing in selection order.
-        for w in ems.windows(2) {
-            assert!(w[0].score >= w[1].score);
+        let mei = mei_of(&cube);
+        let ems = select_endmembers_atgp(&cube, &mei, 3).unwrap();
+        // The seed is the MEI peak.
+        assert_eq!(Some((ems[0].x, ems[0].y)), mei.peak());
+        for e in &ems {
+            assert_eq!(e.score, mei.get(e.x, e.y));
+            assert_eq!(e.spectrum, cube.pixel(e.x, e.y));
         }
     }
 
     #[test]
     fn spectra_view_matches() {
         let cube = three_material_cube();
-        let (mei, _) = mei_of_raw(
-            &cube,
-            &StructuringElement::square(3).unwrap(),
-            SpectralDistance::Sid,
-        );
-        let ems = select_endmembers(&cube, &mei, SelectionConfig::default()).unwrap();
+        let ems = select_endmembers_atgp(&cube, &mei_of(&cube), 3).unwrap();
         let views = spectra(&ems);
         assert_eq!(views.len(), ems.len());
         assert_eq!(views[0], ems[0].spectrum.as_slice());
+    }
+
+    #[test]
+    fn mei_of_the_wrong_shape_is_rejected() {
+        // 10x6 cube: a transposed MEI, a smaller one and one whose score
+        // buffer is short each return an error instead of indexing past it.
+        let cube = Cube::from_fn(CubeDims::new(10, 6, 4), Interleave::Bip, |x, y, b| {
+            1.0 + ((x * 7 + y * 3 + b) % 5) as f32
+        })
+        .unwrap();
+        let mei = |width, height, len| MeiImage {
+            width,
+            height,
+            scores: (0..len).map(|i| i as f32).collect(),
+        };
+        assert_eq!(
+            select_endmembers_atgp(&cube, &mei(6, 10, 60), 2).unwrap_err(),
+            HsiError::ShapeMismatch {
+                left: (6, 10),
+                right: (10, 6)
+            }
+        );
+        assert_eq!(
+            select_endmembers_atgp(&cube, &mei(4, 4, 16), 2).unwrap_err(),
+            HsiError::ShapeMismatch {
+                left: (4, 4),
+                right: (10, 6)
+            }
+        );
+        assert_eq!(
+            select_endmembers_atgp(&cube, &mei(10, 6, 59), 2).unwrap_err(),
+            HsiError::DimensionMismatch {
+                expected: 60,
+                actual: 59
+            }
+        );
+        // The right shape selects, seeded at the last (highest) score.
+        let ems = select_endmembers_atgp(&cube, &mei(10, 6, 60), 2).unwrap();
+        assert_eq!((ems[0].x, ems[0].y), (9, 5));
     }
 }

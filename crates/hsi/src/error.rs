@@ -26,9 +26,10 @@ pub enum HsiError {
     SingularMatrix,
     /// Operands of a binary operation had incompatible shapes.
     ShapeMismatch {
-        /// Left operand shape `(rows, cols)`.
+        /// Left operand shape: `(rows, cols)` of a matrix, `(width, height)`
+        /// of an image.
         left: (usize, usize),
-        /// Right operand shape `(rows, cols)`.
+        /// Right operand shape, in the left operand's order.
         right: (usize, usize),
     },
     /// Classification was requested with an invalid class count.

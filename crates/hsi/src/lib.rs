@@ -7,14 +7,16 @@
 //!
 //! * [`cube`] — the hyperspectral data cube with the three classic interleave
 //!   layouts (BSQ/BIL/BIP), spatial crops and chunking.
-//! * [`spectral`] — spectral distances: SID (eq. 2 of the paper), SAM,
-//!   Euclidean, and the per-pixel normalization of eqs. 3–4.
-//! * [`morphology`] — structuring elements, the cumulative distance of eq. 1,
-//!   extended erosion/dilation (eqs. 5–6) and the MEI score.
+//! * [`pixel`] — band sums and the per-pixel normalization of eqs. 3–4.
+//! * [`spectral`] — SID (eq. 2 of the paper), the one distance that orders
+//!   pixels.
+//! * [`morphology`] — the square structuring element, the cumulative
+//!   distance of eq. 1, extended erosion/dilation (eqs. 5–6) and the MEI
+//!   score.
 //! * [`linalg`] — small dense matrices with the factorizations linear
 //!   unmixing needs (Cholesky, LU, least squares).
 //! * [`unmix`] — the standard linear mixture model: abundance estimation.
-//! * [`endmember`] — MEI-driven endmember selection.
+//! * [`endmember`] — MEI-seeded ATGP endmember selection.
 //! * [`classify`] — the complete reference AMC classifier.
 //! * [`metrics`] — confusion matrices, overall/average accuracy, kappa.
 //!
@@ -38,4 +40,3 @@ pub use classify::{AmcClassifier, AmcConfig, AmcOutput};
 pub use cube::{Chunking, Cube, CubeDims, Interleave};
 pub use error::HsiError;
 pub use morphology::{MeiImage, StructuringElement};
-pub use spectral::SpectralDistance;

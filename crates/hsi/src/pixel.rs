@@ -37,34 +37,6 @@ pub fn normalized(pixel: &[f32]) -> Vec<f32> {
     out
 }
 
-/// Dot product of two equal-length vectors.
-#[inline]
-pub fn dot(a: &[f32], b: &[f32]) -> f32 {
-    debug_assert_eq!(a.len(), b.len());
-    a.iter().zip(b).map(|(&x, &y)| x * y).sum()
-}
-
-/// Euclidean norm.
-#[inline]
-pub fn norm(a: &[f32]) -> f32 {
-    dot(a, a).sqrt()
-}
-
-/// Linear combination `out = Σ_i coeffs[i] * basis[i]`.
-///
-/// Used to synthesise mixed pixels from endmember spectra and to validate
-/// unmixing round-trips.
-pub fn linear_mix_into(basis: &[&[f32]], coeffs: &[f32], out: &mut [f32]) {
-    debug_assert_eq!(basis.len(), coeffs.len());
-    out.fill(0.0);
-    for (&spectrum, &c) in basis.iter().zip(coeffs) {
-        debug_assert_eq!(spectrum.len(), out.len());
-        for (o, &s) in out.iter_mut().zip(spectrum) {
-            *o += c * s;
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -92,20 +64,5 @@ mod tests {
     fn normalize_negative_sum_falls_back_to_uniform() {
         let p = normalized(&[-1.0, -1.0]);
         assert_eq!(p, vec![0.5, 0.5]);
-    }
-
-    #[test]
-    fn dot_and_norm() {
-        assert_eq!(dot(&[1.0, 2.0], &[3.0, 4.0]), 11.0);
-        assert_eq!(norm(&[3.0, 4.0]), 5.0);
-    }
-
-    #[test]
-    fn linear_mix_reconstructs() {
-        let e0 = [1.0f32, 0.0, 0.0];
-        let e1 = [0.0f32, 2.0, 0.0];
-        let mut out = [0.0f32; 3];
-        linear_mix_into(&[&e0, &e1], &[0.5, 0.25], &mut out);
-        assert_eq!(out, [0.5, 0.5, 0.0]);
     }
 }

@@ -1,11 +1,10 @@
-//! Spectral distance measures.
+//! The spectral distance that orders pixels.
 //!
 //! The paper's morphological ordering is driven by the **Spectral Information
 //! Divergence** (SID, eq. 2): the symmetrised Kullback–Leibler divergence
 //! between the band-normalized "probability" spectra of two pixels
-//! (eqs. 3–4). SAM and Euclidean distance are provided as well — they are the
-//! other standard measures in the hyperspectral literature and serve as
-//! ablation points for the ordering relation.
+//! (eqs. 3–4). SID is the only distance the reproduction evaluates, so it is
+//! the only one provided.
 
 use crate::pixel;
 
@@ -41,77 +40,6 @@ pub fn sid(a: &[f32], b: &[f32]) -> f32 {
     let p = pixel::normalized(a);
     let q = pixel::normalized(b);
     sid_normalized(&p, &q)
-}
-
-/// Spectral Angle Mapper: the angle (radians) between the two spectra.
-pub fn sam(a: &[f32], b: &[f32]) -> f32 {
-    let denom = pixel::norm(a) * pixel::norm(b);
-    if denom <= f32::MIN_POSITIVE {
-        return 0.0;
-    }
-    let cos = (pixel::dot(a, b) / denom).clamp(-1.0, 1.0);
-    cos.acos()
-}
-
-/// Euclidean distance between the two spectra.
-pub fn euclidean(a: &[f32], b: &[f32]) -> f32 {
-    debug_assert_eq!(a.len(), b.len());
-    a.iter()
-        .zip(b)
-        .map(|(&x, &y)| {
-            let d = x - y;
-            d * d
-        })
-        .sum::<f32>()
-        .sqrt()
-}
-
-/// Selectable pointwise spectral distance.
-///
-/// The paper uses SID throughout; SAM and Euclidean are kept for ablations of
-/// the morphological ordering relation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SpectralDistance {
-    /// Spectral Information Divergence (the paper's choice, eq. 2).
-    #[default]
-    Sid,
-    /// Spectral Angle Mapper.
-    Sam,
-    /// Euclidean distance.
-    Euclidean,
-}
-
-impl SpectralDistance {
-    /// Evaluate this distance on raw (unnormalized) pixels.
-    pub fn eval(&self, a: &[f32], b: &[f32]) -> f32 {
-        match self {
-            SpectralDistance::Sid => sid(a, b),
-            SpectralDistance::Sam => sam(a, b),
-            SpectralDistance::Euclidean => euclidean(a, b),
-        }
-    }
-
-    /// Evaluate on pre-normalized spectra where that is meaningful.
-    ///
-    /// For SID this skips re-normalization (the hot path of the pipeline,
-    /// which normalizes each pixel exactly once — the paper's stage 2). SAM
-    /// and Euclidean are scale-sensitive, so they are evaluated directly.
-    pub fn eval_normalized(&self, p: &[f32], q: &[f32]) -> f32 {
-        match self {
-            SpectralDistance::Sid => sid_normalized(p, q),
-            SpectralDistance::Sam => sam(p, q),
-            SpectralDistance::Euclidean => euclidean(p, q),
-        }
-    }
-
-    /// Short identifier for table output.
-    pub fn name(&self) -> &'static str {
-        match self {
-            SpectralDistance::Sid => "SID",
-            SpectralDistance::Sam => "SAM",
-            SpectralDistance::Euclidean => "ED",
-        }
-    }
 }
 
 #[cfg(test)]
@@ -173,44 +101,5 @@ mod tests {
         let near = [0.45f32, 0.55];
         let far = [0.1f32, 0.9];
         assert!(sid_normalized(&p, &near) < sid_normalized(&p, &far));
-    }
-
-    #[test]
-    fn sam_basics() {
-        let a = [1.0f32, 0.0];
-        let b = [0.0f32, 1.0];
-        assert!((sam(&a, &b) - std::f32::consts::FRAC_PI_2).abs() < TOL);
-        assert!(sam(&a, &a).abs() < 1e-3);
-        // Scale invariant.
-        let b2 = [0.0f32, 42.0];
-        assert!((sam(&a, &b) - sam(&a, &b2)).abs() < TOL);
-        // Degenerate zero vector.
-        assert_eq!(sam(&[0.0, 0.0], &a), 0.0);
-    }
-
-    #[test]
-    fn euclidean_basics() {
-        assert_eq!(euclidean(&[0.0, 0.0], &[3.0, 4.0]), 5.0);
-        assert_eq!(euclidean(&[1.0, 1.0], &[1.0, 1.0]), 0.0);
-    }
-
-    #[test]
-    fn distance_enum_dispatch() {
-        let a = [2.0f32, 1.0, 1.0];
-        let b = [1.0f32, 2.0, 1.0];
-        assert!((SpectralDistance::Sid.eval(&a, &b) - sid(&a, &b)).abs() < TOL);
-        assert!((SpectralDistance::Sam.eval(&a, &b) - sam(&a, &b)).abs() < TOL);
-        assert!((SpectralDistance::Euclidean.eval(&a, &b) - euclidean(&a, &b)).abs() < TOL);
-        assert_eq!(SpectralDistance::default(), SpectralDistance::Sid);
-        assert_eq!(SpectralDistance::Sid.name(), "SID");
-    }
-
-    #[test]
-    fn eval_normalized_sid_skips_renormalization() {
-        let p = [0.25f32, 0.75];
-        let q = [0.5f32, 0.5];
-        assert!(
-            (SpectralDistance::Sid.eval_normalized(&p, &q) - sid_normalized(&p, &q)).abs() < TOL
-        );
     }
 }

@@ -18,7 +18,7 @@
 //!   and utilization against the fleet makespan.
 //! * **Shading ledger** — per pipeline stage, how the shading tiles' thread
 //!   time splits into the op sweep, the texture-cache replay and the tile
-//!   resolve, each with its units (ops, touches, texels), from the
+//!   resolve, each with its units (ops, texel fetches, texels), from the
 //!   `gpu.ledger` instants each traced pass records.
 //!
 //! Streams are segmented into *arms* by `bench.arm` spans (`amcbench` and
@@ -299,8 +299,8 @@ pub struct StageLedger {
     pub ops: u64,
     /// Texture-cache replay, thread-seconds.
     pub replay_s: f64,
-    /// Cache touches replayed.
-    pub touches: u64,
+    /// Texel fetches, each replayed through the cache model when it is on.
+    pub fetches: u64,
     /// Tile resolve (storing `O0` into the tile's rows), thread-seconds.
     pub resolve_s: f64,
     /// Texels stored.
@@ -623,7 +623,7 @@ fn stage_ledgers(events: &[Event], spans: &[SpanRec]) -> Vec<StageLedger> {
         a.passes += 1;
         for (i, (time, unit)) in [
             ("sweep_ns", "ops"),
-            ("replay_ns", "touches"),
+            ("replay_ns", "fetches"),
             ("resolve_ns", "texels"),
         ]
         .into_iter()
@@ -648,7 +648,7 @@ fn stage_ledgers(events: &[Event], spans: &[SpanRec]) -> Vec<StageLedger> {
                 sweep_s: ns_to_s(a.ns[0]),
                 ops: a.units[0],
                 replay_s: ns_to_s(a.ns[1]),
-                touches: a.units[1],
+                fetches: a.units[1],
                 resolve_s: ns_to_s(a.ns[2]),
                 texels: a.units[2],
                 stage,
@@ -764,7 +764,7 @@ pub fn render_text(analysis: &TraceAnalysis) -> String {
                 "sweep",
                 "ns/op",
                 "replay",
-                "ns/touch",
+                "ns/fetch",
                 "resolve",
                 "ns/texel"
             );
@@ -778,7 +778,7 @@ pub fn render_text(analysis: &TraceAnalysis) -> String {
                     l.sweep_s,
                     ns_per(l.sweep_s, l.ops),
                     l.replay_s,
-                    ns_per(l.replay_s, l.touches),
+                    ns_per(l.replay_s, l.fetches),
                     l.resolve_s,
                     ns_per(l.resolve_s, l.texels)
                 );

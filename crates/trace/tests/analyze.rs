@@ -117,7 +117,7 @@ fn ledger(ts_ns: u64, tid: u64, parts: [u64; 6]) -> Event {
         "sweep_ns",
         "ops",
         "replay_ns",
-        "touches",
+        "fetches",
         "resolve_ns",
         "texels",
     ];
@@ -153,7 +153,7 @@ fn shading_ledger_sums_per_stage() {
     let stages: Vec<&str> = ledger.iter().map(|l| l.stage.as_str()).collect();
     assert_eq!(stages, ["distance", "mei", "unstaged"]);
     let d = &ledger[0];
-    assert_eq!((d.passes, d.ops, d.touches, d.texels), (2, 100, 75, 20));
+    assert_eq!((d.passes, d.ops, d.fetches, d.texels), (2, 100, 75, 20));
     assert!((d.sweep_s - 800e-9).abs() < 1e-15);
     assert!((d.replay_s - 150e-9).abs() < 1e-15);
     assert!((d.resolve_s - 30e-9).abs() < 1e-15);
@@ -161,11 +161,11 @@ fn shading_ledger_sums_per_stage() {
     // Stage wall sums both threads' distance spans.
     assert!((d.wall_s - 3000e-9).abs() < 1e-15);
     let m = &ledger[1];
-    assert_eq!((m.passes, m.ops, m.touches, m.texels), (1, 20, 40, 5));
+    assert_eq!((m.passes, m.ops, m.fetches, m.texels), (1, 20, 40, 5));
     assert!((m.wall_s - 500e-9).abs() < 1e-15);
     let text = trace::analyze::render_text(&analysis);
     assert!(text.contains("shading ledger"), "{text}");
-    // distance: 800 ns / 100 ops, 150 ns / 75 touches, 30 ns / 20 texels.
+    // distance: 800 ns / 100 ops, 150 ns / 75 fetches, 30 ns / 20 texels.
     let section = text.split("shading ledger").nth(1).unwrap();
     let row = section
         .lines()

@@ -26,14 +26,14 @@ fn main() {
 
     let se = StructuringElement::square(3).expect("3x3");
     let norm = morphology::normalize_cube(&cube);
-    let (mei_before, _) = morphology::mei(&norm, &se, SpectralDistance::Sid);
+    let (mei_before, _) = morphology::mei(&norm, &se);
     let peaks_before = mei_before.scores.iter().filter(|&&s| s > 1e-3).count();
     println!("before filtering: {peaks_before} high-MEI pixels (anomaly windows)");
 
     // Opening removes bright details smaller than the SE.
-    let opened = morphology::open_image(&cube, &se, SpectralDistance::Sid);
+    let opened = morphology::open_image(&cube, &se);
     let norm_after = morphology::normalize_cube(&opened);
-    let (mei_after, _) = morphology::mei(&norm_after, &se, SpectralDistance::Sid);
+    let (mei_after, _) = morphology::mei(&norm_after, &se);
     let peaks_after = mei_after.scores.iter().filter(|&&s| s > 1e-3).count();
     println!("after opening:    {peaks_after} high-MEI pixels");
     assert_eq!(peaks_after, 0, "opening must remove sub-SE anomalies");
@@ -48,7 +48,7 @@ fn main() {
     );
 
     // Closing, by contrast, preserves this scene entirely (no dark holes).
-    let closed = morphology::close_image(&cube, &se, SpectralDistance::Sid);
+    let closed = morphology::close_image(&cube, &se);
     let changed = (0..dims.height)
         .flat_map(|y| (0..dims.width).map(move |x| (x, y)))
         .filter(|&(x, y)| closed.pixel(x, y) != cube.pixel(x, y))

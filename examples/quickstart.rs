@@ -28,7 +28,7 @@ fn main() {
     // Step 1+2 of AMC: normalization + morphological MEI scores.
     let normalized = hyperspec::hsi::morphology::normalize_cube(&cube);
     let se = StructuringElement::square(3).expect("3x3");
-    let (mei, morph) = hyperspec::hsi::morphology::mei(&normalized, &se, SpectralDistance::Sid);
+    let (mei, morph) = hyperspec::hsi::morphology::mei(&normalized, &se);
     let peak = mei.scores.iter().cloned().fold(f32::NEG_INFINITY, f32::max);
     println!("MEI: peak score {peak:.4} (material boundaries light up)");
     println!(

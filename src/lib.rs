@@ -55,7 +55,6 @@ pub mod prelude {
     pub use hsi::classify::{AmcClassifier, AmcConfig, AmcOutput};
     pub use hsi::cube::{Chunking, Cube, CubeDims, Interleave};
     pub use hsi::morphology::{MeiImage, StructuringElement};
-    pub use hsi::spectral::SpectralDistance;
     pub use hsi::unmix::{AbundanceConstraint, LinearMixtureModel};
     pub use hsi_scene::scene::{generate, SceneConfig, SyntheticScene};
 }

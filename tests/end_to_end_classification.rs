@@ -76,29 +76,6 @@ fn hybrid_gpu_mei_plus_cpu_tail_matches_pure_cpu_labels() {
 }
 
 #[test]
-fn greedy_selection_ablation_runs_but_default_beats_it_here() {
-    // The MeiGreedy literal reading works on scenes without a dominant
-    // boundary continuum; on the mixed synthetic scene ATGP is at least as
-    // good. Both must run to completion.
-    let scene = small_scene(5);
-    let mut cfg = AmcConfig::paper_default(8);
-    cfg.selection = hyperspec::hsi::classify::SelectionMethod::MeiGreedy;
-    cfg.refine_iterations = 0;
-    let greedy = AmcClassifier::new(cfg).classify(&scene.cube).unwrap();
-    let default = AmcClassifier::new(AmcConfig::paper_default(8))
-        .classify(&scene.cube)
-        .unwrap();
-    let score = |out: &AmcOutput| {
-        score_unsupervised(&scene.ground_truth, &out.labels, out.class_count(), 8)
-            .unwrap()
-            .overall_accuracy()
-    };
-    let (g, d) = (score(&greedy), score(&default));
-    assert!(d >= g - 5.0, "default {d} vs greedy {g}");
-    assert!(g > 0.0);
-}
-
-#[test]
 fn accuracy_improves_with_refinement() {
     let scene = small_scene(8);
     let score_with_iters = |iters: usize| {

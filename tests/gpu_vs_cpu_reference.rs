@@ -40,7 +40,7 @@ fn gpu_mei_matches_cpu_reference_across_shapes() {
             .run(&mut gpu, &cube)
             .unwrap();
         let norm = hyperspec::hsi::morphology::normalize_cube(&cube);
-        let (ref_mei, morph) = hyperspec::hsi::morphology::mei(&norm, &se, SpectralDistance::Sid);
+        let (ref_mei, morph) = hyperspec::hsi::morphology::mei(&norm, &se);
         assert_close(&gpu_out.mei.scores, &ref_mei.scores, 1e-4, "mei");
         assert_eq!(gpu_out.min_index, morph.min_index, "{w}x{h}x{bands}");
         assert_eq!(gpu_out.max_index, morph.max_index);
@@ -77,7 +77,7 @@ fn scalar_baseline_matches_library_reference_exactly() {
     let se = StructuringElement::square(3).unwrap();
     let scalar = cpu::run_scalar(&cube, &se);
     let norm = hyperspec::hsi::morphology::normalize_cube(&cube);
-    let (ref_mei, morph) = hyperspec::hsi::morphology::mei(&norm, &se, SpectralDistance::Sid);
+    let (ref_mei, morph) = hyperspec::hsi::morphology::mei(&norm, &se);
     assert_eq!(scalar.mei.scores, ref_mei.scores);
     assert_eq!(scalar.morph.min_index, morph.min_index);
     assert_eq!(scalar.morph.max_index, morph.max_index);
@@ -92,7 +92,7 @@ fn five_by_five_se_agrees_too() {
         .run(&mut gpu, &cube)
         .unwrap();
     let norm = hyperspec::hsi::morphology::normalize_cube(&cube);
-    let (ref_mei, morph) = hyperspec::hsi::morphology::mei(&norm, &se, SpectralDistance::Sid);
+    let (ref_mei, morph) = hyperspec::hsi::morphology::mei(&norm, &se);
     assert_close(&gpu_out.mei.scores, &ref_mei.scores, 1e-4, "mei5");
     assert_eq!(gpu_out.min_index, morph.min_index);
     assert_eq!(gpu_out.max_index, morph.max_index);

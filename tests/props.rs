@@ -100,7 +100,7 @@ proptest! {
         }).unwrap();
         let norm = hyperspec::hsi::morphology::normalize_cube(&cube);
         let se = StructuringElement::square(3).unwrap();
-        let m = hyperspec::hsi::morphology::erode_dilate(&norm, &se, SpectralDistance::Sid);
+        let m = hyperspec::hsi::morphology::erode_dilate(&norm, &se);
         for i in 0..m.min_value.len() {
             prop_assert!(m.min_value[i] <= m.max_value[i]);
             prop_assert!((m.min_index[i] as usize) < se.len());

@@ -91,7 +91,7 @@ fn chrome_export_is_golden_and_tracing_is_pure_observation() {
     let mut chunk_spans = 0usize;
     let mut pack_spans = 0usize;
     let mut stage_spans: std::collections::BTreeMap<String, usize> = Default::default();
-    let (mut pass_spans, mut ledgers, mut touches, mut texels) = (0u64, 0u64, 0u64, 0u64);
+    let (mut pass_spans, mut ledgers, mut fetches, mut texels) = (0u64, 0u64, 0u64, 0u64);
 
     for ev in events {
         let field = |key: &str| ev.get(key).unwrap_or_else(|e| panic!("{e} in {ev:?}"));
@@ -139,7 +139,7 @@ fn chrome_export_is_golden_and_tracing_is_pure_observation() {
                 if cat == "gpu.ledger" {
                     let arg = |key: &str| field("args").get(key).unwrap().as_u64().unwrap();
                     ledgers += 1;
-                    touches += arg("touches");
+                    fetches += arg("fetches");
                     texels += arg("texels");
                 }
             }
@@ -167,16 +167,19 @@ fn chrome_export_is_golden_and_tracing_is_pure_observation() {
     assert_eq!(pack_spans, on.chunks - 1, "double-buffer pack spans");
 
     // Every pass records its shading ledger: every texel it resolved and
-    // every cache touch it replayed, and the analyzer sums them per stage.
+    // every texel it fetched (each replayed through the cache model), and
+    // the analyzer sums them per stage.
     assert_eq!(pass_spans, on.stats.passes, "one gpu.pass span per pass");
     assert_eq!(ledgers, on.stats.passes, "one gpu.ledger instant per pass");
     assert_eq!(texels, on.stats.fragments);
-    assert_eq!(touches, on.stats.cache_hits + on.stats.cache_misses);
+    assert_eq!(fetches, on.stats.texel_fetches);
+    assert_eq!(fetches, on.stats.cache_hits + on.stats.cache_misses);
     let analysis = trace::analyze::analyze(&trace::analyze::import_chrome_trace(&json).unwrap());
     let ledger = &analysis.arms[0].ledger;
     let stages: Vec<&str> = ledger.iter().map(|l| l.stage.as_str()).collect();
     assert_eq!(stages, ["normalize", "distance", "minmax", "mei"]);
     assert_eq!(ledger.iter().map(|l| l.texels).sum::<u64>(), texels);
+    assert_eq!(ledger.iter().map(|l| l.fetches).sum::<u64>(), fetches);
     assert!(ledger.iter().all(|l| l.ops > 0 && l.shading_s() > 0.0));
 
     // --- A traced two-card fleet over the same cube. ---
