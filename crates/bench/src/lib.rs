@@ -23,6 +23,7 @@
 #![warn(missing_docs)]
 
 use amc_core::cpu;
+use amc_core::layout;
 use amc_core::perf::{self, PredictConfig};
 use gpu_sim::device::{Compiler, CpuProfile, GpuProfile};
 use gpu_sim::timing;
@@ -356,7 +357,8 @@ pub fn format_fig6(rows: &[TimeRow]) -> String {
 }
 
 /// Format the modeled ablation report: structuring-element size, texture
-/// cache on/off, and chunk granularity, all on the full 547 MB scene.
+/// cache on/off, RGBA band packing and chunk granularity, all on the full
+/// 547 MB scene.
 pub fn format_ablations() -> String {
     use hsi::cube::{Chunking, CubeDims};
     let dims = CubeDims::new(2166, 614, 216);
@@ -397,7 +399,24 @@ pub fn format_ablations() -> String {
         ));
     }
 
-    // 3. Chunk granularity: halo recomputation overhead.
+    // 3. Band packing (Fig. 3): four bands per RGBA texel against one band
+    // per texel, emulated as a cube of 4x the bands.
+    s.push_str("\nBand packing (Fig. 3; kernel ms):\n");
+    for (name, bands) in [
+        ("4 bands per RGBA texel", dims.bands),
+        ("1 band per texel", 4 * dims.bands),
+    ] {
+        let cube = CubeDims::new(dims.width, dims.height, bands);
+        let (t, _) = perf::predict_gpu_time(cube, &se, &g70, &PredictConfig::default())
+            .expect("full scene is chunkable");
+        s.push_str(&format!(
+            "  {name:<22} ({bands:>3} bands, {:>3} groups): {:>8.1} ms\n",
+            layout::band_groups(bands),
+            t.kernel_ms()
+        ));
+    }
+
+    // 4. Chunk granularity: halo recomputation overhead.
     s.push_str("\nChunk granularity (halo = 2 lines; instruction overhead vs unchunked):\n");
     let whole = perf::predict_stats(dims, &se, Chunking::new(614, 2), &PredictConfig::default());
     for lines in [8usize, 32, 128, 614] {
@@ -490,6 +509,20 @@ mod tests {
             .collect();
         assert_eq!(times.len(), 3);
         assert!(times[0] < times[1] && times[1] < times[2], "{times:?}");
+        // The number after `key` on the first line containing `label`.
+        let ms = |label: &str, key: &str| -> f64 {
+            let line = r.lines().find(|l| l.contains(label)).expect(label);
+            let rest = &line[line.find(key).expect(key) + key.len()..];
+            rest.split_whitespace().next().unwrap().parse().unwrap()
+        };
+        // Packing four bands per RGBA texel beats one band per texel.
+        let packed = ms("4 bands per RGBA texel", "groups):");
+        let unpacked = ms("1 band per texel", "groups):");
+        assert!(packed < unpacked, "{packed} vs {unpacked}");
+        // Without a cache every fetch pulls a block from DRAM.
+        let cached = ms("modeled cache", "memory");
+        let uncached = ms("no cache", "memory");
+        assert!(cached < uncached, "{cached} vs {uncached}");
     }
 
     #[test]

@@ -1216,6 +1216,18 @@ mod tests {
         assert_eq!(st.minmax.passes, chunks * 9);
         assert_eq!(st.mei.passes, chunks * 3);
         assert!(st.normalize.fragments > 0 && st.mei.instructions > 0);
+        // Every fetch of every stage is a cache hit or a miss, so each
+        // stage's memory time is modeled from its own misses.
+        for s in [
+            &st.upload,
+            &st.normalize,
+            &st.distance,
+            &st.minmax,
+            &st.mei,
+            &st.download,
+        ] {
+            assert_eq!(s.cache_hits + s.cache_misses, s.texel_fetches);
+        }
     }
 
     #[test]

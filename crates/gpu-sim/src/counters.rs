@@ -13,7 +13,7 @@ pub struct PassStats {
     pub instructions: u64,
     /// Texel fetches issued (each 16 B for RGBA32F).
     pub texel_fetches: u64,
-    /// Texture-cache hits (when the cache model is enabled).
+    /// Texture-cache hits (every texel fetch is a hit or a miss).
     pub cache_hits: u64,
     /// Texture-cache misses.
     pub cache_misses: u64,
@@ -148,11 +148,6 @@ impl PassStats {
         } else {
             self.cache_hits as f64 / total as f64
         }
-    }
-
-    /// Bytes fetched from texture memory (16 B per RGBA32F texel).
-    pub fn texel_bytes(&self) -> u64 {
-        self.texel_fetches * 16
     }
 }
 
@@ -339,7 +334,6 @@ mod tests {
         };
         assert_eq!(s.instructions_per_fragment(), 3.0);
         assert_eq!(s.cache_hit_rate(), 0.75);
-        assert_eq!(s.texel_bytes(), 128);
         // Degenerate cases are NaN-free.
         let z = PassStats::new();
         assert_eq!(z.instructions_per_fragment(), 0.0);

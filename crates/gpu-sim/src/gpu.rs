@@ -82,18 +82,13 @@ struct LowerKey {
 /// private texture-cache model and, while tracing is on, a ledger to fill;
 /// it returns the (instructions, fetches) it executed. Returns per-tile
 /// counters and the ledger total, both merged in tile order.
-fn shade_tiled<F>(
-    out: &mut [Texel],
-    quad: &Quad,
-    cache_model: bool,
-    shade_tile: F,
-) -> (Vec<TileCounts>, ShadeLedger)
+fn shade_tiled<F>(out: &mut [Texel], quad: &Quad, shade_tile: F) -> (Vec<TileCounts>, ShadeLedger)
 where
     F: Fn(
             usize,
             usize,
             Vec<&mut [Texel]>,
-            Option<&mut TextureCache>,
+            &mut TextureCache,
             Option<&mut ShadeLedger>,
         ) -> (u64, u64)
         + Sync,
@@ -121,7 +116,7 @@ where
         .map(|(tile, (rows, (slot, ledger)))| (tile, rows, slot, ledger))
         .collect();
     work.into_par_iter().for_each(|(tile, rows, slot, ledger)| {
-        let mut cache = cache_model.then(TextureCache::per_pipe_default);
+        let mut cache = TextureCache::per_pipe_default();
         let x0 = quad.x0 + (tile % cols) * raster::TILE_W;
         let y0 = quad.y0 + (tile / cols) * raster::TILE_ROWS;
         let _tile_span = trace::span_with(
@@ -133,12 +128,12 @@ where
             ],
         );
         let (instructions, texel_fetches) =
-            shade_tile(x0, y0, rows, cache.as_mut(), timed.then_some(ledger));
+            shade_tile(x0, y0, rows, &mut cache, timed.then_some(ledger));
         *slot = TileCounts {
             instructions,
             texel_fetches,
-            cache_hits: cache.as_ref().map_or(0, TextureCache::hits),
-            cache_misses: cache.as_ref().map_or(0, TextureCache::misses),
+            cache_hits: cache.hits(),
+            cache_misses: cache.misses(),
         };
     });
     let mut total = ShadeLedger::default();
@@ -166,7 +161,6 @@ pub struct Gpu {
     next_id: u32,
     allocated_bytes: usize,
     stats: PassStats,
-    cache_model: bool,
     /// Size-classed free lists of released pooled textures, still resident
     /// in video memory and ready for zero-fill reuse.
     pool: HashMap<(usize, usize), Vec<Texture2D>>,
@@ -198,7 +192,6 @@ impl Gpu {
             next_id: 0,
             allocated_bytes: 0,
             stats: PassStats::default(),
-            cache_model: true,
             pool: HashMap::new(),
             pool_bytes: 0,
             texture_allocs: 0,
@@ -218,12 +211,6 @@ impl Gpu {
     /// The hardware profile.
     pub fn profile(&self) -> &GpuProfile {
         &self.profile
-    }
-
-    /// Enable/disable the texture-cache model (ablation hook). Functional
-    /// results are unaffected; only hit/miss counters change.
-    pub fn set_cache_model(&mut self, enabled: bool) {
-        self.cache_model = enabled;
     }
 
     /// Bytes of video memory still free (pooled textures count as occupied
@@ -672,11 +659,8 @@ impl Gpu {
         // bit-exactness oracle (`set_batch_execution(false)`).
         let batch = self.batch_enabled;
         let mut out = vec![[0.0f32; 4]; quad.fragments()];
-        let (tile_counts, ledger) = shade_tiled(
-            &mut out,
-            &quad,
-            self.cache_model,
-            |x0, y0, mut rows, mut cache, ledger| {
+        let (tile_counts, ledger) =
+            shade_tiled(&mut out, &quad, |x0, y0, mut rows, cache, ledger| {
                 if batch {
                     return interp::execute_tile(
                         &lowered,
@@ -696,20 +680,15 @@ impl Gpu {
                     let y = y0 + ri;
                     for (ci, slot) in seg.iter_mut().enumerate() {
                         let fin: FragmentInput = fragment_input(texcoords, x0 + ci, y, tw, th);
-                        let r = interp::execute_lowered(
-                            &lowered,
-                            &fin,
-                            &input_refs,
-                            cache.as_deref_mut(),
-                        );
+                        let r =
+                            interp::execute_lowered(&lowered, &fin, &input_refs, Some(&mut *cache));
                         instr += r.instructions;
                         fetches += r.texel_fetches;
                         *slot = r.colors[0];
                     }
                 }
                 (instr, fetches)
-            },
-        );
+            });
 
         // Resolve to the framebuffer.
         let tgt = self
@@ -1021,7 +1000,7 @@ mod tests {
     }
 
     #[test]
-    fn cache_counters_populate_when_enabled() {
+    fn cache_counters_cover_every_fetch() {
         let mut gpu = small_gpu();
         let src = gpu.alloc_texture(16, 16).unwrap();
         let dst = gpu.alloc_texture(16, 16).unwrap();
@@ -1031,12 +1010,6 @@ mod tests {
             .unwrap();
         assert_eq!(stats.cache_hits + stats.cache_misses, stats.texel_fetches);
         assert!(stats.cache_hit_rate() > 0.5, "{}", stats.cache_hit_rate());
-
-        gpu.set_cache_model(false);
-        let stats = gpu
-            .run_pass(&prog, &[src], &[], &[TexCoordSet::identity()], dst, None)
-            .unwrap();
-        assert_eq!(stats.cache_hits + stats.cache_misses, 0);
     }
 
     #[test]
@@ -1196,7 +1169,7 @@ mod tests {
         };
         let (far, edge) = (pass(far(w, h)), pass(edge(w as f32, h as f32)));
         assert_eq!(far.0, (w * h) as u64);
-        assert_eq!(far.1 + far.2, far.0, "cache model is on");
+        assert_eq!(far.1 + far.2, far.0, "every fetch hits or misses");
         assert_eq!(far, edge);
     }
 

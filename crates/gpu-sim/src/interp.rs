@@ -1144,7 +1144,7 @@ fn tri(s: &mut [Lane], d: Slot, [a, b, c]: [Slot; 3], f: impl Fn(f32, f32, f32) 
 /// Run every op of `tp` over one lane group whose coordinate and constant
 /// slots are filled. Lanes past `active` compute on stale slots but fetch
 /// nothing and are never stored. TEX touches go to
-/// `touches[lane * tex_slots + ordinal]` when `touches` is non-empty.
+/// `touches[lane * tex_slots + ordinal]`.
 #[inline(always)]
 fn sweep(
     tp: &TileProgram,
@@ -1211,8 +1211,6 @@ fn gather(
     let (us, vs) = (s[t.u as usize], s[t.v as usize]);
     let (wf, hf) = (tex.width() as f32, tex.height() as f32);
     let sampler = u32::from(t.sampler);
-    let record = !touches.is_empty();
-    let touch = |l: usize| l * tex_slots + t.ordinal as usize;
     let mut texels = [[0.0f32; 4]; LANES];
     // `Texture2D::resolve_coords`'s clamp to the edge, lane by lane. i32
     // truncation is exact here: both i32 and i64 saturation points lie far
@@ -1224,9 +1222,7 @@ fn gather(
     for (l, texel) in texels.iter_mut().enumerate().take(active) {
         let cx = xs[l].clamp(0, xmax) as usize;
         let cy = ys[l].clamp(0, ymax) as usize;
-        if record {
-            touches[touch(l)] = pack_touch(sampler, cx, cy);
-        }
+        touches[l * tex_slots + t.ordinal as usize] = pack_touch(sampler, cx, cy);
         *texel = tex.texel(cx, cy);
     }
     for (c, &d) in t.dst.iter().enumerate() {
@@ -1270,7 +1266,7 @@ pub fn execute_tile(
     target_h: usize,
     rows: &mut [&mut [[f32; 4]]],
     textures: &[&Texture2D],
-    cache: Option<&mut TextureCache>,
+    cache: &mut TextureCache,
     ledger: Option<&mut ShadeLedger>,
 ) -> (u64, u64) {
     #[cfg(target_arch = "x86_64")]
@@ -1301,7 +1297,7 @@ fn shade_tile_avx2(
     target_h: usize,
     rows: &mut [&mut [[f32; 4]]],
     textures: &[&Texture2D],
-    cache: Option<&mut TextureCache>,
+    cache: &mut TextureCache,
     ledger: Option<&mut ShadeLedger>,
 ) -> (u64, u64) {
     shade_tile(
@@ -1321,17 +1317,13 @@ fn shade_tile(
     target_h: usize,
     rows: &mut [&mut [[f32; 4]]],
     textures: &[&Texture2D],
-    cache: Option<&mut TextureCache>,
+    cache: &mut TextureCache,
     ledger: Option<&mut ShadeLedger>,
 ) -> (u64, u64) {
     let tp = &program.tile;
     let tex_slots = program.tex_count as usize;
     let fragments: usize = rows.iter().map(|r| r.len()).sum();
-    let mut touches = if cache.is_some() {
-        vec![0; fragments * tex_slots]
-    } else {
-        Vec::new()
-    };
+    let mut touches = vec![0; fragments * tex_slots];
     let mut s: Vec<Lane> = vec![[0.0; LANES]; tp.slots];
     for &(slot, c) in &tp.consts {
         s[slot as usize] = [c; LANES];
@@ -1352,16 +1344,14 @@ fn shade_tile(
                     Some(t) => [v * t.scale[1] + t.offset[1]; LANES],
                 };
             }
-            let group_touches = touches.get_mut(frag * tex_slots..).unwrap_or_default();
+            let group_touches = &mut touches[frag * tex_slots..];
             sweep(tp, &mut s, textures, group_touches, tex_slots, active);
             o0.push(tp.out.map(|slot| s[slot as usize]));
             frag += active;
         }
     }
     let swept = clock.map(|t| t.elapsed());
-    if let Some(cache) = cache {
-        cache.access_all(touches.iter().map(|&t| unpack_touch(t)));
-    }
+    cache.access_all(touches.iter().map(|&t| unpack_touch(t)));
     let replayed = clock.map(|t| t.elapsed());
     let mut groups = o0.iter();
     for seg in rows.iter_mut() {
@@ -1696,16 +1686,7 @@ mod tests {
                 execute_tile
             };
             let (instr, fetches) = shade(
-                lowered,
-                sets,
-                x0,
-                y0,
-                tw,
-                th,
-                &mut segs,
-                textures,
-                Some(&mut *cache),
-                None,
+                lowered, sets, x0, y0, tw, th, &mut segs, textures, cache, None,
             );
             assert_eq!(bits(&scalar_out), bits(&tile_out), "{copy}");
             assert_eq!((instr, fetches), (scalar_instr, scalar_fetches), "{copy}");

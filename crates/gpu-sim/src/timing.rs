@@ -122,13 +122,8 @@ pub fn gpu_time(stats: &PassStats, profile: &GpuProfile) -> GpuTime {
     let compute_s = alu_instr as f64 / (profile.sustained_instr_per_s() * occupancy);
     let texture_s = stats.texel_fetches as f64 / (profile.peak_texels_per_s() * occupancy);
     // Memory side: texture-cache misses pull whole blocks; framebuffer
-    // writes always hit DRAM. When the cache model was disabled, fall back
-    // to charging every texel fetch.
-    let miss_bytes = if stats.cache_hits + stats.cache_misses > 0 {
-        stats.cache_misses as f64 * BLOCK_BYTES as f64 / L2_SHARING
-    } else {
-        stats.texel_bytes() as f64
-    };
+    // writes always hit DRAM.
+    let miss_bytes = stats.cache_misses as f64 * BLOCK_BYTES as f64 / L2_SHARING;
     let mem_bytes = miss_bytes + stats.bytes_written as f64;
     let memory_s = mem_bytes / (profile.memory_bandwidth_gbs * 1e9);
     GpuTime {
@@ -314,31 +309,12 @@ mod tests {
         s1.cache_misses = 0;
         s1.bytes_written = 0;
         s1.texel_fetches = 0;
-        s1.cache_hits = 1; // keep the cache-model path active
         let mut s2 = s1;
         s2.instructions *= 2;
         let p = GpuProfile::geforce_7800gtx();
         let t1 = gpu_time(&s1, &p);
         let t2 = gpu_time(&s2, &p);
         assert!((t2.compute_s / t1.compute_s - 2.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn disabled_cache_model_charges_all_texels() {
-        let mut with_cache = sample_stats();
-        let mut no_cache = sample_stats();
-        no_cache.cache_hits = 0;
-        no_cache.cache_misses = 0;
-        let p = GpuProfile::fx5950_ultra();
-        let a = gpu_time(&with_cache, &p);
-        let b = gpu_time(&no_cache, &p);
-        // With the cache model 100k misses pull 100k*256/4 = 6.4 MB; without
-        // it every one of the 5M fetches pays DRAM bandwidth (80 MB).
-        assert!(a.memory_s < b.memory_s);
-        with_cache.cache_misses = 2_000_000; // 128 MB > 80 MB
-        with_cache.cache_hits = 3_000_000;
-        let a = gpu_time(&with_cache, &p);
-        assert!(a.memory_s > b.memory_s);
     }
 
     #[test]

@@ -404,7 +404,7 @@ proptest! {
         let mut segs: Vec<&mut [[f32; 4]]> =
             tile_rows.iter_mut().map(Vec::as_mut_slice).collect();
         let (instr, fetches) = execute_tile(
-            &lowered, &sets, x0, y0, tw, th, &mut segs, &tex_refs, Some(&mut tile_cache), None,
+            &lowered, &sets, x0, y0, tw, th, &mut segs, &tex_refs, &mut tile_cache, None,
         );
         prop_assert_eq!(instr, scalar_instr);
         prop_assert_eq!(fetches, scalar_fetches);

@@ -190,11 +190,6 @@ impl Cube {
         &self.data
     }
 
-    /// Mutable raw sample buffer in storage order.
-    pub fn data_mut(&mut self) -> &mut [f32] {
-        &mut self.data
-    }
-
     /// Consume the cube, returning its buffer.
     pub fn into_vec(self) -> Vec<f32> {
         self.data
@@ -314,11 +309,6 @@ impl Cube {
         Ok(out)
     }
 
-    /// Take only the first `n` lines (the paper's cropped evaluation sizes).
-    pub fn take_lines(&self, n: usize) -> Result<Cube> {
-        self.crop(0, 0, self.dims.width, n)
-    }
-
     /// Split the cube into spatial chunks per the chunking policy.
     pub fn chunks(&self, chunking: Chunking) -> ChunkIter<'_> {
         ChunkIter {
@@ -351,14 +341,6 @@ impl Chunking {
             lines_per_chunk: lines_per_chunk.max(1),
             halo,
         }
-    }
-
-    /// Chunking that fits a memory budget of `bytes` for an `f32` cube of
-    /// width `w` and `bands` bands (plus halo lines).
-    pub fn for_memory_budget(bytes: usize, dims: CubeDims, halo: usize) -> Self {
-        let line_bytes = dims.width * dims.bands * std::mem::size_of::<f32>();
-        let max_lines = (bytes / line_bytes.max(1)).max(2 * halo + 1);
-        Self::new(max_lines.saturating_sub(2 * halo).max(1), halo)
     }
 }
 
@@ -600,14 +582,6 @@ mod tests {
     }
 
     #[test]
-    fn take_lines_matches_crop() {
-        let cube = ramp_cube(Interleave::Bsq);
-        let two = cube.take_lines(2).unwrap();
-        assert_eq!(two.dims().height, 2);
-        assert_eq!(two, cube.crop(0, 0, 4, 2).unwrap());
-    }
-
-    #[test]
     fn chunks_cover_image_exactly_once() {
         let cube = Cube::from_fn(CubeDims::new(3, 10, 2), Interleave::Bip, |x, y, b| {
             (y * 100 + x * 10 + b) as f32
@@ -652,17 +626,5 @@ mod tests {
         assert_eq!(chunks[1].halo_bottom, 1);
         assert_eq!(chunks[2].halo_top, 1);
         assert_eq!(chunks[2].halo_bottom, 0);
-    }
-
-    #[test]
-    fn chunking_memory_budget_reserves_halo() {
-        let dims = CubeDims::new(100, 1000, 50);
-        let line_bytes = 100 * 50 * 4;
-        let c = Chunking::for_memory_budget(line_bytes * 10, dims, 2);
-        assert_eq!(c.halo, 2);
-        assert_eq!(c.lines_per_chunk, 6); // 10 lines minus 2*2 halo
-                                          // Degenerate budget still yields a usable chunking.
-        let tiny = Chunking::for_memory_budget(1, dims, 2);
-        assert!(tiny.lines_per_chunk >= 1);
     }
 }

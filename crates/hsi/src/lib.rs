@@ -14,7 +14,7 @@
 //!   distance of eq. 1, extended erosion/dilation (eqs. 5–6) and the MEI
 //!   score.
 //! * [`linalg`] — small dense matrices with the factorizations linear
-//!   unmixing needs (Cholesky, LU, least squares).
+//!   unmixing needs (Cholesky, LU).
 //! * [`unmix`] — the standard linear mixture model: abundance estimation.
 //! * [`endmember`] — MEI-seeded ATGP endmember selection.
 //! * [`classify`] — the complete reference AMC classifier.

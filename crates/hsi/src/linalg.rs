@@ -644,22 +644,6 @@ impl Lu {
     }
 }
 
-/// Unconstrained linear least squares: `argmin_x ‖A x − b‖₂` via normal
-/// equations + Cholesky. `A` must have full column rank.
-pub fn least_squares(a: &Matrix, b: &[f64]) -> Result<Vec<f64>> {
-    if b.len() != a.rows() {
-        return Err(HsiError::ShapeMismatch {
-            left: a.shape(),
-            right: (b.len(), 1),
-        });
-    }
-    let gram = a.gram();
-    let chol = Cholesky::new(&gram)?;
-    let at = a.transpose();
-    let rhs = at.matvec(b)?;
-    chol.solve(&rhs)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -783,17 +767,6 @@ mod tests {
     fn lu_rejects_singular() {
         let a = Matrix::from_rows(2, 2, &[1.0, 2.0, 2.0, 4.0]).unwrap();
         assert!(matches!(Lu::new(&a), Err(HsiError::SingularMatrix)));
-    }
-
-    #[test]
-    fn least_squares_recovers_exact_solution() {
-        // Overdetermined consistent system.
-        let a = Matrix::from_rows(4, 2, &[1.0, 0.0, 0.0, 1.0, 1.0, 1.0, 2.0, -1.0]).unwrap();
-        let xref = [0.5, 2.0];
-        let b = a.matvec(&xref).unwrap();
-        let x = least_squares(&a, &b).unwrap();
-        assert!((x[0] - 0.5).abs() < 1e-8);
-        assert!((x[1] - 2.0).abs() < 1e-8);
     }
 
     #[test]
@@ -982,17 +955,5 @@ mod tests {
                 assert!((prod[(i, j)] - ident[(i, j)]).abs() < 1e-10, "{prod:?}");
             }
         }
-    }
-
-    #[test]
-    fn least_squares_residual_is_orthogonal_to_columns() {
-        let a = Matrix::from_rows(3, 2, &[1.0, 1.0, 1.0, 2.0, 1.0, 3.0]).unwrap();
-        let b = [1.0, 0.0, 2.0];
-        let x = least_squares(&a, &b).unwrap();
-        let ax = a.matvec(&x).unwrap();
-        let r: Vec<f64> = b.iter().zip(&ax).map(|(bi, ai)| bi - ai).collect();
-        // Aᵀ r = 0.
-        let atr = a.transpose().matvec(&r).unwrap();
-        assert!(atr.iter().all(|v| v.abs() < 1e-8), "{atr:?}");
     }
 }

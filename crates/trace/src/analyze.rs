@@ -299,7 +299,7 @@ pub struct StageLedger {
     pub ops: u64,
     /// Texture-cache replay, thread-seconds.
     pub replay_s: f64,
-    /// Texel fetches, each replayed through the cache model when it is on.
+    /// Texel fetches, each replayed through the cache model.
     pub fetches: u64,
     /// Tile resolve (storing `O0` into the tile's rows), thread-seconds.
     pub resolve_s: f64,

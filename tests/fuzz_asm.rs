@@ -12,6 +12,7 @@ use gpu_sim::asm::assemble;
 use gpu_sim::interp::{execute_lowered, execute_tile, lower, resolve_constants, LoweredProgram};
 use gpu_sim::isa::{Program, NUM_SAMPLERS};
 use gpu_sim::raster::{fragment_input, TexCoordSet};
+use gpu_sim::texcache::TextureCache;
 use gpu_sim::texture::Texture2D;
 use gpu_sim::verify::{has_errors, verify, PassBindings};
 use gpu_sim::{optimize, GpuProfile};
@@ -58,16 +59,18 @@ fn mutate(source: &str, edits: &[(usize, u8, usize)]) -> String {
 }
 
 /// Shade a 3-wide, 2-row tile of a 5x4 target through both executors and
-/// compare O0 bits and totals.
+/// compare O0 bits, totals and cache hits and misses.
 fn executors_agree(lowered: &LoweredProgram, textures: &[&Texture2D]) {
     let sets = [
         TexCoordSet::identity(),
         TexCoordSet::shifted_texels(1, -1, 5, 4),
     ];
     let (mut scalar, mut instr, mut fetches) = (Vec::new(), 0u64, 0u64);
+    let mut scalar_cache = TextureCache::per_pipe_default();
     for y in 1..3 {
         for x in 2..5 {
-            let r = execute_lowered(lowered, &fragment_input(&sets, x, y, 5, 4), textures, None);
+            let fi = fragment_input(&sets, x, y, 5, 4);
+            let r = execute_lowered(lowered, &fi, textures, Some(&mut scalar_cache));
             scalar.push(r.colors[0].map(f32::to_bits));
             instr += r.instructions;
             fetches += r.texel_fetches;
@@ -75,8 +78,24 @@ fn executors_agree(lowered: &LoweredProgram, textures: &[&Texture2D]) {
     }
     let mut out = [[0.0f32; 4]; 6];
     let mut rows: Vec<&mut [[f32; 4]]> = out.chunks_mut(3).collect();
-    let totals = execute_tile(lowered, &sets, 2, 1, 5, 4, &mut rows, textures, None, None);
+    let mut tile_cache = TextureCache::per_pipe_default();
+    let totals = execute_tile(
+        lowered,
+        &sets,
+        2,
+        1,
+        5,
+        4,
+        &mut rows,
+        textures,
+        &mut tile_cache,
+        None,
+    );
     assert_eq!(totals, (instr, fetches));
+    assert_eq!(
+        (tile_cache.hits(), tile_cache.misses()),
+        (scalar_cache.hits(), scalar_cache.misses())
+    );
     let tiled: Vec<[u32; 4]> = out.iter().map(|c| c.map(f32::to_bits)).collect();
     assert_eq!(tiled, scalar);
 }

@@ -120,26 +120,3 @@ fn table_shape_headlines_hold() {
         "scaling {ratio} vs {size_ratio}"
     );
 }
-
-#[test]
-fn cache_ablation_shifts_modeled_memory_time() {
-    // Disabling the texture-cache model charges every fetch to DRAM: the
-    // modeled memory time must increase while functional output is
-    // unchanged.
-    let c = cube(16, 16, 8);
-    let se = StructuringElement::square(3).unwrap();
-    let amc = GpuAmc::new(se, KernelMode::Isa);
-    let mut with = Gpu::new(GpuProfile::fx5950_ultra());
-    let out_with = amc
-        .run_with_chunking(&mut with, &c, Chunking::new(16, 0))
-        .unwrap();
-    let mut without = Gpu::new(GpuProfile::fx5950_ultra());
-    without.set_cache_model(false);
-    let out_without = amc
-        .run_with_chunking(&mut without, &c, Chunking::new(16, 0))
-        .unwrap();
-    assert_eq!(out_with.mei.scores, out_without.mei.scores);
-    let t_with = timing::gpu_time(&out_with.stats, &GpuProfile::fx5950_ultra());
-    let t_without = timing::gpu_time(&out_without.stats, &GpuProfile::fx5950_ultra());
-    assert!(t_without.memory_s > t_with.memory_s);
-}
