@@ -1,5 +1,6 @@
-//! The `tables` exit-code contract on malformed input or a missing
-//! argument: exit 2 with a message, never an abort.
+//! The `tables` command line: its exit-code contract on malformed input or
+//! a missing argument (exit 2 with a message, never an abort), and the
+//! `graph` dumps of the compiled AMC render graph.
 
 use std::process::Command;
 
@@ -53,4 +54,61 @@ fn fig5_into_an_uncreatable_directory_exits_2_before_rendering() {
     assert!(stderr.contains("error: cannot write"), "{stderr}");
     assert!(!stderr.contains("[fig5] rendering"), "{stderr}");
     assert!(out.stdout.is_empty());
+}
+
+/// Run `tables graph <args>`; returns its exit code, stdout and stderr.
+fn tables_graph(args: &[&str]) -> (Option<i32>, String, String) {
+    let out = Command::new(env!("CARGO_BIN_EXE_tables"))
+        .arg("graph")
+        .args(args)
+        .output()
+        .expect("run tables");
+    let text = |b: &[u8]| String::from_utf8_lossy(b).into_owned();
+    (out.status.code(), text(&out.stdout), text(&out.stderr))
+}
+
+/// The AMC graph `tables graph` dumps, at the benchmark scene's geometry.
+fn compiled_graph(fuse: bool) -> amc_core::graph::CompiledGraph {
+    use amc_core::pipeline::{GpuAmc, KernelMode};
+    let se = hsi::classify::AmcConfig::paper_default(1).se;
+    let profile = gpu_sim::GpuProfile::geforce_7800gtx();
+    let graph = GpuAmc::new(se, KernelMode::Isa).compile_graph(&profile, 160, 128, 96, fuse);
+    graph.expect("compile the AMC graph")
+}
+
+#[test]
+fn graph_json_dumps_match_the_compiled_graph() {
+    use trace::json::{self, Value};
+    for (args, fuse) in [(&["json"][..], true), (&["json", "--unfused"][..], false)] {
+        let (code, stdout, stderr) = tables_graph(args);
+        assert_eq!(code, Some(0), "tables graph {args:?}: {stderr}");
+        let doc = json::parse(&stdout).expect("the dump parses");
+        let count = |key: &str| doc.get(key).and_then(Value::as_array).map(<[Value]>::len);
+        let got = (doc.get("fused").cloned(), count("passes"), count("fusions"));
+        let c = compiled_graph(fuse);
+        let want = (
+            Ok(Value::Bool(fuse)),
+            Ok(c.passes.len()),
+            Ok(c.fusions.len()),
+        );
+        assert_eq!(got, want, "{args:?}");
+        assert_eq!(count("eliminated"), Ok(c.eliminated.len()), "{args:?}");
+    }
+}
+
+#[test]
+fn graph_dot_dump_has_one_box_per_pass() {
+    let (code, stdout, stderr) = tables_graph(&["dot"]);
+    assert_eq!(code, Some(0), "tables graph dot: {stderr}");
+    assert!(stdout.starts_with("digraph render_graph"), "{stdout}");
+    let boxes = stdout.lines().filter(|l| l.contains("shape=box")).count();
+    assert_eq!(boxes, compiled_graph(true).passes.len());
+}
+
+#[test]
+fn graph_with_an_unknown_option_prints_its_usage_and_exits_2() {
+    let (code, stdout, stderr) = tables_graph(&["bogus"]);
+    assert_eq!(code, Some(2), "tables graph bogus: {stderr}");
+    assert!(stderr.contains("usage: tables graph [dot|json] [--unfused]"));
+    assert!(stdout.is_empty());
 }

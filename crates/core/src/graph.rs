@@ -16,16 +16,15 @@
 //!    producer's fp30 body at the consumer's `TEX` site
 //!    ([`gpu_sim::opt::inline_producer`]), re-optimizing and re-verifying
 //!    every fused program;
-//! 4. runs **texture lifetime analysis** and assigns transient textures to
-//!    size-classed physical slots so that two textures share a slot only
-//!    when their live ranges are disjoint — the executor realizes the
-//!    aliasing through the device's LIFO texture pool.
+//! 4. runs **texture lifetime analysis**: each texture's producer and last
+//!    reader, and the transients to release after each pass.
 //!
 //! [`CompiledGraph::execute`] walks the scheduled passes against a
-//! [`Gpu`], materializing transient textures on first use (skipping the
-//! pool's zero-fill when the producer provably overwrites every texel),
-//! releasing them after their last read, and bucketing pass statistics and
-//! wall time per declared stage.
+//! [`Gpu`], materializing transient textures on first use (pass outputs
+//! skip the pool's zero-fill: every pass shades its whole target),
+//! releasing them after their last read into the device's LIFO texture
+//! pool, which is what aliases disjoint transients, and bucketing pass
+//! statistics and wall time per declared stage.
 //!
 //! # Fusion soundness
 //!
@@ -82,9 +81,9 @@ pub enum TexKind {
     /// Supplied by the caller at execute time (e.g. uploaded band planes).
     /// Never allocated or released by the executor.
     Imported,
-    /// Produced and consumed inside one execution; eligible for slot
-    /// aliasing. `zeroed` textures have no producer pass — they
-    /// materialize zero-filled at first read (accumulator seeds).
+    /// Produced and consumed inside one execution; pooled after its last
+    /// read. `zeroed` textures have no producer pass — they materialize
+    /// zero-filled at first read (accumulator seeds).
     Transient {
         /// Reads observe all-zero texels until (never) written.
         zeroed: bool,
@@ -122,7 +121,7 @@ pub struct PassDecl {
     pub texcoords: Vec<TexCoordSet>,
     /// Pass-bound constants overriding program `DEF`s.
     pub constants: Vec<(u8, [f32; 4])>,
-    /// The texture rendered into (full-target quad).
+    /// The texture rendered into (the quad covers all of it).
     pub output: TexHandle,
 }
 
@@ -305,38 +304,13 @@ pub struct FusionRecord {
     pub fetches_after: usize,
 }
 
-/// One scheduled pass of a [`CompiledGraph`].
-#[derive(Debug, Clone)]
-pub struct CompiledPass {
-    /// Pass name (the consumer's name survives fusion).
-    pub name: String,
-    /// Stage tag for span/stats grouping.
-    pub stage: &'static str,
-    /// Program to shade (fused passes carry the rebuilt program).
-    pub program: Program,
-    /// Sampler bindings in order.
-    pub inputs: Vec<TexHandle>,
-    /// Coordinate sets in `T` register order.
-    pub texcoords: Vec<TexCoordSet>,
-    /// Pass-bound constants.
-    pub constants: Vec<(u8, [f32; 4])>,
-    /// Render target.
-    pub output: TexHandle,
-}
-
-/// Compile-time facts about one logical texture.
-#[derive(Debug, Clone)]
+/// Compile-time lifetime of one logical texture over the schedule.
+#[derive(Debug, Clone, Default)]
 pub struct TextureMeta {
-    /// Physical slot index (`None` for imported textures and textures fused
-    /// entirely out of existence).
-    pub slot: Option<usize>,
     /// Pass index producing it (`None` for imports and zero seeds).
     pub producer: Option<usize>,
     /// Last pass index reading it.
     pub last_use: Option<usize>,
-    /// The producer provably overwrites every texel before any read, so a
-    /// pooled reuse may skip the zero fill.
-    pub uninit_ok: bool,
 }
 
 /// A compiled, executable render graph.
@@ -346,10 +320,9 @@ pub struct CompiledGraph {
     pub textures: Vec<TextureDecl>,
     /// Per-texture compile results, parallel to `textures`.
     pub meta: Vec<TextureMeta>,
-    /// `(width, height)` of each physical slot.
-    pub slots: Vec<(usize, usize)>,
-    /// Scheduled passes.
-    pub passes: Vec<CompiledPass>,
+    /// Scheduled passes (a fused pass carries the rebuilt program and the
+    /// consumer's name).
+    pub passes: Vec<PassDecl>,
     /// Committed fusions, in commit order.
     pub fusions: Vec<FusionRecord>,
     /// Names of dead passes removed by dead-pass elimination.
@@ -387,8 +360,8 @@ pub struct ExecReport {
 
 /// Compile `graph` for `profile`. With `fuse` false the schedule is the
 /// declared pass list verbatim (the bit-exactness oracle); with `fuse` true
-/// the producer→consumer fusion phases run first. Lifetime analysis and
-/// slot assignment run either way.
+/// the producer→consumer fusion phases run first. Lifetime analysis runs
+/// either way.
 pub fn compile(
     graph: &RenderGraph,
     profile: &GpuProfile,
@@ -398,19 +371,7 @@ pub fn compile(
     if !errors.is_empty() {
         return Err(CompileError { errors });
     }
-    let mut passes: Vec<CompiledPass> = graph
-        .passes
-        .iter()
-        .map(|p| CompiledPass {
-            name: p.name.clone(),
-            stage: p.stage,
-            program: p.program.clone(),
-            inputs: p.inputs.clone(),
-            texcoords: p.texcoords.clone(),
-            constants: p.constants.clone(),
-            output: p.output,
-        })
-        .collect();
+    let mut passes = graph.passes.clone();
     let mut eliminated = Vec::new();
     let mut fusions = Vec::new();
     eliminate_dead(&graph.textures, &mut passes, &mut eliminated);
@@ -419,11 +380,10 @@ pub fn compile(
         eliminate_dead(&graph.textures, &mut passes, &mut eliminated);
         phase_b(&graph.textures, &mut passes, profile, &mut fusions);
     }
-    let (meta, slots, release_after) = assign_slots(&graph.textures, &passes);
+    let (meta, release_after) = lifetimes(&graph.textures, &passes);
     Ok(CompiledGraph {
         textures: graph.textures.clone(),
         meta,
-        slots,
         passes,
         fusions,
         eliminated,
@@ -435,7 +395,7 @@ pub fn compile(
 /// Remove passes whose output cannot reach a [`TexKind::Output`] texture.
 fn eliminate_dead(
     textures: &[TextureDecl],
-    passes: &mut Vec<CompiledPass>,
+    passes: &mut Vec<PassDecl>,
     eliminated: &mut Vec<String>,
 ) {
     let mut live_tex = vec![false; textures.len()];
@@ -490,7 +450,7 @@ fn sites_on(program: &Program, sampler: u8) -> Vec<SiteCoord> {
 
 /// `(pass index, sampler slot)` for every binding of `t` as an input.
 /// A pass binding `t` at two slots yields two entries.
-fn readers_of(passes: &[CompiledPass], t: TexHandle) -> Vec<(usize, usize)> {
+fn readers_of(passes: &[PassDecl], t: TexHandle) -> Vec<(usize, usize)> {
     let mut out = Vec::new();
     for (i, p) in passes.iter().enumerate() {
         for (s, &h) in p.inputs.iter().enumerate() {
@@ -511,7 +471,7 @@ fn identity_coords(sets: &[TexCoordSet]) -> bool {
 /// pass list before any of them is applied.
 fn phase_a(
     textures: &[TextureDecl],
-    passes: &mut [CompiledPass],
+    passes: &mut [PassDecl],
     profile: &GpuProfile,
     fusions: &mut Vec<FusionRecord>,
 ) {
@@ -588,7 +548,7 @@ fn phase_a(
 /// retries at the same index, so chains fold until a limit segments them.
 fn phase_b(
     textures: &[TextureDecl],
-    passes: &mut Vec<CompiledPass>,
+    passes: &mut Vec<PassDecl>,
     profile: &GpuProfile,
     fusions: &mut Vec<FusionRecord>,
 ) {
@@ -620,11 +580,11 @@ fn phase_b(
 /// every site sampling `t`. Errors leave both passes untouched.
 fn fuse_into(
     textures: &[TextureDecl],
-    consumer: &CompiledPass,
-    producer: &CompiledPass,
+    consumer: &PassDecl,
+    producer: &PassDecl,
     t: TexHandle,
     profile: &GpuProfile,
-) -> Result<(CompiledPass, FusionRecord), String> {
+) -> Result<(PassDecl, FusionRecord), String> {
     if !producer.constants.is_empty() {
         return Err("producer binds pass constants".into());
     }
@@ -727,7 +687,7 @@ fn fuse_into(
         fetches_after: fused.tex_count(),
     };
     Ok((
-        CompiledPass {
+        PassDecl {
             name: consumer.name.clone(),
             stage: consumer.stage,
             program: fused,
@@ -753,89 +713,26 @@ fn drop_sampler(program: &mut Program, inputs: &mut Vec<TexHandle>, slot: usize)
     }
 }
 
-/// Lifetime analysis + greedy size-classed slot assignment. Returns
-/// per-texture metadata, the physical slots, and per-pass release lists.
-///
-/// A texture is live from its producer pass (zero seeds: from their first
-/// read, where they materialize zero-filled) to its last read; outputs
-/// stay live past the end. Two textures share a slot only when the earlier
-/// one's last use strictly precedes the later one's first — mirroring the
-/// executor, which returns a transient to the LIFO pool after its last
-/// reading pass and draws the next one from the pool at its producer.
-type SlotAssignment = (Vec<TextureMeta>, Vec<(usize, usize)>, Vec<Vec<TexHandle>>);
-
-fn assign_slots(textures: &[TextureDecl], passes: &[CompiledPass]) -> SlotAssignment {
-    let n = textures.len();
-    let mut producer = vec![None; n];
-    let mut first = vec![None; n];
-    let mut last = vec![None; n];
+/// Lifetime analysis: each texture's producer and last reading pass, and
+/// per pass the transients whose last reader it is, to release after it.
+fn lifetimes(
+    textures: &[TextureDecl],
+    passes: &[PassDecl],
+) -> (Vec<TextureMeta>, Vec<Vec<TexHandle>>) {
+    let mut meta = vec![TextureMeta::default(); textures.len()];
     for (i, p) in passes.iter().enumerate() {
         for &h in &p.inputs {
-            first[h.0].get_or_insert(i);
-            last[h.0] = Some(i);
+            meta[h.0].last_use = Some(i);
         }
-        producer[p.output.0] = Some(i);
-        first[p.output.0].get_or_insert(i);
-    }
-    // Greedy scan in order of first action; most-recently-freed slot wins
-    // (the pool is LIFO).
-    let mut order: Vec<usize> = (0..n).collect();
-    order.sort_by_key(|&i| (first[i].unwrap_or(usize::MAX), i));
-    let mut slots: Vec<(usize, usize, i64)> = Vec::new(); // (w, h, free_from)
-    let mut meta: Vec<TextureMeta> = (0..n)
-        .map(|i| TextureMeta {
-            slot: None,
-            producer: producer[i],
-            last_use: last[i],
-            // Every pass draws a full-target quad and the device stores the
-            // whole texel, so any produced texture is fully overwritten
-            // before its first read.
-            uninit_ok: producer[i].is_some(),
-        })
-        .collect();
-    for &i in &order {
-        let Some(f) = first[i] else {
-            continue;
-        };
-        if matches!(textures[i].kind, TexKind::Imported) {
-            continue;
-        }
-        let class = (textures[i].width, textures[i].height);
-        let until = match textures[i].kind {
-            TexKind::Output => i64::MAX,
-            _ => last[i].map_or(f as i64, |l| l as i64),
-        };
-        let pick = slots
-            .iter()
-            .enumerate()
-            .filter(|(_, &(w, h, free))| (w, h) == class && free >= 0 && free <= f as i64)
-            .max_by_key(|&(_, &(_, _, free))| free);
-        let slot = match pick {
-            Some((s, _)) => s,
-            None => {
-                slots.push((class.0, class.1, -1));
-                slots.len() - 1
-            }
-        };
-        // Free for a successor only after the last use has passed.
-        slots[slot].2 = if until == i64::MAX {
-            i64::MAX
-        } else {
-            until + 1
-        };
-        meta[i].slot = Some(slot);
+        meta[p.output.0].producer = Some(i);
     }
     let mut release_after = vec![Vec::new(); passes.len()];
-    for i in 0..n {
-        if let (TexKind::Transient { .. }, Some(l)) = (textures[i].kind, last[i]) {
+    for (i, (t, m)) in textures.iter().zip(&meta).enumerate() {
+        if let (TexKind::Transient { .. }, Some(l)) = (t.kind, m.last_use) {
             release_after[l].push(TexHandle(i));
         }
     }
-    (
-        meta,
-        slots.into_iter().map(|(w, h, _)| (w, h)).collect(),
-        release_after,
-    )
+    (meta, release_after)
 }
 
 // ---------------------------------------------------------------------------
@@ -927,19 +824,11 @@ impl CompiledGraph {
                 ids[h.0] = Some(gpu.alloc_pooled(t.width, t.height)?);
             }
         }
-        let out = {
-            let t = &self.textures[pass.output.0];
-            // The compiler proved the pass overwrites every texel (full
-            // quad, whole-texel stores), so a pooled reuse — the aliasing
-            // path — skips its zero fill.
-            let id = if self.meta[pass.output.0].uninit_ok {
-                gpu.alloc_pooled_uninit(t.width, t.height)?
-            } else {
-                gpu.alloc_pooled(t.width, t.height)?
-            };
-            ids[pass.output.0] = Some(id);
-            id
-        };
+        // Every pass shades its whole target and stores whole texels, so
+        // a pooled reuse of its output skips the zero fill.
+        let t = &self.textures[pass.output.0];
+        let out = gpu.alloc_pooled_uninit(t.width, t.height)?;
+        ids[pass.output.0] = Some(out);
         let inputs: Vec<TextureId> = pass.inputs.iter().map(|&h| ids[h.0].unwrap()).collect();
         let stats = gpu.run_pass(
             &pass.program,
@@ -947,7 +836,6 @@ impl CompiledGraph {
             &pass.constants,
             &pass.texcoords,
             out,
-            None,
         )?;
         for &h in &self.release_after[i] {
             if let Some(id) = ids[h.0].take() {
@@ -974,7 +862,7 @@ impl CompiledGraph {
     // -- introspection dumps ------------------------------------------------
 
     /// GraphViz DOT rendering: passes as boxes (fused passes bold), live
-    /// textures as ellipses labelled with their physical slot.
+    /// textures as ellipses labelled with their size.
     pub fn to_dot(&self) -> String {
         let mut s = String::new();
         let _ = writeln!(s, "digraph render_graph {{");
@@ -999,13 +887,9 @@ impl CompiledGraph {
             if self.meta[ti].last_use.is_none() && self.meta[ti].producer.is_none() {
                 continue;
             }
-            let slot = match self.meta[ti].slot {
-                Some(sl) => format!("slot {sl}"),
-                None => "imported".into(),
-            };
             let _ = writeln!(
                 s,
-                "  t{ti} [shape=ellipse, label=\"{}\\n{}x{} · {slot}\"];",
+                "  t{ti} [shape=ellipse, label=\"{}\\n{}x{}\"];",
                 t.name, t.width, t.height
             );
         }
@@ -1019,8 +903,8 @@ impl CompiledGraph {
         s
     }
 
-    /// JSON rendering of the compile results: passes, fused pairs, slot
-    /// aliasing, and eliminated passes.
+    /// JSON rendering of the compile results: passes, fused pairs,
+    /// eliminated passes and texture lifetimes.
     pub fn to_json(&self) -> String {
         let tex_name = |h: TexHandle| Value::from(self.textures[h.0].name.as_str());
         let passes = self.passes.iter().map(|p| {
@@ -1055,11 +939,8 @@ impl CompiledGraph {
                 "name": t.name.as_str(),
                 "width": t.width,
                 "height": t.height,
-                "slot": m.slot,
-                "uninit_ok": m.uninit_ok,
                 "live": Value::Array(vec![m.producer.or(m.last_use).into(), m.last_use.into()]),
             }).collect::<Value>(),
-            "slots": self.slots.len(),
         })
     }
 }
@@ -1120,63 +1001,33 @@ mod tests {
         (g, src)
     }
 
-    /// Every pair of textures assigned the same physical slot must have the
-    /// same size class and strictly disjoint appearance ranges over the
-    /// scheduled passes.
-    fn check_alias_invariant(c: &CompiledGraph) {
-        let n = c.textures.len();
-        let mut lo = vec![usize::MAX; n];
-        let mut hi = vec![0usize; n];
-        for (i, p) in c.passes.iter().enumerate() {
-            for &h in p.inputs.iter().chain(std::iter::once(&p.output)) {
-                lo[h.0] = lo[h.0].min(i);
-                hi[h.0] = hi[h.0].max(i);
-            }
+    /// Execute `c` on a fresh device with each import's data uploaded at
+    /// its declared size; returns the device and every output's texels.
+    fn run_graph(
+        c: &CompiledGraph,
+        imports: &[(TexHandle, Vec<f32>)],
+    ) -> (Gpu, Vec<(TexHandle, Vec<f32>)>) {
+        let mut gpu = Gpu::new(GpuProfile::fx5950_ultra());
+        let mut ids = Vec::new();
+        for (h, data) in imports {
+            let t = &c.textures[h.0];
+            let id = gpu.alloc_pooled(t.width, t.height).unwrap();
+            gpu.upload(id, data).unwrap();
+            ids.push((*h, id));
         }
-        for a in 0..n {
-            for b in a + 1..n {
-                let (Some(sa), Some(sb)) = (c.meta[a].slot, c.meta[b].slot) else {
-                    continue;
-                };
-                if sa != sb {
-                    continue;
-                }
-                assert_eq!(
-                    (c.textures[a].width, c.textures[a].height),
-                    (c.textures[b].width, c.textures[b].height),
-                    "slot {sa} mixes size classes"
-                );
-                assert!(
-                    lo[a] != usize::MAX && lo[b] != usize::MAX,
-                    "slotted texture never appears in the schedule"
-                );
-                assert!(
-                    hi[a] < lo[b] || hi[b] < lo[a],
-                    "`{}` [{}, {}] and `{}` [{}, {}] share slot {sa} while live",
-                    c.textures[a].name,
-                    lo[a],
-                    hi[a],
-                    c.textures[b].name,
-                    lo[b],
-                    hi[b]
-                );
-            }
+        let report = c.execute(&mut gpu, &ids).unwrap();
+        let mut outputs = Vec::new();
+        for &(h, id) in &report.outputs {
+            outputs.push((h, gpu.download(id).unwrap()));
+            gpu.release_pooled(id).unwrap();
         }
+        (gpu, outputs)
     }
 
     fn run_chain(c: &CompiledGraph, src: TexHandle, data: &[f32]) -> Vec<f32> {
-        let mut gpu = Gpu::new(GpuProfile::fx5950_ultra());
-        let src_id = gpu.alloc_pooled(4, 4).unwrap();
-        gpu.upload(src_id, data).unwrap();
-        let report = c.execute(&mut gpu, &[(src, src_id)]).unwrap();
-        let [(_, out_id)] = report.outputs[..] else {
-            panic!("one output expected")
-        };
-        let mut out = Vec::new();
-        gpu.download_into(out_id, &mut out).unwrap();
-        gpu.release_pooled(out_id).unwrap();
-        gpu.release_pooled(src_id).unwrap();
-        out
+        let (_, mut outputs) = run_graph(c, &[(src, data.to_vec())]);
+        assert_eq!(outputs.len(), 1, "one output expected");
+        outputs.remove(0).1
     }
 
     #[test]
@@ -1254,8 +1105,8 @@ mod tests {
         let c = compile(&g, &GpuProfile::fx5950_ultra(), false).unwrap();
         assert_eq!(c.passes.len(), 1);
         assert_eq!(c.eliminated, vec!["pd".to_string()]);
-        assert_eq!(c.meta[dead.0].slot, None);
-        assert_eq!(c.meta[out.0].slot, Some(0));
+        assert_eq!(c.meta[dead.0].producer, None);
+        assert_eq!(c.meta[out.0].producer, Some(0));
     }
 
     #[test]
@@ -1267,10 +1118,10 @@ mod tests {
         g.add_pass(pass("p0", acc_program(), vec![seed, src], out));
         let c = compile(&g, &GpuProfile::fx5950_ultra(), true).unwrap();
         // The seed has no producer: it must materialize zero-filled. The
-        // rendered output is fully overwritten, so its alloc may skip the
-        // zero fill.
-        assert!(!c.meta[seed.0].uninit_ok);
-        assert!(c.meta[out.0].uninit_ok);
+        // rendered output has one, which overwrites it whole, so its alloc
+        // may skip the zero fill.
+        assert_eq!(c.meta[seed.0].producer, None);
+        assert_eq!(c.meta[out.0].producer, Some(0));
         // seed + src == src: the zero fill is observable.
         let data: Vec<f32> = (0..64).map(|i| i as f32 * 0.25).collect();
         assert_eq!(run_chain(&c, src, &data), data);
@@ -1278,17 +1129,18 @@ mod tests {
 
     #[test]
     fn chain_slots_alias_disjoint_lifetimes() {
-        let (g, _) = chain_graph(5);
+        // Five unfused passes: t2, t3 and the output each take the pool
+        // slot t0, t1 and t2 free one pass earlier, so the device allocates
+        // the source plus two textures, takes three pool hits, and sums.
+        let (g, src) = chain_graph(5);
         let c = compile(&g, &GpuProfile::fx5950_ultra(), false).unwrap();
         assert_eq!(c.passes.len(), 5);
-        // Four transients plus the output fold onto two physical slots:
-        // t0/t2 and t1/t3 ping-pong, and the output moves into the slot t2
-        // freed (all lifetimes disjoint).
-        assert_eq!(c.slots.len(), 2);
-        assert_eq!(c.meta[1].slot, c.meta[3].slot);
-        assert_eq!(c.meta[2].slot, c.meta[4].slot);
-        assert_eq!(c.meta[5].slot, c.meta[1].slot);
-        check_alias_invariant(&c);
+        let data: Vec<f32> = (0..64).map(|i| (i % 7) as f32).collect();
+        let (gpu, outputs) = run_graph(&c, &[(src, data.clone())]);
+        assert_eq!(gpu.texture_allocs(), 3);
+        assert_eq!(gpu.pool_hits(), 3);
+        let want: Vec<f32> = data.iter().map(|x| 5.0 * x).collect();
+        assert_eq!(outputs[0].1, want);
     }
 
     #[test]
@@ -1333,17 +1185,16 @@ mod tests {
             fusion.get("mode").and_then(Value::as_str),
             Ok("substitute-site-coord")
         );
-        assert_eq!(
-            doc.get("slots").and_then(Value::as_u64),
-            Ok(c.slots.len() as u64)
-        );
     }
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(96))]
-        /// Compilation never assigns two textures with overlapping
-        /// lifetimes (or different size classes) to the same slot, fused or
-        /// not, across interleaved accumulator chains of random lengths.
+        /// Execution never lets two textures with overlapping lifetimes
+        /// share a pool slot, fused or not: interleaved accumulator chains
+        /// of random lengths over two size classes each sum their source
+        /// `len` times on a device, and a slot handed on while still live
+        /// would corrupt a sum or fail a pass. Small integer data keeps the
+        /// sums exact.
         #[test]
         fn compiled_graphs_never_alias_overlapping_lifetimes(
             chains in proptest::collection::vec((1usize..6, 0usize..2), 1..5),
@@ -1384,7 +1235,20 @@ mod tests {
                 }
             }
             let c = compile(&g, &GpuProfile::fx5950_ultra(), fuse).unwrap();
-            check_alias_invariant(&c);
+            let data: Vec<Vec<f32>> = sizes
+                .iter()
+                .enumerate()
+                .map(|(k, &(w, h))| (0..w * h * 4).map(|i| ((i + k) % 5) as f32).collect())
+                .collect();
+            let imports: Vec<(TexHandle, Vec<f32>)> =
+                srcs.iter().copied().zip(data.iter().cloned()).collect();
+            let (_, outputs) = run_graph(&c, &imports);
+            prop_assert_eq!(outputs.len(), chains.len());
+            for (&(len, cls), out) in chains.iter().zip(&prevs) {
+                let got = outputs.iter().find(|(h, _)| Some(*h) == *out).map(|(_, t)| t);
+                let want: Vec<f32> = data[cls].iter().map(|x| len as f32 * x).collect();
+                prop_assert_eq!(got, Some(&want));
+            }
         }
     }
 }

@@ -377,7 +377,7 @@ mod tests {
             gpu.upload(field, &[cand; 4]).unwrap();
             let sets = [TexCoordSet::identity(), TexCoordSet::identity()];
             let prog = minmax_update_program();
-            gpu.run_pass(&prog, &[st, field], &[(0, [k; 4])], &sets, out, None)
+            gpu.run_pass(&prog, &[st, field], &[(0, [k; 4])], &sets, out)
                 .unwrap();
             let t = gpu.download(out).unwrap();
             [t[0], t[1], t[2], t[3]]

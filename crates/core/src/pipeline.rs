@@ -367,18 +367,20 @@ impl GpuAmc {
         graph::compile(&g, profile, fuse).map_err(AmcError::Graph)
     }
 
-    /// Video-memory bytes one chunk of `lines` lines needs.
+    /// Video-memory bytes one chunk of `lines` lines needs under this
+    /// driver's schedule, where G is the band-group count.
     ///
-    /// The bound covers both graph schedules: unfused, band and normalized
-    /// planes coexist only pairwise (G + 1 data planes) plus 2 sum + 2
-    /// field + 2 state + 2 MEI ping-pong planes; fused, the band planes
-    /// stay resident through the distance and MEI stages (their fetches
-    /// are inlined there) alongside the surviving sum/field/state/MEI
-    /// planes. `G + 12` planes dominates both, plus the offset LUT.
+    /// Fused, the G band planes stay resident through the distance and MEI
+    /// stages (their fetches are inlined there) alongside the surviving
+    /// sum/field/state/MEI planes: `G + 12` planes. Unfused, all G
+    /// normalized planes also stay live from normalization to the MEI
+    /// stage, next to the band planes and the sum, field, state and MEI
+    /// ping-pong planes: `2G + 12` planes. Either adds the offset LUT.
     pub fn chunk_bytes(&self, width: usize, lines: usize, bands: usize) -> usize {
         let plane = layout::plane_bytes(width, lines);
         let groups = layout::band_groups(bands);
-        (groups + 12) * plane + self.se.len() * 16
+        let planes = 12 + if self.fuse { groups } else { 2 * groups };
+        planes * plane + self.se.len() * 16
     }
 
     /// Declare the AMC chunk pipeline as a [`RenderGraph`]: the Fig. 4
@@ -1242,6 +1244,31 @@ mod tests {
         let chunking = amc.plan_chunking(&gpu, &cube).unwrap();
         assert!(chunking.lines_per_chunk >= 1);
         assert_eq!(chunking.halo, 2);
+    }
+
+    #[test]
+    fn both_schedules_run_at_their_plan_on_a_memory_bound_card() {
+        // 64x48x96 on a 1 MiB 7800 GTX: the unfused schedule holds the 24
+        // normalized planes next to the 24 band planes, so its plan must
+        // budget for both; the fused plan stays at 24 lines.
+        let cube = test_cube(64, 48, 96, 41);
+        let se = StructuringElement::square(3).unwrap();
+        let mut profile = GpuProfile::geforce_7800gtx();
+        profile.video_memory_mib = 1;
+        let run = |fuse: bool| {
+            let mut gpu = Gpu::new(profile.clone());
+            let mut amc = GpuAmc::new(se.clone(), KernelMode::Isa);
+            amc.set_fusion(fuse);
+            let plan = amc.plan_chunking(&gpu, &cube).unwrap();
+            let out = amc.run_with_chunking(&mut gpu, &cube, plan).unwrap();
+            let bits: Vec<u32> = out.mei.scores.iter().map(|s| s.to_bits()).collect();
+            (plan.lines_per_chunk, bits)
+        };
+        let (fused_lines, fused) = run(true);
+        let (unfused_lines, unfused) = run(false);
+        assert_eq!(fused_lines, 24);
+        assert!(unfused_lines < fused_lines, "{unfused_lines}");
+        assert_eq!(fused, unfused);
     }
 
     #[test]

@@ -13,10 +13,10 @@
 //! tile, each with its own texture-cache model). Per-tile counters are
 //! merged in tile order, so aggregate statistics and output texels are
 //! bit-identical at every thread count. Programs execute through a
-//! [`LoweredProgram`] — operands decoded, constants folded and the
-//! straight-line per-component form specialized once per (program,
-//! constants) bind, cached on the device next to the verification cache.
-//! Tiles run the specialized form through
+//! [`LoweredProgram`] — the shaded program with its resolved constants, and
+//! its straight-line per-component specialization, built once per
+//! (program, constants) bind and cached on the device next to the
+//! verification cache. Tiles run the specialized form through
 //! [`interp::execute_tile`]; while tracing is on, each pass also records
 //! where its tiles' time went (a [`ShadeLedger`] in a `gpu.ledger` trace
 //! instant).
@@ -24,13 +24,13 @@
 //! Two switches select the oracle forms parity tests compare against:
 //! [`Gpu::set_optimizer`] (`false` shades the raw, unoptimized programs) and
 //! [`Gpu::set_batch_execution`] (`false` shades fragment by fragment through
-//! [`interp::execute_lowered`] instead of through the tile executor). Both
-//! default to on; both executors run the same cached lowering.
+//! [`interp::execute`] on the cached lowering's program and constants
+//! instead of through the tile executor). Both default to on.
 
 use crate::counters::{PassStats, ShadeLedger, TileCounts};
 use crate::device::GpuProfile;
 use crate::error::{GpuError, Result};
-use crate::interp::{self, FragmentInput, LoweredProgram};
+use crate::interp::{self, LoweredProgram};
 use crate::isa::Program;
 use crate::opt;
 use crate::raster::{self, fragment_input, Quad, TexCoordSet};
@@ -76,12 +76,13 @@ struct LowerKey {
     opt: Option<verify::PassBindings>,
 }
 
-/// Shade `out` (the scratch buffer for `quad`) as independent tiles on the
-/// worker pool. `shade_tile` is called once per tile with the tile's origin
-/// in target coordinates, its rows (as mutable row segments of `out`), a
-/// private texture-cache model and, while tracing is on, a ledger to fill;
-/// it returns the (instructions, fetches) it executed. Returns per-tile
-/// counters and the ledger total, both merged in tile order.
+/// Shade `out` (the scratch buffer for `quad`, row-major over the target)
+/// as independent tiles on the worker pool. `shade_tile` is called once per
+/// tile with the tile's origin in target coordinates, its rows (as mutable
+/// row segments of `out`), a private texture-cache model and, while tracing
+/// is on, a ledger to fill; it returns the (instructions, fetches) it
+/// executed. Returns per-tile counters and the ledger total, both merged in
+/// tile order.
 fn shade_tiled<F>(out: &mut [Texel], quad: &Quad, shade_tile: F) -> (Vec<TileCounts>, ShadeLedger)
 where
     F: Fn(
@@ -117,8 +118,8 @@ where
         .collect();
     work.into_par_iter().for_each(|(tile, rows, slot, ledger)| {
         let mut cache = TextureCache::per_pipe_default();
-        let x0 = quad.x0 + (tile % cols) * raster::TILE_W;
-        let y0 = quad.y0 + (tile / cols) * raster::TILE_ROWS;
+        let x0 = (tile % cols) * raster::TILE_W;
+        let y0 = (tile / cols) * raster::TILE_ROWS;
         let _tile_span = trace::span_with(
             "gpu.tile",
             "tile",
@@ -141,17 +142,6 @@ where
         total.add(ledger);
     }
     (counts, total)
-}
-
-/// Copy a shaded quad's scratch rows into the target texture (row-contiguous
-/// block copies; the scratch buffer is row-major over the quad).
-fn resolve_to_target(tgt: &mut Texture2D, quad: &Quad, out: &[Texel]) {
-    let tw = tgt.width();
-    let texels = tgt.texels_mut();
-    for (row, chunk) in out.chunks_exact(quad.width).enumerate() {
-        let base = (quad.y0 + row) * tw + quad.x0;
-        texels[base..base + quad.width].copy_from_slice(chunk);
-    }
 }
 
 /// The simulated device.
@@ -239,9 +229,8 @@ impl Gpu {
         self.pool_hits
     }
 
-    /// Number of pooled reuses that skipped the zero-fill because the
-    /// caller proved every texel is overwritten before it is read
-    /// ([`Gpu::alloc_pooled_uninit`]).
+    /// Number of pooled reuses that skipped the zero-fill because every
+    /// texel is overwritten before it is read ([`Gpu::alloc_pooled_uninit`]).
     pub fn zero_fill_skips(&self) -> u64 {
         self.zero_fill_skips
     }
@@ -418,10 +407,10 @@ impl Gpu {
     }
 
     /// [`Gpu::alloc_pooled`] without the zero-fill on reuse. Only sound
-    /// when the caller statically proves every texel is overwritten before
-    /// it is read — which the render-graph compiler does for transient
-    /// textures whose producer pass draws a full-target quad. The skipped
-    /// clear is the only observable difference from [`Gpu::alloc_pooled`].
+    /// when every texel is overwritten before it is read — as for a pass's
+    /// render target, since [`Gpu::run_pass`] shades the whole target and
+    /// stores whole texels. The skipped clear is the only observable
+    /// difference from [`Gpu::alloc_pooled`].
     pub fn alloc_pooled_uninit(&mut self, width: usize, height: usize) -> Result<TextureId> {
         self.alloc_pooled_inner(width, height, false)
     }
@@ -578,8 +567,8 @@ impl Gpu {
         inputs.iter().map(|&id| self.texture(id)).collect()
     }
 
-    /// Execute an assembled fragment program over `quad` (default: the full
-    /// target), writing output `O0` to `target`.
+    /// Execute an assembled fragment program over the whole of `target`,
+    /// writing output `O0` to it.
     ///
     /// `inputs[i]` binds sampler `texI`; `texcoords[i]` defines coordinate
     /// set `Ti`; `constants` override the program's `DEF`s.
@@ -594,7 +583,6 @@ impl Gpu {
         constants: &[(u8, [f32; 4])],
         texcoords: &[TexCoordSet],
         target: TextureId,
-        quad: Option<Quad>,
     ) -> Result<PassStats> {
         let bindings = verify::PassBindings {
             samplers: inputs.len(),
@@ -629,20 +617,12 @@ impl Gpu {
             self.verify_cache.insert(key);
         }
         // Lower once per (program, constants) bind; repeat passes shade
-        // straight from the cached pre-decoded form.
+        // straight from the cached lowering.
         let lowered = self.lowered_for(&asm, program, constants, &bindings);
         let input_refs = self.gather_inputs(inputs, target)?;
         let tgt = self.texture(target)?;
         let (tw, th) = (tgt.width(), tgt.height());
-        let quad = quad.unwrap_or(Quad::full(tw, th));
-        if quad.x0 + quad.width > tw || quad.y0 + quad.height > th {
-            return Err(GpuError::InvalidPass {
-                message: format!(
-                    "quad {}x{}+{}+{} exceeds target {}x{}",
-                    quad.width, quad.height, quad.x0, quad.y0, tw, th
-                ),
-            });
-        }
+        let quad = Quad::full(tw, th);
         let _pass_span = trace::span_with(
             "gpu.pass",
             &program.name,
@@ -652,7 +632,7 @@ impl Gpu {
             ],
         );
         let pass_start = Instant::now();
-        // Shade the quad into a scratch buffer as independent tiles, one
+        // Shade the target into a scratch buffer as independent tiles, one
         // simulated fragment pipe (with its own cache model) per tile. The
         // tile executor shades a whole tile per call through the
         // specialized form; the scalar per-fragment loop stays as the
@@ -679,9 +659,13 @@ impl Gpu {
                 for (ri, seg) in rows.iter_mut().enumerate() {
                     let y = y0 + ri;
                     for (ci, slot) in seg.iter_mut().enumerate() {
-                        let fin: FragmentInput = fragment_input(texcoords, x0 + ci, y, tw, th);
-                        let r =
-                            interp::execute_lowered(&lowered, &fin, &input_refs, Some(&mut *cache));
+                        let r = interp::execute(
+                            lowered.program(),
+                            &fragment_input(texcoords, x0 + ci, y, tw, th),
+                            lowered.constants(),
+                            &input_refs,
+                            Some(&mut *cache),
+                        );
                         instr += r.instructions;
                         fetches += r.texel_fetches;
                         *slot = r.colors[0];
@@ -690,12 +674,13 @@ impl Gpu {
                 (instr, fetches)
             });
 
-        // Resolve to the framebuffer.
-        let tgt = self
-            .textures
+        // Resolve to the framebuffer: the scratch buffer is the target's
+        // texels in row-major order.
+        self.textures
             .get_mut(&target.0)
-            .expect("target validated above");
-        resolve_to_target(tgt, &quad, &out);
+            .expect("target validated above")
+            .texels_mut()
+            .copy_from_slice(&out);
 
         let mut pass = PassStats {
             fragments: quad.fragments() as u64,
@@ -795,7 +780,7 @@ mod tests {
         gpu.upload(src, &data).unwrap();
         let prog = assemble("!!copy\nTEX R0, T0, tex0\nMOV OC, R0").unwrap();
         let stats = gpu
-            .run_pass(&prog, &[src], &[], &[TexCoordSet::identity()], dst, None)
+            .run_pass(&prog, &[src], &[], &[TexCoordSet::identity()], dst)
             .unwrap();
         assert_eq!(gpu.download(dst).unwrap(), data);
         assert_eq!(stats.fragments, 16);
@@ -818,7 +803,7 @@ mod tests {
         gpu.upload(src, &data).unwrap();
         let prog = assemble("!!copy\nTEX R0, T0, tex0\nMOV OC, R0").unwrap();
         let stats = gpu
-            .run_pass(&prog, &[src], &[], &[TexCoordSet::identity()], dst, None)
+            .run_pass(&prog, &[src], &[], &[TexCoordSet::identity()], dst)
             .unwrap();
         assert_eq!(gpu.download(dst).unwrap(), data);
         assert_eq!(stats.instructions, 32); // 2 per fragment, unoptimized
@@ -826,7 +811,7 @@ mod tests {
         // Re-enabling keys a distinct lowering: same program, new entry.
         gpu.set_optimizer(true);
         let stats = gpu
-            .run_pass(&prog, &[src], &[], &[TexCoordSet::identity()], dst, None)
+            .run_pass(&prog, &[src], &[], &[TexCoordSet::identity()], dst)
             .unwrap();
         assert_eq!(stats.instructions, 16);
         assert_eq!(gpu.lowerings(), 2);
@@ -864,7 +849,6 @@ mod tests {
                         TexCoordSet::shifted_texels(1, -1, 70, 9),
                     ],
                     dst,
-                    None,
                 )
                 .unwrap();
             (gpu.download(dst).unwrap(), stats)
@@ -891,7 +875,7 @@ mod tests {
         let prog = assemble("TEX R0, T0, tex0\nMUL R1, R0, R0.x\nADD OC, R1, -R0").unwrap();
         let sets = [TexCoordSet::identity()];
         let shade = |gpu: &mut Gpu| {
-            let stats = gpu.run_pass(&prog, &[src], &[], &sets, dst, None).unwrap();
+            let stats = gpu.run_pass(&prog, &[src], &[], &sets, dst).unwrap();
             let texels: Vec<u32> = gpu
                 .download(dst)
                 .unwrap()
@@ -915,7 +899,7 @@ mod tests {
         let t = gpu.alloc_texture(4, 4).unwrap();
         let prog = assemble("TEX R0, T0, tex0\nMOV OC, R0").unwrap();
         let err = gpu
-            .run_pass(&prog, &[t], &[], &[TexCoordSet::identity()], t, None)
+            .run_pass(&prog, &[t], &[], &[TexCoordSet::identity()], t)
             .unwrap_err();
         assert!(matches!(err, GpuError::InvalidPass { .. }));
     }
@@ -925,7 +909,7 @@ mod tests {
         let mut gpu = small_gpu();
         let dst = gpu.alloc_texture(2, 2).unwrap();
         let prog = assemble("TEX R0, T0, tex0\nMOV OC, R0").unwrap();
-        let err = gpu.run_pass(&prog, &[], &[], &[], dst, None).unwrap_err();
+        let err = gpu.run_pass(&prog, &[], &[], &[], dst).unwrap_err();
         match err {
             GpuError::VerifyError { diagnostics, .. } => {
                 let kinds: Vec<_> = diagnostics.iter().map(|d| d.kind).collect();
@@ -942,37 +926,9 @@ mod tests {
         let dst = gpu.alloc_texture(2, 2).unwrap();
         // R3 is never written: rejected before any fragment executes.
         let prog = assemble("MOV OC, R3").unwrap();
-        let err = gpu.run_pass(&prog, &[], &[], &[], dst, None).unwrap_err();
+        let err = gpu.run_pass(&prog, &[], &[], &[], dst).unwrap_err();
         assert!(matches!(err, GpuError::VerifyError { .. }), "{err:?}");
         assert_eq!(gpu.stats().passes, 0, "no pass may have run");
-    }
-
-    #[test]
-    fn sub_quad_renders_only_its_rect() {
-        let mut gpu = small_gpu();
-        let dst = gpu.alloc_texture(4, 4).unwrap();
-        let prog = assemble("DEF C0, 7, 7, 7, 7\nMOV OC, C0").unwrap();
-        let quad = Quad {
-            x0: 1,
-            y0: 1,
-            width: 2,
-            height: 2,
-        };
-        let stats = gpu.run_pass(&prog, &[], &[], &[], dst, Some(quad)).unwrap();
-        assert_eq!(stats.fragments, 4);
-        let tex = gpu.texture(dst).unwrap();
-        assert_eq!(tex.texel(1, 1), [7.0; 4]);
-        assert_eq!(tex.texel(2, 2), [7.0; 4]);
-        assert_eq!(tex.texel(0, 0), [0.0; 4]);
-        assert_eq!(tex.texel(3, 3), [0.0; 4]);
-        // Out-of-range quad rejected.
-        let bad = Quad {
-            x0: 3,
-            y0: 3,
-            width: 2,
-            height: 2,
-        };
-        assert!(gpu.run_pass(&prog, &[], &[], &[], dst, Some(bad)).is_err());
     }
 
     #[test]
@@ -990,7 +946,6 @@ mod tests {
             &[],
             &[TexCoordSet::shifted_texels(-1, 0, 3, 1)],
             dst,
-            None,
         )
         .unwrap();
         let out = gpu.download(dst).unwrap();
@@ -1006,7 +961,7 @@ mod tests {
         let dst = gpu.alloc_texture(16, 16).unwrap();
         let prog = assemble("TEX R0, T0, tex0\nMOV OC, R0").unwrap();
         let stats = gpu
-            .run_pass(&prog, &[src], &[], &[TexCoordSet::identity()], dst, None)
+            .run_pass(&prog, &[src], &[], &[TexCoordSet::identity()], dst)
             .unwrap();
         assert_eq!(stats.cache_hits + stats.cache_misses, stats.texel_fetches);
         assert!(stats.cache_hit_rate() > 0.5, "{}", stats.cache_hit_rate());
@@ -1064,7 +1019,7 @@ mod tests {
         let dst = gpu.alloc_texture(4, 4).unwrap();
         let prog = assemble("TEX R0, T0, tex0\nMOV OC, R0").unwrap();
         for _ in 0..3 {
-            gpu.run_pass(&prog, &[src], &[], &[TexCoordSet::identity()], dst, None)
+            gpu.run_pass(&prog, &[src], &[], &[TexCoordSet::identity()], dst)
                 .unwrap();
         }
         assert_eq!(gpu.verifications(), 1, "one verification per program");
@@ -1072,8 +1027,8 @@ mod tests {
 
         // Different bindings are a different cache entry.
         let prog2 = assemble("DEF C0, 1, 1, 1, 1\nMOV OC, C0").unwrap();
-        gpu.run_pass(&prog2, &[], &[], &[], dst, None).unwrap();
-        gpu.run_pass(&prog2, &[], &[], &[], dst, None).unwrap();
+        gpu.run_pass(&prog2, &[], &[], &[], dst).unwrap();
+        gpu.run_pass(&prog2, &[], &[], &[], dst).unwrap();
         assert_eq!(gpu.verifications(), 2);
         assert_eq!(gpu.verify_cache_hits(), 3);
     }
@@ -1084,18 +1039,18 @@ mod tests {
         let dst = gpu.alloc_texture(4, 4).unwrap();
         let prog = assemble("MOV OC, C0").unwrap();
         for _ in 0..3 {
-            gpu.run_pass(&prog, &[], &[(0, [1.0; 4])], &[], dst, None)
+            gpu.run_pass(&prog, &[], &[(0, [1.0; 4])], &[], dst)
                 .unwrap();
         }
         assert_eq!(gpu.lowerings(), 1, "one lowering per bind");
         assert_eq!(gpu.lower_cache_hits(), 2);
         // Same program text, different constant value: constants are folded
         // into the lowered form, so this is a distinct cache entry …
-        gpu.run_pass(&prog, &[], &[(0, [2.0; 4])], &[], dst, None)
+        gpu.run_pass(&prog, &[], &[(0, [2.0; 4])], &[], dst)
             .unwrap();
         assert_eq!(gpu.lowerings(), 2);
         // … that is itself reused.
-        gpu.run_pass(&prog, &[], &[(0, [2.0; 4])], &[], dst, None)
+        gpu.run_pass(&prog, &[], &[(0, [2.0; 4])], &[], dst)
             .unwrap();
         assert_eq!(gpu.lowerings(), 2);
         assert_eq!(gpu.lower_cache_hits(), 3);
@@ -1108,7 +1063,7 @@ mod tests {
         let mut gpu = small_gpu();
         let small = gpu.alloc_texture(4, 4).unwrap();
         let prog = assemble("DEF C0, 1, 1, 1, 1\nMOV OC, C0").unwrap();
-        let stats = gpu.run_pass(&prog, &[], &[], &[], small, None).unwrap();
+        let stats = gpu.run_pass(&prog, &[], &[], &[], small).unwrap();
         assert_eq!(stats.tiles, 1, "a 4x4 target is one tile");
 
         let (w, h) = (2 * TILE_W + 1, 2 * TILE_ROWS + 1);
@@ -1116,9 +1071,7 @@ mod tests {
         // Each fragment writes its own interpolated position.
         let sets = [TexCoordSet::identity()];
         let position = assemble("MOV OC, T0").unwrap();
-        let stats = gpu
-            .run_pass(&position, &[], &[], &sets, wide, None)
-            .unwrap();
+        let stats = gpu.run_pass(&position, &[], &[], &sets, wide).unwrap();
         assert_eq!(stats.tiles, 9, "3 tile columns x 3 tile bands");
         assert_eq!(gpu.stats().tiles, 10, "tiles accumulate across passes");
         // The tiled write pattern must still cover every fragment.
@@ -1135,7 +1088,7 @@ mod tests {
         let dst = gpu.alloc_texture(2, 2).unwrap();
         let bad = assemble("MOV OC, R3").unwrap();
         for _ in 0..2 {
-            let err = gpu.run_pass(&bad, &[], &[], &[], dst, None).unwrap_err();
+            let err = gpu.run_pass(&bad, &[], &[], &[], dst).unwrap_err();
             assert!(matches!(err, GpuError::VerifyError { .. }));
         }
         assert_eq!(gpu.verifications(), 2, "errors re-verify every time");
@@ -1158,7 +1111,7 @@ mod tests {
         gpu.upload(src, &data).unwrap();
         let prog = assemble("TEX R0, T0, tex0\nMOV OC, R0").unwrap();
         let mut pass = |set: TexCoordSet| {
-            let stats = gpu.run_pass(&prog, &[src], &[], &[set], dst, None).unwrap();
+            let stats = gpu.run_pass(&prog, &[src], &[], &[set], dst).unwrap();
             let colors = gpu.download(dst).unwrap();
             (
                 stats.texel_fetches,
@@ -1221,8 +1174,8 @@ mod tests {
         let mut gpu = small_gpu();
         let dst = gpu.alloc_texture(2, 2).unwrap();
         let prog = assemble("DEF C0, 1, 1, 1, 1\nMOV OC, C0").unwrap();
-        gpu.run_pass(&prog, &[], &[], &[], dst, None).unwrap();
-        gpu.run_pass(&prog, &[], &[], &[], dst, None).unwrap();
+        gpu.run_pass(&prog, &[], &[], &[], dst).unwrap();
+        gpu.run_pass(&prog, &[], &[], &[], dst).unwrap();
         assert_eq!(gpu.stats().passes, 2);
         assert_eq!(gpu.stats().fragments, 8);
         gpu.reset_stats();

@@ -6,12 +6,10 @@
 //! samplers. Work counts (instructions, texel fetches, cache hits/misses)
 //! are returned with the result so passes can be costed.
 //!
-//! Three executors share one definition of every opcode's arithmetic:
+//! Two executors share one definition of every opcode's arithmetic:
 //!
-//! * [`execute`] decodes the program per fragment;
-//! * [`execute_lowered`] runs a [`LoweredProgram`] (operands decoded and
-//!   constants folded once) per fragment — the scalar oracle;
-//! * [`execute_tile`] runs the lowered program's straight-line
+//! * [`execute`] decodes the program per fragment — the scalar oracle;
+//! * [`execute_tile`] runs a [`LoweredProgram`]'s straight-line
 //!   specialization over whole raster tiles, [`LANES`] fragments per op:
 //!   per-component ops over numbered slots, with swizzles, negation, write
 //!   masks, `_SAT` and constants resolved when the program is lowered,
@@ -22,7 +20,7 @@
 
 use crate::counters::ShadeLedger;
 use crate::isa::{
-    Opcode, Program, Reg, Swizzle, NUM_CONSTS, NUM_OUTPUTS, NUM_TEMPS, NUM_TEXCOORDS,
+    Opcode, Program, Reg, Src, Swizzle, NUM_CONSTS, NUM_OUTPUTS, NUM_TEMPS, NUM_TEXCOORDS,
 };
 use crate::texcache::TextureCache;
 use crate::texture::Texture2D;
@@ -216,9 +214,9 @@ fn lanewise3(op: impl Fn(f32, f32, f32) -> f32, a: [f32; 4], b: [f32; 4], c: [f3
     ]
 }
 
-/// The SIMD4 arithmetic core of the scalar executors: every non-`TEX`
-/// opcode of [`execute`] and [`execute_lowered`] goes through this one
-/// match over the per-component functions above.
+/// The SIMD4 arithmetic core of the scalar executor: every non-`TEX`
+/// opcode of [`execute`] goes through this one match over the
+/// per-component functions above.
 #[inline(always)]
 pub(crate) fn alu(op: Opcode, s: impl Fn(usize) -> [f32; 4]) -> [f32; 4] {
     match op {
@@ -245,40 +243,7 @@ pub(crate) fn alu(op: Opcode, s: impl Fn(usize) -> [f32; 4]) -> [f32; 4] {
             [dp3([a[0], a[1], a[2]], [b[0], b[1], b[2]]); 4]
         }
         Opcode::Dp4 => [dp4(s(0), s(1)); 4],
-        Opcode::Tex => unreachable!("TEX handled by the executors"),
-    }
-}
-
-/// The texture path shared by both executors: counts the fetch, tags the
-/// cache with the texel the sampler reads, and samples it.
-#[inline(always)]
-fn tex_fetch(
-    tex: &Texture2D,
-    sampler: usize,
-    coord: [f32; 4],
-    cache: &mut Option<&mut TextureCache>,
-    texel_fetches: &mut u64,
-) -> [f32; 4] {
-    *texel_fetches += 1;
-    let (x, y) = tex.nearest(coord[0], coord[1]);
-    if let Some(cache) = cache.as_deref_mut() {
-        cache.access(sampler as u32, x, y);
-    }
-    tex.texel(x, y)
-}
-
-/// Masked, optionally saturating write-back shared by both executors.
-#[inline(always)]
-fn write_back(target: &mut [f32; 4], value: [f32; 4], mask_bits: u8, saturate: bool) {
-    let value = if saturate {
-        lanewise1(sat, value)
-    } else {
-        value
-    };
-    for lane in 0..4 {
-        if mask_bits & (1 << lane) != 0 {
-            target[lane] = value[lane];
-        }
+        Opcode::Tex => unreachable!("TEX handled by the executor"),
     }
 }
 
@@ -313,16 +278,24 @@ pub fn execute(
         };
 
         let value: [f32; 4] = if instr.op == Opcode::Tex {
+            // Count the fetch, tag the cache with the texel the sampler
+            // reads, and sample it.
             let sampler = instr.sampler.expect("TEX carries a sampler") as usize;
-            tex_fetch(
-                textures[sampler],
-                sampler,
-                s(0),
-                &mut cache,
-                &mut texel_fetches,
-            )
+            let coord = s(0);
+            let tex = textures[sampler];
+            texel_fetches += 1;
+            let (x, y) = tex.nearest(coord[0], coord[1]);
+            if let Some(cache) = cache.as_deref_mut() {
+                cache.access(sampler as u32, x, y);
+            }
+            tex.texel(x, y)
         } else {
             alu(instr.op, s)
+        };
+        let value = if instr.dst.saturate {
+            lanewise1(sat, value)
+        } else {
+            value
         };
 
         let target: &mut [f32; 4] = match instr.dst.reg {
@@ -330,7 +303,12 @@ pub fn execute(
             Reg::Output(o) => &mut outputs[o as usize],
             _ => unreachable!("assembler rejects non-writable destinations"),
         };
-        write_back(target, value, instr.dst.mask_bits(), instr.dst.saturate);
+        let mask_bits = instr.dst.mask_bits();
+        for (lane, t) in target.iter_mut().enumerate() {
+            if mask_bits & (1 << lane) != 0 {
+                *t = value[lane];
+            }
+        }
     }
 
     FragmentOutput {
@@ -338,21 +316,6 @@ pub fn execute(
         instructions,
         texel_fetches,
     }
-}
-
-/// A source operand pre-resolved at lower time: constants are folded to
-/// immediates (swizzle and negation already applied), everything else keeps
-/// its register index plus decoded swizzle/negate.
-#[derive(Debug, Clone, Copy)]
-enum LoweredSrc {
-    /// Folded constant operand.
-    Imm([f32; 4]),
-    /// Temporary register read.
-    Temp(u8, Swizzle, bool),
-    /// Interpolated texture coordinate read.
-    Coord(u8, Swizzle, bool),
-    /// Output register read.
-    Out(u8, Swizzle, bool),
 }
 
 #[inline(always)]
@@ -365,68 +328,38 @@ pub(crate) fn swizzle_negate(sw: Swizzle, negate: bool, raw: [f32; 4]) -> [f32; 
     }
 }
 
-impl LoweredSrc {
-    #[inline(always)]
-    fn read(
-        &self,
-        temps: &[[f32; 4]; NUM_TEMPS],
-        outputs: &[[f32; 4]; NUM_OUTPUTS],
-        texcoords: &[[f32; 4]; NUM_TEXCOORDS],
-    ) -> [f32; 4] {
-        match *self {
-            LoweredSrc::Imm(v) => v,
-            LoweredSrc::Temp(r, sw, neg) => swizzle_negate(sw, neg, temps[r as usize]),
-            LoweredSrc::Coord(t, sw, neg) => swizzle_negate(sw, neg, texcoords[t as usize]),
-            LoweredSrc::Out(o, sw, neg) => swizzle_negate(sw, neg, outputs[o as usize]),
-        }
-    }
-}
-
-/// Pre-decoded destination: which register file, which index.
-#[derive(Debug, Clone, Copy)]
-enum LoweredDst {
-    /// Temporary register.
-    Temp(u8),
-    /// Output register.
-    Out(u8),
-}
-
-/// One pre-decoded instruction of a [`LoweredProgram`].
-#[derive(Debug, Clone, Copy)]
-struct LoweredInstr {
-    op: Opcode,
-    /// `op.arity()` live operands; the rest are zero immediates.
-    srcs: [LoweredSrc; 3],
-    dst: LoweredDst,
-    mask_bits: u8,
-    saturate: bool,
-    sampler: u8,
-}
-
-/// A fragment program lowered for repeated execution, in two forms built
-/// together by [`lower`] and cached per (program, constants) on `Gpu`:
-///
-/// * the pre-decoded instruction list [`execute_lowered`] runs one fragment
-///   at a time (operand registers, swizzles and write masks decoded once,
-///   constant operands folded to immediates) — the scalar oracle;
-/// * its straight-line specialization, per-component ops over numbered
-///   [`LANES`]-wide slots, which [`execute_tile`] runs over whole tiles.
+/// A fragment program lowered for repeated execution, built by [`lower`]
+/// and cached per (program, constants) on `Gpu`: the program and resolved
+/// constants it was built from, which [`execute`] runs one fragment at a
+/// time (the scalar oracle), next to their straight-line specialization,
+/// per-component ops over numbered [`LANES`]-wide slots, which
+/// [`execute_tile`] runs over whole tiles.
 #[derive(Debug, Clone)]
 pub struct LoweredProgram {
-    instrs: Vec<LoweredInstr>,
-    tex_count: u64,
+    program: Program,
+    constants: [[f32; 4]; NUM_CONSTS],
     tile: TileProgram,
 }
 
 impl LoweredProgram {
+    /// The program this lowering was built from.
+    pub fn program(&self) -> &Program {
+        &self.program
+    }
+
+    /// The resolved constant block this lowering folded.
+    pub fn constants(&self) -> &[[f32; 4]; NUM_CONSTS] {
+        &self.constants
+    }
+
     /// Instructions executed per fragment.
     pub fn instruction_count(&self) -> u64 {
-        self.instrs.len() as u64
+        self.program.len() as u64
     }
 
     /// Texel fetches issued per fragment.
     pub fn tex_count(&self) -> u64 {
-        self.tex_count
+        self.program.tex_count() as u64
     }
 
     /// Straight-line ops [`execute_tile`] runs per lane group of
@@ -446,89 +379,12 @@ impl LoweredProgram {
 /// Lower `program` against a resolved constant block (see
 /// [`resolve_constants`]) and specialize it for [`execute_tile`].
 /// Constant folding applies the same swizzle-then-negate float ops the
-/// interpreter would, so lowered execution is bit-identical to
-/// [`execute`].
+/// interpreter would, so tile execution is bit-identical to [`execute`].
 pub fn lower(program: &Program, constants: &[[f32; 4]; NUM_CONSTS]) -> LoweredProgram {
-    let mut instrs = Vec::with_capacity(program.instrs.len());
-    let mut tex_count = 0u64;
-    for instr in &program.instrs {
-        let mut srcs = [LoweredSrc::Imm([0.0; 4]); 3];
-        for (slot, src) in srcs.iter_mut().zip(&instr.srcs) {
-            *slot = match src.reg {
-                Reg::Const(c) => {
-                    // Constant folding is owned by the optimizer's lattice
-                    // helper so there is exactly one definition of
-                    // "swizzle, then negate, a resolved constant".
-                    LoweredSrc::Imm(crate::opt::fold_const_src(src, constants[c as usize]))
-                }
-                Reg::Temp(r) => LoweredSrc::Temp(r, src.swizzle, src.negate),
-                Reg::TexCoord(t) => LoweredSrc::Coord(t, src.swizzle, src.negate),
-                Reg::Output(o) => LoweredSrc::Out(o, src.swizzle, src.negate),
-            };
-        }
-        if instr.op == Opcode::Tex {
-            tex_count += 1;
-        }
-        instrs.push(LoweredInstr {
-            op: instr.op,
-            srcs,
-            dst: match instr.dst.reg {
-                Reg::Temp(r) => LoweredDst::Temp(r),
-                Reg::Output(o) => LoweredDst::Out(o),
-                _ => unreachable!("assembler rejects non-writable destinations"),
-            },
-            mask_bits: instr.dst.mask_bits(),
-            saturate: instr.dst.saturate,
-            sampler: instr.sampler.unwrap_or(0),
-        });
-    }
-    let tile = specialize(&instrs);
     LoweredProgram {
-        instrs,
-        tex_count,
-        tile,
-    }
-}
-
-/// Execute a [`LoweredProgram`] for one fragment. Constants were folded at
-/// lower time, so only textures and the optional cache model are needed.
-/// Results (colors and work counts) are bit-identical to [`execute`] on the
-/// same program, constants, and fragment input.
-pub fn execute_lowered(
-    program: &LoweredProgram,
-    input: &FragmentInput,
-    textures: &[&Texture2D],
-    mut cache: Option<&mut TextureCache>,
-) -> FragmentOutput {
-    let mut temps = [[0.0f32; 4]; NUM_TEMPS];
-    let mut outputs = [[0.0f32; 4]; NUM_OUTPUTS];
-    let mut texel_fetches = 0u64;
-
-    for instr in &program.instrs {
-        let s = |i: usize| instr.srcs[i].read(&temps, &outputs, &input.texcoords);
-        let value: [f32; 4] = if instr.op == Opcode::Tex {
-            let sampler = instr.sampler as usize;
-            tex_fetch(
-                textures[sampler],
-                sampler,
-                s(0),
-                &mut cache,
-                &mut texel_fetches,
-            )
-        } else {
-            alu(instr.op, s)
-        };
-        let target: &mut [f32; 4] = match instr.dst {
-            LoweredDst::Temp(r) => &mut temps[r as usize],
-            LoweredDst::Out(o) => &mut outputs[o as usize],
-        };
-        write_back(target, value, instr.mask_bits, instr.saturate);
-    }
-
-    FragmentOutput {
-        colors: outputs,
-        instructions: program.instrs.len() as u64,
-        texel_fetches,
+        program: program.clone(),
+        constants: *constants,
+        tile: specialize(program, constants),
     }
 }
 
@@ -599,7 +455,7 @@ struct TexOp {
     dst: [Slot; 4],
 }
 
-/// A [`LoweredProgram`] specialized by [`specialize`] into straight-line
+/// A program specialized by [`specialize`] into straight-line
 /// per-component ops over numbered [`Lane`] slots.
 #[derive(Debug, Clone)]
 struct TileProgram {
@@ -858,17 +714,24 @@ impl Graph {
         Val::Node(id)
     }
 
-    /// A source operand's four components: the swizzle picks register
-    /// components, negation becomes a value-numbered `Neg`.
-    fn read(&mut self, src: LoweredSrc, regs: &Regs) -> [Val; 4] {
-        let (raw, sw, negate) = match src {
-            LoweredSrc::Imm(v) => return v.map(|x| Val::Const(x.to_bits())),
-            LoweredSrc::Temp(r, sw, n) => (regs.temps[r as usize], sw, n),
-            LoweredSrc::Coord(t, sw, n) => (regs.coords[t as usize], sw, n),
-            LoweredSrc::Out(o, sw, n) => (regs.outputs[o as usize], sw, n),
+    /// A source operand's four components: a constant operand folds to
+    /// constants, otherwise the swizzle picks register components and
+    /// negation becomes a value-numbered `Neg`.
+    fn read(&mut self, src: &Src, constants: &[[f32; 4]; NUM_CONSTS], regs: &Regs) -> [Val; 4] {
+        let raw = match src.reg {
+            Reg::Const(c) => {
+                // Constant folding is owned by the optimizer's lattice
+                // helper so there is exactly one definition of "swizzle,
+                // then negate, a resolved constant".
+                let v = crate::opt::fold_const_src(src, constants[c as usize]);
+                return v.map(|x| Val::Const(x.to_bits()));
+            }
+            Reg::Temp(r) => regs.temps[r as usize],
+            Reg::TexCoord(t) => regs.coords[t as usize],
+            Reg::Output(o) => regs.outputs[o as usize],
         };
-        let v = sw.0.map(|c| raw[c as usize]);
-        if negate {
+        let v = src.swizzle.0.map(|c| raw[c as usize]);
+        if src.negate {
             v.map(|x| self.alu(Kind::Neg, &[x]))
         } else {
             v
@@ -883,7 +746,8 @@ struct Regs {
     coords: [[Val; 4]; NUM_TEXCOORDS],
 }
 
-/// Specialize a lowered instruction list into a [`TileProgram`].
+/// Specialize `program` under a resolved constant block into a
+/// [`TileProgram`].
 ///
 /// The instructions are walked once over a register file of component
 /// values, which resolves swizzles, negation, write masks, `_SAT` and
@@ -894,7 +758,7 @@ struct Regs {
 /// per instruction in program order. Components that never reach `O0` are
 /// dropped (a TEX always stays, for its fetch and cache touch), and the
 /// remaining values are packed into slots reused by liveness.
-fn specialize(instrs: &[LoweredInstr]) -> TileProgram {
+fn specialize(program: &Program, constants: &[[f32; 4]; NUM_CONSTS]) -> TileProgram {
     let mut g = Graph::default();
     let coords = std::array::from_fn(|t| {
         let (u, v) = (
@@ -914,19 +778,19 @@ fn specialize(instrs: &[LoweredInstr]) -> TileProgram {
         outputs: [[ZERO; 4]; NUM_OUTPUTS],
         coords,
     };
-    for instr in instrs {
-        let mask = instr.mask_bits;
+    for instr in &program.instrs {
+        let mask = instr.dst.mask_bits();
         let arity = instr.op.arity();
         let mut srcs = [[ZERO; 4]; 3];
-        for (read, &src) in srcs.iter_mut().zip(&instr.srcs[..arity]) {
-            *read = g.read(src, &regs);
+        for (read, src) in srcs.iter_mut().zip(instr.srcs.iter().take(arity)) {
+            *read = g.read(src, constants, &regs);
         }
         let mut value = [ZERO; 4];
         match instr.op {
             Opcode::Tex => {
                 let texels = [(); 4].map(|()| g.node(Node::Texel));
                 g.steps.push(Step::Tex {
-                    sampler: instr.sampler,
+                    sampler: instr.sampler.unwrap_or(0),
                     u: srcs[0][0],
                     v: srcs[0][1],
                     texels,
@@ -956,17 +820,18 @@ fn specialize(instrs: &[LoweredInstr]) -> TileProgram {
                 }
             }
         }
+        let target = match instr.dst.reg {
+            Reg::Temp(r) => &mut regs.temps[r as usize],
+            Reg::Output(o) => &mut regs.outputs[o as usize],
+            _ => unreachable!("assembler rejects non-writable destinations"),
+        };
         for (c, &v) in value.iter().enumerate() {
             if mask & (1 << c) != 0 {
-                let v = if instr.saturate {
+                target[c] = if instr.dst.saturate {
                     g.alu(Kind::Sat, &[v])
                 } else {
                     v
                 };
-                match instr.dst {
-                    LoweredDst::Temp(r) => regs.temps[r as usize][c] = v,
-                    LoweredDst::Out(o) => regs.outputs[o as usize][c] = v,
-                }
             }
         }
     }
@@ -1196,7 +1061,7 @@ fn sweep(
 }
 
 /// One TEX op over a lane group: resolve each active lane's texel exactly
-/// as [`tex_fetch`] does, record its cache touch, and scatter the live
+/// as [`execute`] does, record its cache touch, and scatter the live
 /// components into their slots.
 #[inline(always)]
 fn gather(
@@ -1250,8 +1115,9 @@ fn gather(
 ///
 /// Bit-exactness contract: `rows`, the returned `(instructions,
 /// texel_fetches)` totals and the cache's hit/miss counters are identical
-/// to the scalar loop `for (ri, seg) { for ci { execute_lowered(prog,
-/// fragment_input(sets, x0+ci, y0+ri, target_w, target_h), ..) } }`.
+/// to the scalar loop `for (ri, seg) { for ci { execute(prog.program(),
+/// fragment_input(sets, x0+ci, y0+ri, target_w, target_h),
+/// prog.constants(), ..) } }`.
 ///
 /// On a CPU with AVX2 the tile runs through a copy of the same code
 /// compiled with AVX2 enabled (eight `f32` per vector instead of four);
@@ -1321,7 +1187,7 @@ fn shade_tile(
     ledger: Option<&mut ShadeLedger>,
 ) -> (u64, u64) {
     let tp = &program.tile;
-    let tex_slots = program.tex_count as usize;
+    let tex_slots = program.program.tex_count();
     let fragments: usize = rows.iter().map(|r| r.len()).sum();
     let mut touches = vec![0; fragments * tex_slots];
     let mut s: Vec<Lane> = vec![[0.0; LANES]; tp.slots];
@@ -1375,7 +1241,7 @@ fn shade_tile(
     let fragments = fragments as u64;
     (
         program.instruction_count() * fragments,
-        program.tex_count * fragments,
+        tex_slots as u64 * fragments,
     )
 }
 
@@ -1608,45 +1474,10 @@ mod tests {
         assert_eq!(cache.hits(), 1); // second fetch hits the same block
     }
 
-    #[test]
-    fn lowered_execution_matches_interpreter() {
-        let mut tex = Texture2D::new(2, 2);
-        tex.set_texel(0, 0, [0.25, 0.5, 0.75, 1.0]);
-        tex.set_texel(1, 1, [0.1, 0.2, 0.3, 0.4]);
-        let p = assemble(
-            "DEF C0, 1.5, -2, 0.25, 4\n\
-             TEX R0, T0, tex0\nMAD R1.xz, R0, C0.wzyx, -C0\nLRP R2, C0.x, R0, R1\n\
-             RSQ R3, C0.w\nMOV_SAT OC, R2\nDP4 O1, R1, C0\nMOV O2, R3",
-        )
-        .unwrap();
-        let constants = resolve_constants(&p, &[(1, [0.5, 0.5, 0.0, 1.0])]);
-        let lowered = lower(&p, &constants);
-        assert_eq!(lowered.instruction_count(), p.len() as u64);
-        assert_eq!(lowered.tex_count(), p.tex_count() as u64);
-        let mut input = FragmentInput::zero();
-        input.texcoords[0] = [0.6, 0.7, 0.0, 1.0];
-        let a = execute(&p, &input, &constants, &[&tex], None);
-        let b = execute_lowered(&lowered, &input, &[&tex], None);
-        assert_eq!(a, b);
-    }
-
-    #[test]
-    fn lowered_cache_traffic_matches_interpreter() {
-        let tex = Texture2D::new(4, 4);
-        let p = assemble("TEX R0, T0, tex0\nTEX R1, T0, tex0\nMOV OC, R0").unwrap();
-        let constants = resolve_constants(&p, &[]);
-        let lowered = lower(&p, &constants);
-        let input = FragmentInput::zero();
-        let mut ca = TextureCache::new(16, 2);
-        let mut cb = TextureCache::new(16, 2);
-        execute(&p, &input, &constants, &[&tex], Some(&mut ca));
-        execute_lowered(&lowered, &input, &[&tex], Some(&mut cb));
-        assert_eq!((ca.hits(), ca.misses()), (cb.hits(), cb.misses()));
-    }
-
     /// Shade a `rows`-row, `width`-wide tile at `(x0, y0)` of a `tw x th`
-    /// target through the scalar `fragment_input` + [`execute_lowered`] row
-    /// loop, through [`execute_tile`] and through its baseline body
+    /// target through the scalar `fragment_input` + [`execute`] row loop on
+    /// the lowering's program and constants, through [`execute_tile`] and
+    /// through its baseline body
     /// [`shade_tile`] (on an AVX2 host `execute_tile` runs the AVX2 copy),
     /// each against its own `cache`, and assert O0 bits, totals and cache
     /// counters agree.
@@ -1666,7 +1497,13 @@ mod tests {
         for ri in 0..rows {
             for ci in 0..width {
                 let fi = fragment_input(sets, x0 + ci, y0 + ri, tw, th);
-                let r = execute_lowered(lowered, &fi, textures, Some(&mut scalar_cache));
+                let r = execute(
+                    lowered.program(),
+                    &fi,
+                    lowered.constants(),
+                    textures,
+                    Some(&mut scalar_cache),
+                );
                 scalar_instr += r.instructions;
                 scalar_fetches += r.texel_fetches;
                 scalar_out[ri * width + ci] = r.colors[0];
@@ -1763,7 +1600,7 @@ mod tests {
         // offset origin, two coordinate sets (one neighbour-shifted so
         // fetches clamp at the border) and a program exercising TEX from
         // both sets, LG2 and saturation. The tile path must reproduce the
-        // scalar `fragment_input` + `execute_lowered` loop exactly —
+        // scalar `fragment_input` + `execute` loop exactly —
         // colors, counters and cache traffic.
         use crate::raster::TexCoordSet;
         let (tw, th) = (28, 9);

@@ -50,13 +50,10 @@ impl TexCoordSet {
     }
 }
 
-/// The target rectangle a pass renders (usually the whole target).
+/// The full-screen quad a pass renders: it always covers the whole render
+/// target, so it is just the target's size.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Quad {
-    /// Left edge in target pixels.
-    pub x0: usize,
-    /// Top edge in target pixels.
-    pub y0: usize,
     /// Width in pixels.
     pub width: usize,
     /// Height in pixels.
@@ -78,8 +75,6 @@ impl Quad {
     /// A quad covering an entire `w x h` target.
     pub const fn full(w: usize, h: usize) -> Self {
         Self {
-            x0: 0,
-            y0: 0,
             width: w,
             height: h,
         }
@@ -182,14 +177,7 @@ mod tests {
     fn quad_geometry() {
         let q = Quad::full(10, 5);
         assert_eq!(q.fragments(), 50);
-        assert_eq!(q.x0, 0);
-        let sub = Quad {
-            x0: 2,
-            y0: 1,
-            width: 3,
-            height: 2,
-        };
-        assert_eq!(sub.fragments(), 6);
+        assert_eq!((q.width, q.height), (10, 5));
     }
 
     #[test]

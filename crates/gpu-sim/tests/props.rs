@@ -6,9 +6,7 @@
 //! verifier's structural and binding errors are exactly what stands
 //! between a bad program and an out-of-bounds index.
 
-use gpu_sim::interp::{
-    execute, execute_lowered, execute_tile, lower, resolve_constants, FragmentInput,
-};
+use gpu_sim::interp::{execute, execute_tile, lower, resolve_constants, FragmentInput};
 use gpu_sim::isa::{ConstDef, Dst, Instr, Opcode, Program, Reg, Src, Swizzle};
 use gpu_sim::raster::{fragment_input, TexCoordSet};
 use gpu_sim::texcache::TextureCache;
@@ -258,40 +256,6 @@ proptest! {
     }
 
     #[test]
-    fn lowering_is_bit_identical_to_interpretation(
-        body in prop::collection::vec(raw_instr_strategy(), 0..10),
-        uv in prop::collection::vec((0.0f32..1.0, 0.0f32..1.0), 4),
-    ) {
-        // The pre-lowered form (folded constants, resolved swizzle tables,
-        // lane masks) must reproduce the decode-per-fragment interpreter
-        // bit for bit on every program the verifier accepts.
-        let program = build_program(body.iter().map(decode_instr).collect(), true);
-        let bindings = pass();
-        if has_errors(&verify(&program, &GpuProfile::fx5950_ultra(), Some(&bindings))) {
-            return Ok(());
-        }
-        let t0_data: Vec<f32> = (0..64).map(|i| i as f32 * 0.125 - 2.0).collect();
-        let t1_data: Vec<f32> = (0..64).map(|i| (i * 7 % 13) as f32 * 0.5).collect();
-        let t0 = Texture2D::from_flat(4, 4, &t0_data);
-        let t1 = Texture2D::from_flat(4, 4, &t1_data);
-        let constants = resolve_constants(&program, &[(1, [0.75, -0.5, 0.25, 3.0])]);
-        let lowered = lower(&program, &constants);
-        for &(u, v) in &uv {
-            let mut input = FragmentInput::zero();
-            input.texcoords[0] = [u, v, 0.0, 1.0];
-            input.texcoords[1] = [v, u, 0.0, 1.0];
-            let a = execute(&program, &input, &constants, &[&t0, &t1], None);
-            let b = execute_lowered(&lowered, &input, &[&t0, &t1], None);
-            prop_assert_eq!(a.instructions, b.instructions);
-            prop_assert_eq!(a.texel_fetches, b.texel_fetches);
-            for (ca, cb) in a.colors.iter().zip(b.colors.iter()) {
-                // Bit equality, so NaN payloads and signed zeros count too.
-                prop_assert_eq!(ca.map(f32::to_bits), cb.map(f32::to_bits));
-            }
-        }
-    }
-
-    #[test]
     fn optimized_programs_are_bit_identical_and_verify_clean(
         body in prop::collection::vec(raw_instr_strategy(), 0..10),
         uv in prop::collection::vec((0.0f32..1.0, 0.0f32..1.0), 4),
@@ -358,7 +322,7 @@ proptest! {
     ) {
         // The tile executor runs each program's straight-line
         // specialization; it must reproduce the scalar `fragment_input` +
-        // `execute_lowered` row loop bit for bit on every verifier-accepted
+        // `execute` row loop bit for bit on every verifier-accepted
         // program: O0 colors, instruction and fetch totals, AND the
         // texture-cache hit/miss counters. Programs mix every opcode,
         // swizzles, negation, partial masks and `_SAT`, dependent TEX on
@@ -390,7 +354,7 @@ proptest! {
             let mut row = Vec::with_capacity(w);
             for ci in 0..w {
                 let fi = fragment_input(&sets, x0 + ci, y0 + ri, tw, th);
-                let r = execute_lowered(&lowered, &fi, &tex_refs, Some(&mut scalar_cache));
+                let r = execute(&program, &fi, &constants, &tex_refs, Some(&mut scalar_cache));
                 scalar_instr += r.instructions;
                 scalar_fetches += r.texel_fetches;
                 row.push(r.colors[0]);

@@ -49,7 +49,6 @@ fn isa_pass(threads: usize) -> (Vec<u32>, PassStats) {
                 &[(1, [0.75, 0.5, 0.25, 1.0])],
                 &sets,
                 dst,
-                None,
             )
             .unwrap();
         let texels = gpu.download(dst).unwrap();
@@ -86,9 +85,9 @@ fn aggregate_gpu_stats_match_across_thread_counts() {
             let b = gpu.alloc_texture(W, H).unwrap();
             gpu.upload(src, &source_data(W, H)).unwrap();
             let prog = assemble("TEX R0, T0, tex0\nADD OC, R0, R0").unwrap();
-            gpu.run_pass(&prog, &[src], &[], &[TexCoordSet::identity()], a, None)
+            gpu.run_pass(&prog, &[src], &[], &[TexCoordSet::identity()], a)
                 .unwrap();
-            gpu.run_pass(&prog, &[a], &[], &[TexCoordSet::identity()], b, None)
+            gpu.run_pass(&prog, &[a], &[], &[TexCoordSet::identity()], b)
                 .unwrap();
             gpu.download(b).unwrap();
             gpu.stats()

@@ -5,11 +5,11 @@
 //! kernel sources with random edits. Every program that assembles then
 //! goes through the rest of the toolchain — verification in lint and pass
 //! mode on both paper GPUs, the optimizer, lowering with its straight-line
-//! specialization — and, when it verifies, through both executors, which
-//! must agree bit for bit.
+//! specialization — and, when it verifies, through the tile executor and
+//! the scalar interpreter, which must agree bit for bit.
 
 use gpu_sim::asm::assemble;
-use gpu_sim::interp::{execute_lowered, execute_tile, lower, resolve_constants, LoweredProgram};
+use gpu_sim::interp::{execute, execute_tile, lower, resolve_constants, LoweredProgram};
 use gpu_sim::isa::{Program, NUM_SAMPLERS};
 use gpu_sim::raster::{fragment_input, TexCoordSet};
 use gpu_sim::texcache::TextureCache;
@@ -58,7 +58,8 @@ fn mutate(source: &str, edits: &[(usize, u8, usize)]) -> String {
     chars.into_iter().collect()
 }
 
-/// Shade a 3-wide, 2-row tile of a 5x4 target through both executors and
+/// Shade a 3-wide, 2-row tile of a 5x4 target through the tile executor
+/// and through [`execute`] on the lowering's program and constants, and
 /// compare O0 bits, totals and cache hits and misses.
 fn executors_agree(lowered: &LoweredProgram, textures: &[&Texture2D]) {
     let sets = [
@@ -70,7 +71,13 @@ fn executors_agree(lowered: &LoweredProgram, textures: &[&Texture2D]) {
     for y in 1..3 {
         for x in 2..5 {
             let fi = fragment_input(&sets, x, y, 5, 4);
-            let r = execute_lowered(lowered, &fi, textures, Some(&mut scalar_cache));
+            let r = execute(
+                lowered.program(),
+                &fi,
+                lowered.constants(),
+                textures,
+                Some(&mut scalar_cache),
+            );
             scalar.push(r.colors[0].map(f32::to_bits));
             instr += r.instructions;
             fetches += r.texel_fetches;
