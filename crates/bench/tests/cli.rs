@@ -96,6 +96,65 @@ fn graph_json_dumps_match_the_compiled_graph() {
     }
 }
 
+/// `(kernel, instructions, fetches)` of every pass `tables graph <args>`
+/// dumps.
+fn dumped_passes(args: &[&str]) -> Vec<(String, u64, u64)> {
+    use trace::json::{self, Value};
+    let (code, stdout, stderr) = tables_graph(args);
+    assert_eq!(code, Some(0), "tables graph {args:?}: {stderr}");
+    let doc = json::parse(&stdout).expect("the dump parses");
+    let passes = doc.get("passes").and_then(Value::as_array).expect("passes");
+    let field = |p: &Value, key: &str| p.get(key).and_then(Value::as_u64).expect(key);
+    passes
+        .iter()
+        .map(|p| {
+            let kernel = p.get("kernel").and_then(Value::as_str).expect("kernel");
+            (
+                kernel.to_owned(),
+                field(p, "instructions"),
+                field(p, "fetches"),
+            )
+        })
+        .collect()
+}
+
+#[test]
+fn graph_json_dumps_report_the_shaded_programs() {
+    use amc_core::kernels as k;
+    // Unfused, every pass runs one kernel as the device shades it: its
+    // optimized cost, with every fetch of the assembled program.
+    let shaded = [
+        (k::BAND_SUM_COST, k::band_sum_program()),
+        (k::NORMALIZE_COST, k::normalize_program()),
+        (k::SID_PARTIAL_COST, k::sid_partial_program()),
+        (k::MINMAX_INIT_COST, k::minmax_init_program()),
+        (k::MINMAX_UPDATE_COST, k::minmax_update_program()),
+        (k::MEI_PARTIAL_COST, k::mei_partial_program()),
+    ];
+    let unfused = dumped_passes(&["json", "--unfused"]);
+    for (cost, program) in &shaded {
+        let name = &program.name;
+        let want = (*cost, program.tex_count() as u64);
+        let runs: Vec<_> = unfused
+            .iter()
+            .filter(|(kernel, ..)| kernel == name)
+            .collect();
+        assert!(!runs.is_empty(), "no `{name}` pass");
+        for (_, instructions, fetches) in runs {
+            assert_eq!((*instructions, *fetches), want, "`{name}`");
+        }
+    }
+    assert_eq!(unfused.len(), 24 + 24 + 8 * 24 + 1 + 8 + 24);
+    // Fused, the min/max updates bind pass constants, so none is inlined
+    // and each shades the optimized update.
+    let updates: Vec<u64> = dumped_passes(&["json"])
+        .into_iter()
+        .filter(|(kernel, ..)| kernel == "minmax_update")
+        .map(|(_, instructions, _)| instructions)
+        .collect();
+    assert_eq!(updates, [k::MINMAX_UPDATE_COST; 8]);
+}
+
 #[test]
 fn graph_dot_dump_has_one_box_per_pass() {
     let (code, stdout, stderr) = tables_graph(&["dot"]);

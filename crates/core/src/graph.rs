@@ -16,15 +16,18 @@
 //!    producer's fp30 body at the consumer's `TEX` site
 //!    ([`gpu_sim::opt::inline_producer`]), re-optimizing and re-verifying
 //!    every fused program;
-//! 4. runs **texture lifetime analysis**: each texture's producer and last
+//! 4. **optimizes** every scheduled pass's program, fused or not, under its
+//!    own [`pass_bindings`] ([`gpu_sim::opt::optimize`]);
+//! 5. runs **texture lifetime analysis**: each texture's producer and last
 //!    reader, and the transients to release after each pass.
 //!
 //! [`CompiledGraph::execute`] walks the scheduled passes against a
-//! [`Gpu`], materializing transient textures on first use (pass outputs
-//! skip the pool's zero-fill: every pass shades its whole target),
-//! releasing them after their last read into the device's LIFO texture
-//! pool, which is what aliases disjoint transients, and bucketing pass
-//! statistics and wall time per declared stage.
+//! [`Gpu`], which shades each program exactly as compiled, materializing
+//! transient textures on first use (pass outputs skip the pool's
+//! zero-fill: every pass shades its whole target), releasing them after
+//! their last read into the device's LIFO texture pool, which is what
+//! aliases disjoint transients, and bucketing pass statistics and wall
+//! time per declared stage.
 //!
 //! # Fusion soundness
 //!
@@ -245,8 +248,8 @@ impl RenderGraph {
 }
 
 /// The bindings a pass with `samplers` inputs, `texcoord_sets` coordinate
-/// sets and `constants` runs under: what the device verifies its program
-/// against and keys its optimized lowering on.
+/// sets and `constants` runs under: what [`compile`] optimizes its program
+/// under and the device verifies it against.
 pub fn pass_bindings(
     samplers: usize,
     texcoord_sets: usize,
@@ -320,8 +323,8 @@ pub struct CompiledGraph {
     pub textures: Vec<TextureDecl>,
     /// Per-texture compile results, parallel to `textures`.
     pub meta: Vec<TextureMeta>,
-    /// Scheduled passes (a fused pass carries the rebuilt program and the
-    /// consumer's name).
+    /// Scheduled passes, each with the optimized program the device shades
+    /// (a fused pass carries the rebuilt program and the consumer's name).
     pub passes: Vec<PassDecl>,
     /// Committed fusions, in commit order.
     pub fusions: Vec<FusionRecord>,
@@ -359,9 +362,11 @@ pub struct ExecReport {
 // ---------------------------------------------------------------------------
 
 /// Compile `graph` for `profile`. With `fuse` false the schedule is the
-/// declared pass list verbatim (the bit-exactness oracle); with `fuse` true
-/// the producer→consumer fusion phases run first. Lifetime analysis runs
-/// either way.
+/// live declared passes, one per kernel invocation (the bit-exactness
+/// oracle); with `fuse` true the producer→consumer fusion phases merge
+/// them first. Either way every scheduled program is then optimized under
+/// its pass's bindings, which is the program the device shades, and
+/// lifetime analysis runs last.
 pub fn compile(
     graph: &RenderGraph,
     profile: &GpuProfile,
@@ -379,6 +384,10 @@ pub fn compile(
         phase_a(&graph.textures, &mut passes, profile, &mut fusions);
         eliminate_dead(&graph.textures, &mut passes, &mut eliminated);
         phase_b(&graph.textures, &mut passes, profile, &mut fusions);
+    }
+    for p in &mut passes {
+        let bindings = pass_bindings(p.inputs.len(), p.texcoords.len(), &p.constants);
+        p.program = opt::optimize(&p.program, &bindings).0;
     }
     let (meta, release_after) = lifetimes(&graph.textures, &passes);
     Ok(CompiledGraph {

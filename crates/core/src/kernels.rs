@@ -6,13 +6,14 @@
 //!
 //! The assembly below is written the way the Cg frontend emits it —
 //! compiler-temp copies, a separate multiply feeding the reduction `DP4`,
-//! results staged through a temp before the final output move. The
-//! `gpu_sim::opt` pass pipeline (on by default, `Gpu::set_optimizer(false)`
-//! to disable) recovers the tight forms at lowering time; the `*_COST`
-//! constants below are the **optimized** per-fragment instruction counts the
-//! device actually shades (the analytic predictor in [`crate::perf`] charges
-//! them), while `*_RAW_COST` are the as-assembled lengths. Every optimizer
-//! rewrite is exact-preserving, so the raw programs produce the same bits.
+//! results staged through a temp before the final output move. The render
+//! graph compiler ([`crate::graph::compile`]) runs every scheduled program
+//! through the `gpu_sim::opt` pass pipeline, which recovers the tight forms,
+//! and the device shades what it compiled; the `*_COST` constants below are
+//! the **optimized** per-fragment instruction counts the device shades (the
+//! analytic predictor in [`crate::perf`] charges them), while `*_RAW_COST`
+//! are the as-assembled lengths. Every optimizer rewrite is
+//! exact-preserving, so the raw programs produce the same bits.
 //!
 //! [`sid_partial_value`] is the scalar form of one partial-SID step,
 //! operation-for-operation equal to [`sid_partial_program`] (`log2(x)·ln2`
@@ -285,6 +286,73 @@ mod tests {
             // No texture fetch may ever be optimized away: texel traffic
             // (and the cache model it feeds) must match the raw program.
             assert_eq!(opt.tex_count(), prog.tex_count(), "`{}`", prog.name);
+        }
+    }
+
+    #[test]
+    fn raw_and_optimized_kernels_shade_identical_bits_and_cache_traffic() {
+        // Each kernel, as assembled and as optimized, shades the same inputs
+        // under its AMC bindings: the texels must agree bit for bit, and the
+        // fetch and cache counters exactly (the optimizer keeps every fetch,
+        // in order), while each fragment runs exactly the program it is
+        // handed: the raw length, or the `*_COST` that
+        // `optimizer_recovers_the_shaded_costs` pins.
+        use gpu_sim::raster::TexCoordSet;
+        use gpu_sim::{Gpu, GpuProfile, PassStats};
+        let (w, h) = (21, 11);
+        let offsets = hsi::morphology::StructuringElement::square(3)
+            .unwrap()
+            .offsets();
+        let p_b = offsets.len() as f32;
+        for (prog, bindings) in stage_cases() {
+            let mei = prog.name == "mei_partial";
+            let mut gpu = Gpu::new(GpuProfile::fx5950_ultra());
+            let mut inputs = Vec::new();
+            for s in 0..bindings.samplers {
+                let plane = |f: &dyn Fn(usize) -> f32| (0..w * h * 4).map(f).collect();
+                let ((tw, th), data): (_, Vec<f32>) = match (mei, s) {
+                    (true, 3) => ((offsets.len(), 1), offset_lut(&offsets, w, h)),
+                    // The min/max state: SE offset indices.
+                    (true, 1) => ((w, h), plane(&|i| ((i * 7 + i / 4) % 9) as f32)),
+                    _ => (
+                        (w, h),
+                        plane(&|i| 0.05 + ((i * 37 + s * 11) % 97) as f32 * 0.173),
+                    ),
+                };
+                let t = gpu.alloc_texture(tw, th).unwrap();
+                gpu.upload(t, &data).unwrap();
+                inputs.push(t);
+            }
+            let sets = [
+                TexCoordSet::identity(),
+                TexCoordSet::shifted_texels(1, -1, w, h),
+            ];
+            let sets = &sets[..bindings.texcoord_sets];
+            let constants: Vec<(u8, [f32; 4])> = bindings
+                .constants
+                .iter()
+                .map(|&c| match c {
+                    0 => (0, [4.0; 4]),
+                    2 => (2, [1.0 / p_b, 0.5 / p_b, 0.5, 0.0]),
+                    _ => panic!("`{}` binds an unexpected C{c}", prog.name),
+                })
+                .collect();
+            let mut shade = |p: &gpu_sim::isa::Program| -> (Vec<u32>, PassStats) {
+                let out = gpu.alloc_texture(w, h).unwrap();
+                let stats = gpu.run_pass(p, &inputs, &constants, sets, out).unwrap();
+                let texels = gpu.download(out).unwrap();
+                (texels.iter().map(|v| v.to_bits()).collect(), stats)
+            };
+            let (opt, _) = gpu_sim::optimize(&prog, &bindings);
+            let (raw_texels, raw) = shade(&prog);
+            let (opt_texels, shaded) = shade(&opt);
+            let name = &prog.name;
+            assert_eq!(raw_texels, opt_texels, "`{name}` texels");
+            let traffic = |s: &PassStats| (s.texel_fetches, s.cache_hits, s.cache_misses);
+            assert_eq!(traffic(&raw), traffic(&shaded), "`{name}` cache traffic");
+            let runs = |p: &gpu_sim::isa::Program| p.len() as u64 * raw.fragments;
+            assert_eq!(raw.instructions, runs(&prog), "`{name}` raw");
+            assert_eq!(shaded.instructions, runs(&opt), "`{name}`");
         }
     }
 

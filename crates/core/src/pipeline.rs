@@ -275,11 +275,12 @@ pub struct HybridOutput {
     pub tail_wall_s: f64,
 }
 
-/// Every stage kernel with the exact [`PassBindings`] the device runs it
-/// under, in pipeline order (band sum, normalize, partial SID, min/max
+/// Every stage kernel, as assembled, with the exact [`PassBindings`] it
+/// runs under, in pipeline order (band sum, normalize, partial SID, min/max
 /// init, min/max update, MEI): the first pass of each program in the
-/// declared AMC graph, with [`graph::pass_bindings`]. This is what the
-/// optimizer keys its lowering-cache entries on.
+/// declared AMC graph, with [`graph::pass_bindings`]. These are the
+/// bindings [`graph::compile`] optimizes each program under and the device
+/// verifies it against.
 pub fn stage_cases() -> Vec<(Program, PassBindings)> {
     let se = StructuringElement::square(3).expect("3x3 is a valid SE");
     let (g, ..) = GpuAmc::new(se, KernelMode::Isa).declare_amc_graph(4, 4, 4);
@@ -456,8 +457,16 @@ impl GpuAmc {
                 d = next;
             }
         }
-        // Min/max fold over the SE neighbourhood.
-        let mut state = g.texture("state0", w, h, transient);
+        // Min/max fold over the SE neighbourhood. The last state is the
+        // output, whichever pass writes it: `minmax_init` for a 1x1 SE.
+        let state_tex = |g: &mut RenderGraph, k: usize| {
+            if k + 1 == p_b {
+                g.texture("state_out", w, h, TexKind::Output)
+            } else {
+                g.texture(format!("state{k}"), w, h, transient)
+            }
+        };
+        let mut state = state_tex(&mut g, 0);
         {
             let (dx, dy) = offsets[0];
             g.add_pass(PassDecl {
@@ -472,11 +481,7 @@ impl GpuAmc {
         }
         let minmax_update = kernels::minmax_update_program();
         for (k, &(dx, dy)) in offsets.iter().enumerate().skip(1) {
-            let next = if k + 1 == p_b {
-                g.texture("state_out", w, h, TexKind::Output)
-            } else {
-                g.texture(format!("state{k}"), w, h, transient)
-            };
+            let next = state_tex(&mut g, k);
             g.add_pass(PassDecl {
                 name: format!("minmax_update{k}"),
                 stage: "minmax",
@@ -1024,22 +1029,35 @@ mod tests {
 
     #[test]
     fn executed_counters_clear_the_fusion_and_optimizer_floors() {
-        // Executed form of the two reduction floors, on a 96-band cube.
-        // Fusion: the fused schedule fetches ≥ 30% fewer texels across the
-        // normalize and distance stages than the unfused one. Optimizer: on
-        // the unfused schedule, optimized programs shade ≥ 10% fewer
-        // instructions than raw ones. (Fused passes inline producer IR that
-        // is already optimized, so the device flag barely moves them.)
-        let cube = test_cube(32, 24, 96, 5);
+        // The two reduction floors on a 96-band cube. Fusion, executed: the
+        // fused schedule fetches ≥ 30% fewer texels across the normalize and
+        // distance stages than the unfused one. Optimizer, compiled: the
+        // unfused graph's optimized programs carry ≥ 10% fewer instructions
+        // per fragment than the declared ones (3,043 against 3,556). The
+        // device adds no rewriting: a one-chunk run shades exactly its
+        // compiled graph's instructions and fetches on every fragment.
+        let (w, h, bands) = (32, 24, 96);
+        let cube = test_cube(w, h, bands, 5);
         let se = StructuringElement::square(3).unwrap();
-        let run = |fuse: bool, optimize: bool| {
-            let mut gpu = Gpu::new(GpuProfile::geforce_7800gtx());
-            gpu.set_optimizer(optimize);
+        let profile = GpuProfile::geforce_7800gtx();
+        let run = |fuse: bool| {
             let mut amc = GpuAmc::new(se.clone(), KernelMode::Isa);
             amc.set_fusion(fuse);
-            amc.run(&mut gpu, &cube).unwrap()
+            let out = amc.run(&mut Gpu::new(profile.clone()), &cube).unwrap();
+            assert_eq!(out.chunks, 1);
+            let compiled = amc.compile_graph(&profile, w, h, bands, fuse).unwrap();
+            let per_fragment = |f: fn(&Program) -> usize| -> u64 {
+                compiled.passes.iter().map(|p| f(&p.program) as u64).sum()
+            };
+            let frags = (w * h) as u64;
+            assert_eq!(out.stats.instructions, per_fragment(Program::len) * frags);
+            assert_eq!(
+                out.stats.texel_fetches,
+                per_fragment(Program::tex_count) * frags
+            );
+            (out, per_fragment(Program::len))
         };
-        let (fused, unfused, raw) = (run(true, true), run(false, true), run(false, false));
+        let ((fused, _), (unfused, compiled)) = (run(true), run(false));
         let fetches =
             |o: &PipelineOutput| o.stages.normalize.texel_fetches + o.stages.distance.texel_fetches;
         let (f, u) = (fetches(&fused), fetches(&unfused));
@@ -1047,10 +1065,11 @@ mod tests {
             f * 10 <= u * 7,
             "normalize+distance texel fetches: fused {f} vs unfused {u} (< 30% cut)"
         );
-        let (opt, raw) = (unfused.stats.instructions, raw.stats.instructions);
+        let (g, ..) = GpuAmc::new(se, KernelMode::Isa).declare_amc_graph(w, h, bands);
+        let declared: u64 = g.passes.iter().map(|p| p.program.len() as u64).sum();
         assert!(
-            opt * 10 <= raw * 9,
-            "unfused shaded instructions: optimized {opt} vs raw {raw} (< 10% cut)"
+            compiled * 10 <= declared * 9,
+            "unfused instructions per fragment: compiled {compiled} vs declared {declared} (< 10% cut)"
         );
     }
 

@@ -21,18 +21,19 @@
 //! where its tiles' time went (a [`ShadeLedger`] in a `gpu.ledger` trace
 //! instant).
 //!
-//! Two switches select the oracle forms parity tests compare against:
-//! [`Gpu::set_optimizer`] (`false` shades the raw, unoptimized programs) and
-//! [`Gpu::set_batch_execution`] (`false` shades fragment by fragment through
-//! [`interp::execute`] on the cached lowering's program and constants
-//! instead of through the tile executor). Both default to on.
+//! A pass shades exactly the program it is handed: the render-graph compiler
+//! optimizes each program once, before it reaches the device, so the device
+//! only verifies and lowers it. One switch selects the oracle form parity
+//! tests compare against: [`Gpu::set_batch_execution`] (`false` shades
+//! fragment by fragment through [`interp::execute`] on the cached lowering's
+//! program and constants instead of through the tile executor). It defaults
+//! to on.
 
 use crate::counters::{PassStats, ShadeLedger, TileCounts};
 use crate::device::GpuProfile;
 use crate::error::{GpuError, Result};
 use crate::interp::{self, LoweredProgram};
 use crate::isa::Program;
-use crate::opt;
 use crate::raster::{self, fragment_input, Quad, TexCoordSet};
 use crate::texcache::TextureCache;
 use crate::texture::{Texel, Texture2D};
@@ -69,11 +70,6 @@ struct LowerKey {
     program: String,
     /// Pass constants as `(index, value-bit-pattern)` in binding order.
     constants: Vec<(u8, [u32; 4])>,
-    /// `Some(bindings)` when the optimizer shaped this lowering (the
-    /// optimized form depends on the pass bindings), `None` when the raw
-    /// program was lowered (optimizer off). Keying the flag into the
-    /// cache keeps optimized and raw lowerings from ever aliasing.
-    opt: Option<verify::PassBindings>,
 }
 
 /// Shade `out` (the scratch buffer for `quad`, row-major over the target)
@@ -157,16 +153,12 @@ pub struct Gpu {
     pool_bytes: usize,
     texture_allocs: u64,
     pool_hits: u64,
-    zero_fill_skips: u64,
     verify_cache: HashSet<VerifyKey>,
     verify_runs: u64,
     verify_cache_hits: u64,
     lowered_cache: HashMap<LowerKey, Arc<LoweredProgram>>,
     lower_runs: u64,
     lower_cache_hits: u64,
-    /// Whether passes shade the statically optimized program form
-    /// (default; [`Gpu::set_optimizer`] disables).
-    opt_enabled: bool,
     /// Whether passes shade tiles through the tile executor (default;
     /// [`Gpu::set_batch_execution`] falls back to the per-fragment
     /// oracle).
@@ -186,14 +178,12 @@ impl Gpu {
             pool_bytes: 0,
             texture_allocs: 0,
             pool_hits: 0,
-            zero_fill_skips: 0,
             verify_cache: HashSet::new(),
             verify_runs: 0,
             verify_cache_hits: 0,
             lowered_cache: HashMap::new(),
             lower_runs: 0,
             lower_cache_hits: 0,
-            opt_enabled: true,
             batch_enabled: true,
         }
     }
@@ -229,12 +219,6 @@ impl Gpu {
         self.pool_hits
     }
 
-    /// Number of pooled reuses that skipped the zero-fill because every
-    /// texel is overwritten before it is read ([`Gpu::alloc_pooled_uninit`]).
-    pub fn zero_fill_skips(&self) -> u64 {
-        self.zero_fill_skips
-    }
-
     /// Number of full dataflow verifications executed on this device
     /// (verification-cache misses).
     pub fn verifications(&self) -> u64 {
@@ -259,19 +243,11 @@ impl Gpu {
 
     /// Fetch or build the lowered form of `(program, constants)`. The
     /// canonical program text is shared with the verification-cache key.
-    ///
-    /// When the optimizer is enabled, the cache miss path first rewrites the
-    /// program through [`opt::optimize`] under the pass `bindings`, re-runs
-    /// the verifier on the optimized form (outside the verification cache and
-    /// its counters — this is a safety net, not a pass admission check), and
-    /// lowers the optimized program. With the optimizer off the raw program
-    /// is lowered; the choice is part of the cache key.
     fn lowered_for(
         &mut self,
         asm: &str,
         program: &Program,
         constants: &[(u8, [f32; 4])],
-        bindings: &verify::PassBindings,
     ) -> Arc<LoweredProgram> {
         let key = LowerKey {
             program: asm.to_owned(),
@@ -279,7 +255,6 @@ impl Gpu {
                 .iter()
                 .map(|&(idx, v)| (idx, v.map(f32::to_bits)))
                 .collect(),
-            opt: self.opt_enabled.then(|| bindings.clone()),
         };
         if let Some(lowered) = self.lowered_cache.get(&key) {
             self.lower_cache_hits += 1;
@@ -288,35 +263,10 @@ impl Gpu {
         }
         self.lower_runs += 1;
         trace::metrics::incr("gpu.lower.runs", 1);
-        let mut shaded = program;
-        let optimized;
-        if self.opt_enabled {
-            let (opt_program, _) = opt::optimize(program, bindings);
-            trace::metrics::incr("gpu.opt.runs", 1);
-            // Every optimized program must still satisfy the verifier; a
-            // rewrite that breaks verification would be an optimizer bug, so
-            // shade the raw program instead of failing the pass.
-            let diags = verify::verify(&opt_program, &self.profile, Some(bindings));
-            if verify::has_errors(&diags) {
-                debug_assert!(false, "optimizer broke verification: {diags:?}");
-            } else {
-                optimized = opt_program;
-                shaded = &optimized;
-            }
-        }
-        let resolved = interp::resolve_constants(shaded, constants);
-        let lowered = Arc::new(interp::lower(shaded, &resolved));
+        let resolved = interp::resolve_constants(program, constants);
+        let lowered = Arc::new(interp::lower(program, &resolved));
         self.lowered_cache.insert(key, Arc::clone(&lowered));
         lowered
-    }
-
-    /// Turn the optimizer on or off for this device; off shades the raw
-    /// programs, the oracle optimizer parity tests compare against. Takes
-    /// effect on the next lowering-cache miss; existing cache entries keep
-    /// the setting they were built under (the flag is part of the cache
-    /// key).
-    pub fn set_optimizer(&mut self, enabled: bool) {
-        self.opt_enabled = enabled;
     }
 
     /// Turn tile execution on or off for this device; off shades fragment
@@ -431,7 +381,6 @@ impl Gpu {
                         *t = [0.0; 4];
                     }
                 } else {
-                    self.zero_fill_skips += 1;
                     trace::metrics::incr("gpu.pool.zero_fill_skips", 1);
                 }
                 self.allocated_bytes += tex.bytes();
@@ -573,9 +522,10 @@ impl Gpu {
     /// `inputs[i]` binds sampler `texI`; `texcoords[i]` defines coordinate
     /// set `Ti`; `constants` override the program's `DEF`s.
     ///
-    /// The program is statically verified against this device's profile and
-    /// the pass bindings before any fragment is shaded; a program with
-    /// verification errors is rejected with [`GpuError::VerifyError`].
+    /// The program is shaded exactly as given. It is statically verified
+    /// against this device's profile and the pass bindings before any
+    /// fragment is shaded; a program with verification errors is rejected
+    /// with [`GpuError::VerifyError`].
     pub fn run_pass(
         &mut self,
         program: &Program,
@@ -599,7 +549,7 @@ impl Gpu {
         let asm = program.to_asm();
         let key = VerifyKey {
             program: asm.clone(),
-            bindings: bindings.clone(),
+            bindings,
         };
         if self.verify_cache.contains(&key) {
             self.verify_cache_hits += 1;
@@ -618,7 +568,7 @@ impl Gpu {
         }
         // Lower once per (program, constants) bind; repeat passes shade
         // straight from the cached lowering.
-        let lowered = self.lowered_for(&asm, program, constants, &bindings);
+        let lowered = self.lowered_for(&asm, program, constants);
         let input_refs = self.gather_inputs(inputs, target)?;
         let tgt = self.texture(target)?;
         let (tw, th) = (tgt.width(), tgt.height());
@@ -784,38 +734,13 @@ mod tests {
             .unwrap();
         assert_eq!(gpu.download(dst).unwrap(), data);
         assert_eq!(stats.fragments, 16);
-        // The optimizer coalesces `TEX R0` + `MOV OC, R0` into `TEX OC`,
-        // so each fragment shades 1 instruction instead of the written 2.
-        assert_eq!(stats.instructions, 16);
+        // The device shades the program as written: 2 instructions per
+        // fragment.
+        assert_eq!(stats.instructions, 32);
         assert_eq!(stats.texel_fetches, 16);
         assert_eq!(stats.bytes_written, 256);
         assert_eq!(stats.passes, 1);
         assert_eq!(gpu.lowerings(), 1);
-    }
-
-    #[test]
-    fn optimizer_off_shades_the_raw_program() {
-        let mut gpu = small_gpu();
-        gpu.set_optimizer(false);
-        let src = gpu.alloc_texture(4, 4).unwrap();
-        let dst = gpu.alloc_texture(4, 4).unwrap();
-        let data: Vec<f32> = (0..4 * 4 * 4).map(|i| i as f32).collect();
-        gpu.upload(src, &data).unwrap();
-        let prog = assemble("!!copy\nTEX R0, T0, tex0\nMOV OC, R0").unwrap();
-        let stats = gpu
-            .run_pass(&prog, &[src], &[], &[TexCoordSet::identity()], dst)
-            .unwrap();
-        assert_eq!(gpu.download(dst).unwrap(), data);
-        assert_eq!(stats.instructions, 32); // 2 per fragment, unoptimized
-        assert_eq!(gpu.lowerings(), 1);
-        // Re-enabling keys a distinct lowering: same program, new entry.
-        gpu.set_optimizer(true);
-        let stats = gpu
-            .run_pass(&prog, &[src], &[], &[TexCoordSet::identity()], dst)
-            .unwrap();
-        assert_eq!(stats.instructions, 16);
-        assert_eq!(gpu.lowerings(), 2);
-        assert_eq!(gpu.lower_cache_hits(), 0);
     }
 
     #[test]

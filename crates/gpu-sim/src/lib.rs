@@ -10,6 +10,10 @@
 //! * [`isa`]/[`asm`]/[`interp`] — an fp30-flavoured SIMD4 fragment ISA, a
 //!   textual assembler, and an interpreter (kernels are fragment programs)
 //!   whose tile executor runs each program's straight-line specialization.
+//! * [`opt`] — the exact-preserving shader optimizer and the producer
+//!   inliner pass fusion uses. Programs are optimized before they reach a
+//!   device (the render-graph compiler runs it once per pass), and the
+//!   device shades what it is handed.
 //! * [`raster`] — the full-screen-quad rasterizer GPGPU passes use, with
 //!   multiple interpolated texture-coordinate sets.
 //! * [`gpu`] — the device: texture/framebuffer management under a video

@@ -3,8 +3,8 @@
 //! The verifier ([`mod@crate::verify`]) already computes lane-precise use/def
 //! facts to diagnose programs; this module reuses the same per-lane machinery
 //! (`verify::read_lanes`, `verify::dst_mask`) to *transform* them. The
-//! framework provides the classic straight-line analyses — backward
-//! [`liveness`], forward [`reaching_defs`], and (internally) copy/constant
+//! framework provides the classic straight-line analyses — forward
+//! [`reaching_defs`] and (internally) backward liveness, copy/constant
 //! lattices and texture-fetch availability — plus a fixpoint pipeline of
 //! **exact-preserving** rewrites driven by [`optimize`]:
 //!
@@ -88,54 +88,6 @@ fn malformed(program: &Program) -> bool {
 // ---------------------------------------------------------------------------
 // Analyses
 // ---------------------------------------------------------------------------
-
-/// Lane-precise liveness facts for a straight-line program, computed
-/// backward from the pass's read-back outputs by [`liveness`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Liveness {
-    /// `temps_after[i][r]` = 4-bit mask of `Rr` lanes live *after* instr `i`.
-    pub temps_after: Vec<[u8; NUM_TEMPS]>,
-    /// `outputs_after[i][o]` = 4-bit mask of `Oo` lanes live after instr `i`.
-    pub outputs_after: Vec<[u8; NUM_OUTPUTS]>,
-}
-
-/// Backward lane-precise liveness. A lane is live when some later
-/// instruction (or the pass read-back, per `outputs_read`) observes it
-/// before it is overwritten. Read lanes come from `verify::read_lanes`,
-/// so the optimizer and verifier can never disagree about what is dead.
-pub fn liveness(instrs: &[Instr], outputs_read: [bool; NUM_OUTPUTS]) -> Liveness {
-    let n = instrs.len();
-    let mut temps_after = vec![[0u8; NUM_TEMPS]; n];
-    let mut outputs_after = vec![[0u8; NUM_OUTPUTS]; n];
-    let mut live_t = [0u8; NUM_TEMPS];
-    let mut live_o = [0u8; NUM_OUTPUTS];
-    for (o, lanes) in live_o.iter_mut().zip(outputs_read) {
-        *o = if lanes { 0b1111 } else { 0 };
-    }
-    for i in (0..n).rev() {
-        temps_after[i] = live_t;
-        outputs_after[i] = live_o;
-        let instr = &instrs[i];
-        let written = verify::dst_mask(instr);
-        match instr.dst.reg {
-            Reg::Temp(r) => live_t[r as usize] &= !written,
-            Reg::Output(o) => live_o[o as usize] &= !written,
-            _ => {}
-        }
-        for si in 0..instr.srcs.len() {
-            let lanes = verify::read_lanes(instr, si);
-            match instr.srcs[si].reg {
-                Reg::Temp(r) => live_t[r as usize] |= lanes,
-                Reg::Output(o) => live_o[o as usize] |= lanes,
-                _ => {}
-            }
-        }
-    }
-    Liveness {
-        temps_after,
-        outputs_after,
-    }
-}
 
 /// Forward reaching definitions: for each instruction `i` and each temp
 /// lane, the index of the instruction whose write reaches the *start* of
@@ -1522,14 +1474,10 @@ mod tests {
     }
 
     #[test]
-    fn liveness_and_reaching_defs_agree_with_the_verifier_helpers() {
+    fn reaching_defs_name_each_lane_writer() {
         let p = assemble("TEX R0, T0, tex0\nMOV R1, R0\nADD OC, R1, R0").unwrap();
-        let live = liveness(&p.instrs, [true, false, false, false]);
-        // After the TEX, both R0 (read twice) and nothing else is live.
-        assert_eq!(live.temps_after[0][0], 0b1111);
-        assert_eq!(live.temps_after[1][1], 0b1111);
-        assert_eq!(live.temps_after[2][0], 0);
         let rd = reaching_defs(&p.instrs);
+        assert_eq!(rd[0][0], [None; 4], "R0 still holds its zero init");
         assert_eq!(rd[1][0], [Some(0); 4]);
         assert_eq!(rd[2][1], [Some(1); 4]);
     }

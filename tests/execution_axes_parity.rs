@@ -1,11 +1,13 @@
 //! Differential test of the GPU AMC pipeline across its execution axes.
 //!
-//! The shader optimizer, the tile executor, pass fusion, the worker
-//! thread count, chunking and the device fleet must all be invisible in the
-//! output. Every configuration below runs the ISA render graph on one small
-//! synthetic scene and must reproduce the MEI bits and the min/max index
-//! maps of a single oracle configuration exactly: optimizer off, batching
-//! off, fusion off, one thread, one chunk.
+//! The tile executor, pass fusion, the worker thread count, chunking and
+//! the device fleet must all be invisible in the output. Every
+//! configuration below runs the ISA render graph on one small synthetic
+//! scene and must reproduce the MEI bits and the min/max index maps of a
+//! single oracle configuration exactly: batching off, fusion off, one
+//! thread, one chunk. (The shader optimizer runs once, in the render-graph
+//! compile; `amc_core::kernels`' tests hold each optimized kernel to its
+//! raw program.)
 
 use hyperspec::amc::{DeviceFleet, PipelineOutput};
 use hyperspec::prelude::*;
@@ -41,7 +43,6 @@ fn driver(fusion: bool) -> GpuAmc {
 
 #[derive(Debug, Clone, Copy)]
 struct Config {
-    optimizer: bool,
     batch: bool,
     fusion: bool,
     threads: usize,
@@ -49,7 +50,6 @@ struct Config {
 }
 
 const ORACLE: Config = Config {
-    optimizer: false,
     batch: false,
     fusion: false,
     threads: 1,
@@ -59,7 +59,6 @@ const ORACLE: Config = Config {
 fn run_single_device(cube: &Cube, c: Config) -> PipelineOutput {
     rayon::with_threads(c.threads, || {
         let mut gpu = Gpu::new(GpuProfile::geforce_7800gtx());
-        gpu.set_optimizer(c.optimizer);
         gpu.set_batch_execution(c.batch);
         driver(c.fusion)
             .run_with_chunking(&mut gpu, cube, chunking(c.ragged))
@@ -92,22 +91,19 @@ fn every_execution_axis_matches_the_oracle_bit_for_bit() {
     let oracle = run_single_device(&cube, ORACLE);
     let threads = [1, rayon::max_threads().max(2)];
     let mut failures = Vec::new();
-    for optimizer in [false, true] {
-        for batch in [false, true] {
-            for fusion in [false, true] {
-                for &t in &threads {
-                    for ragged in [false, true] {
-                        let c = Config {
-                            optimizer,
-                            batch,
-                            fusion,
-                            threads: t,
-                            ragged,
-                        };
-                        let out = run_single_device(&cube, c);
-                        if let Some(diff) = first_difference(&oracle, &out) {
-                            failures.push(format!("{c:?}: {diff}"));
-                        }
+    for batch in [false, true] {
+        for fusion in [false, true] {
+            for &t in &threads {
+                for ragged in [false, true] {
+                    let c = Config {
+                        batch,
+                        fusion,
+                        threads: t,
+                        ragged,
+                    };
+                    let out = run_single_device(&cube, c);
+                    if let Some(diff) = first_difference(&oracle, &out) {
+                        failures.push(format!("{c:?}: {diff}"));
                     }
                 }
             }

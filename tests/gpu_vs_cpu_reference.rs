@@ -3,7 +3,9 @@
 //! port ("the desired performance at the quality required").
 
 use hyperspec::amc::cpu;
+use hyperspec::amc::perf::{self, PredictConfig};
 use hyperspec::amc::pipeline::{GpuAmc, KernelMode};
+use hyperspec::amc::{DeviceFleet, PipelineOutput};
 use hyperspec::prelude::*;
 
 fn pseudo_random_cube(w: usize, h: usize, bands: usize, seed: u64) -> Cube {
@@ -96,4 +98,43 @@ fn five_by_five_se_agrees_too() {
     assert_close(&gpu_out.mei.scores, &ref_mei.scores, 1e-4, "mei5");
     assert_eq!(gpu_out.min_index, morph.min_index);
     assert_eq!(gpu_out.max_index, morph.max_index);
+}
+
+#[test]
+fn one_pixel_se_runs_on_one_card_and_on_a_fleet() {
+    // A 1x1 SE has no neighbours: no distance or min/max update passes, so
+    // `minmax_init` writes the state output itself, and the MEI is zero.
+    let se = StructuringElement::square(1).unwrap();
+    for (w, h, bands, seed) in [(2, 2, 2, 11u64), (17, 9, 10, 12)] {
+        let cube = pseudo_random_cube(w, h, bands, seed);
+        let simd = cpu::run_simd4(&cube, &se);
+        assert!(simd.mei.scores.iter().all(|&s| s == 0.0));
+        let bits = |s: &[f32]| s.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        let check = |out: &PipelineOutput, what: &str| {
+            assert_eq!(bits(&out.mei.scores), bits(&simd.mei.scores), "{what}");
+            assert_eq!(out.min_index, simd.morph.min_index, "{what}");
+            assert_eq!(out.max_index, simd.morph.max_index, "{what}");
+        };
+        for fuse in [false, true] {
+            let what = format!("{w}x{h}x{bands} fused {fuse}");
+            let mut amc = GpuAmc::new(se.clone(), KernelMode::Isa);
+            amc.set_fusion(fuse);
+            let out = amc
+                .run(&mut Gpu::new(GpuProfile::geforce_7800gtx()), &cube)
+                .unwrap();
+            check(&out, &what);
+            if !fuse {
+                let pred = perf::predict_chunk_stats(w, h, bands, &se, &PredictConfig::default());
+                assert_eq!(out.chunks, 1);
+                assert_eq!(pred.passes, out.stats.passes, "{what}");
+                assert_eq!(pred.instructions, out.stats.instructions, "{what}");
+                assert_eq!(pred.texel_fetches, out.stats.texel_fetches, "{what}");
+            }
+            let fleet = DeviceFleet::new(vec![
+                GpuProfile::geforce_7800gtx(),
+                GpuProfile::fx5950_ultra(),
+            ]);
+            check(&fleet.run(&amc, &cube).unwrap().pipeline, &what);
+        }
+    }
 }
