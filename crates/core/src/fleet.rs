@@ -27,12 +27,12 @@
 //!   link ([`gpu_sim::bus::BusModel::contended`]).
 //!
 //! **Warm devices.** The devices live as long as the fleet, each behind
-//! its own mutex, so their texture pools and verify/lowering caches carry
-//! over from run to run. Compiled graphs live in the caller's [`GpuAmc`]
-//! (keyed per profile and chunk geometry) and every device thread shades
-//! through that one driver. A device whose run fails starts the next run
-//! on a fresh card, so textures an error left live never shrink a later
-//! plan.
+//! its own mutex, and carry only their texture pools over from run to run.
+//! Compiled graphs, with every pass verified and lowered, live in the
+//! caller's [`GpuAmc`] (keyed per profile and chunk geometry), and every
+//! device thread shades through that one driver. A chunk that fails hands
+//! its textures back to its device's pool, so an error never leaves
+//! textures live to shrink a later plan.
 //!
 //! **Determinism.** Shading arithmetic is profile-independent in the
 //! simulator, so a chunk produces bit-identical texels and [`PassStats`]
@@ -196,8 +196,8 @@ impl Dispatch {
 /// A fleet of simulated GPUs sharing one host link.
 pub struct DeviceFleet {
     profiles: Vec<GpuProfile>,
-    /// One device per profile, alive (pool and caches warm) for the
-    /// fleet's lifetime.
+    /// One device per profile, alive (texture pool warm) for the fleet's
+    /// lifetime.
     devices: Vec<Mutex<Gpu>>,
 }
 
@@ -349,16 +349,9 @@ impl DeviceFleet {
                     let (chunks, cost, dispatch) = (&chunks, &cost, &dispatch);
                     s.spawn(move || {
                         let mut gpu = device.lock().expect("a run panicked on this device");
-                        let run = rayon::with_threads(per_device_threads, || {
+                        rayon::with_threads(per_device_threads, || {
                             run_device(amc, &mut gpu, Some(me), chunks, cost, dispatch)
-                        });
-                        if run.is_err() {
-                            // An error can leave textures live on the card
-                            // (band planes uploaded before an out-of-memory
-                            // pass); the next run starts on a clean one.
-                            *gpu = Gpu::new(gpu.profile().clone());
-                        }
-                        run
+                        })
                     })
                 })
                 .collect();
@@ -772,7 +765,7 @@ mod tests {
     fn a_failed_run_starts_the_next_on_a_clean_device() {
         // One whole-image chunk cannot fit a 1 MiB card: the run fails with
         // band planes already uploaded. The planned run after it budgets the
-        // whole card, so it only fits if the device dropped them.
+        // whole card, so it only fits if the failed chunk gave them back.
         let mut small = GpuProfile::fx5950_ultra();
         small.video_memory_mib = 1;
         let cube = test_cube(256, 64, 8);
@@ -788,6 +781,7 @@ mod tests {
             ),
             "{err}"
         );
+        assert_eq!(fleet.devices[0].lock().unwrap().allocated_bytes(), 0);
         let out = fleet.run(&amc, &cube).unwrap();
         let fresh = DeviceFleet::new(vec![small]).run(&amc, &cube).unwrap();
         assert_eq!(mei_bits(&out.pipeline.mei), mei_bits(&fresh.pipeline.mei));

@@ -17,17 +17,20 @@
 //!    ([`gpu_sim::opt::inline_producer`]), re-optimizing and re-verifying
 //!    every fused program;
 //! 4. **optimizes** every scheduled pass's program, fused or not, under its
-//!    own [`pass_bindings`] ([`gpu_sim::opt::optimize`]);
+//!    own [`pass_bindings`] ([`gpu_sim::opt::optimize`]), then **verifies
+//!    and lowers** it for the profile under the same bindings
+//!    ([`gpu_sim::interp::lower`]);
 //! 5. runs **texture lifetime analysis**: each texture's producer and last
 //!    reader, and the transients to release after each pass.
 //!
 //! [`CompiledGraph::execute`] walks the scheduled passes against a
-//! [`Gpu`], which shades each program exactly as compiled, materializing
-//! transient textures on first use (pass outputs skip the pool's
-//! zero-fill: every pass shades its whole target), releasing them after
-//! their last read into the device's LIFO texture pool, which is what
-//! aliases disjoint transients, and bucketing pass statistics and wall
-//! time per declared stage.
+//! [`Gpu`], handing it each pass's lowering to shade exactly as compiled,
+//! materializing transient textures on first use (pass outputs skip the
+//! pool's zero-fill: every pass shades its whole target), releasing them
+//! after their last read into the device's LIFO texture pool, which is
+//! what aliases disjoint transients, and bucketing pass statistics and
+//! wall time per declared stage. A failed pass hands every texture the
+//! execution drew back to the pool.
 //!
 //! # Fusion soundness
 //!
@@ -63,6 +66,7 @@
 use gpu_sim::counters::PassStats;
 use gpu_sim::device::GpuProfile;
 use gpu_sim::gpu::{Gpu, TextureId};
+use gpu_sim::interp::{self, LoweredProgram};
 use gpu_sim::isa::{Opcode, Program, Reg, NUM_SAMPLERS, NUM_TEXCOORDS};
 use gpu_sim::opt::{self, InlineMode, InlineRequest};
 use gpu_sim::raster::TexCoordSet;
@@ -248,8 +252,8 @@ impl RenderGraph {
 }
 
 /// The bindings a pass with `samplers` inputs, `texcoord_sets` coordinate
-/// sets and `constants` runs under: what [`compile`] optimizes its program
-/// under and the device verifies it against.
+/// sets and `constants` runs under: what [`compile`] optimizes, verifies
+/// and lowers its program under.
 pub fn pass_bindings(
     samplers: usize,
     texcoord_sets: usize,
@@ -326,6 +330,9 @@ pub struct CompiledGraph {
     /// Scheduled passes, each with the optimized program the device shades
     /// (a fused pass carries the rebuilt program and the consumer's name).
     pub passes: Vec<PassDecl>,
+    /// Each scheduled pass's program, verified and lowered for the
+    /// compile's profile; parallel to `passes`.
+    lowered: Vec<LoweredProgram>,
     /// Committed fusions, in commit order.
     pub fusions: Vec<FusionRecord>,
     /// Names of dead passes removed by dead-pass elimination.
@@ -366,7 +373,9 @@ pub struct ExecReport {
 /// oracle); with `fuse` true the producer→consumer fusion phases merge
 /// them first. Either way every scheduled program is then optimized under
 /// its pass's bindings, which is the program the device shades, and
-/// lifetime analysis runs last.
+/// verified and lowered for `profile` under the same bindings; lifetime
+/// analysis runs last. Nothing is memoized: a program several passes share
+/// is lowered once per pass.
 pub fn compile(
     graph: &RenderGraph,
     profile: &GpuProfile,
@@ -385,15 +394,23 @@ pub fn compile(
         eliminate_dead(&graph.textures, &mut passes, &mut eliminated);
         phase_b(&graph.textures, &mut passes, profile, &mut fusions);
     }
+    let mut lowered = Vec::with_capacity(passes.len());
     for p in &mut passes {
         let bindings = pass_bindings(p.inputs.len(), p.texcoords.len(), &p.constants);
         p.program = opt::optimize(&p.program, &bindings).0;
+        // Validation and fusion verified every program already, so only an
+        // optimizer bug can fail here.
+        let lowering = interp::lower(&p.program, &p.constants, &bindings, profile);
+        lowered.push(lowering.map_err(|e| CompileError {
+            errors: vec![format!("pass `{}`: {e}", p.name)],
+        })?);
     }
     let (meta, release_after) = lifetimes(&graph.textures, &passes);
     Ok(CompiledGraph {
         textures: graph.textures.clone(),
         meta,
         passes,
+        lowered,
         fusions,
         eliminated,
         fused: fuse,
@@ -753,7 +770,8 @@ impl CompiledGraph {
     /// texture per [`TexKind::Imported`] handle (the caller keeps
     /// ownership). Transients are drawn from / returned to the texture
     /// pool around their live range; [`TexKind::Output`] textures are
-    /// returned for the caller to download and release.
+    /// returned for the caller to download and release. When a pass fails,
+    /// every transient and output drawn so far goes back to the pool.
     pub fn execute(
         &self,
         gpu: &mut Gpu,
@@ -781,6 +799,23 @@ impl CompiledGraph {
                 });
             }
         }
+        let report = self.run_stages(gpu, &mut ids);
+        if report.is_err() {
+            let drawn = self.textures.iter().zip(ids);
+            let drawn = drawn.filter(|(t, _)| !matches!(t.kind, TexKind::Imported));
+            for id in drawn.filter_map(|(_, id)| id) {
+                gpu.release_pooled(id)?;
+            }
+        }
+        report
+    }
+
+    /// The scheduled passes in stage runs, then the rendered outputs.
+    fn run_stages(
+        &self,
+        gpu: &mut Gpu,
+        ids: &mut [Option<TextureId>],
+    ) -> Result<ExecReport, GpuError> {
         let mut stages: Vec<StageRun> = Vec::new();
         let mut p = 0;
         while p < self.passes.len() {
@@ -793,7 +828,7 @@ impl CompiledGraph {
             let start = Instant::now();
             let mut stats = PassStats::new();
             for i in p..end {
-                stats.add(&self.run_pass(gpu, i, &mut ids)?);
+                stats.add(&self.run_pass(gpu, i, ids)?);
             }
             stages.push(StageRun {
                 name: stage,
@@ -839,13 +874,7 @@ impl CompiledGraph {
         let out = gpu.alloc_pooled_uninit(t.width, t.height)?;
         ids[pass.output.0] = Some(out);
         let inputs: Vec<TextureId> = pass.inputs.iter().map(|&h| ids[h.0].unwrap()).collect();
-        let stats = gpu.run_pass(
-            &pass.program,
-            &inputs,
-            &pass.constants,
-            &pass.texcoords,
-            out,
-        )?;
+        let stats = gpu.run_pass(&self.lowered[i], &inputs, &pass.texcoords, out)?;
         for &h in &self.release_after[i] {
             if let Some(id) = ids[h.0].take() {
                 gpu.release_pooled(id)?;

@@ -297,6 +297,7 @@ mod tests {
         // in order), while each fragment runs exactly the program it is
         // handed: the raw length, or the `*_COST` that
         // `optimizer_recovers_the_shaded_costs` pins.
+        use gpu_sim::interp::lower;
         use gpu_sim::raster::TexCoordSet;
         use gpu_sim::{Gpu, GpuProfile, PassStats};
         let (w, h) = (21, 11);
@@ -338,8 +339,9 @@ mod tests {
                 })
                 .collect();
             let mut shade = |p: &gpu_sim::isa::Program| -> (Vec<u32>, PassStats) {
+                let lowered = lower(p, &constants, &bindings, gpu.profile()).unwrap();
                 let out = gpu.alloc_texture(w, h).unwrap();
-                let stats = gpu.run_pass(p, &inputs, &constants, sets, out).unwrap();
+                let stats = gpu.run_pass(&lowered, &inputs, sets, out).unwrap();
                 let texels = gpu.download(out).unwrap();
                 (texels.iter().map(|v| v.to_bits()).collect(), stats)
             };
@@ -444,9 +446,16 @@ mod tests {
             gpu.upload(st, &state).unwrap();
             gpu.upload(field, &[cand; 4]).unwrap();
             let sets = [TexCoordSet::identity(), TexCoordSet::identity()];
-            let prog = minmax_update_program();
-            gpu.run_pass(&prog, &[st, field], &[(0, [k; 4])], &sets, out)
-                .unwrap();
+            let constants = [(0, [k; 4])];
+            let bindings = crate::graph::pass_bindings(2, sets.len(), &constants);
+            let prog = gpu_sim::interp::lower(
+                &minmax_update_program(),
+                &constants,
+                &bindings,
+                gpu.profile(),
+            )
+            .unwrap();
+            gpu.run_pass(&prog, &[st, field], &sets, out).unwrap();
             let t = gpu.download(out).unwrap();
             [t[0], t[1], t[2], t[3]]
         };

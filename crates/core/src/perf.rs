@@ -117,16 +117,19 @@ pub fn predict_stats(
 /// with the chunking that profile's memory forces.
 ///
 /// Planning goes through [`GpuAmc::plan_chunking_for_budget`] — the same
-/// planner the executor uses — so predicted chunk geometry can never drift
-/// from executed chunk geometry. Fails like the executor would when even a
-/// single line cannot fit the profile's video memory.
+/// planner the executor uses — on an unfused driver, whose schedule is the
+/// one [`predict_chunk_stats`] counts, so predicted chunk geometry can
+/// never drift from the executed chunk geometry of that schedule. Fails
+/// like the executor would when even a single line cannot fit the
+/// profile's video memory.
 pub fn predict_gpu_time(
     dims: CubeDims,
     se: &StructuringElement,
     profile: &GpuProfile,
     config: &PredictConfig,
 ) -> crate::pipeline::Result<(GpuTime, PassStats)> {
-    let amc = GpuAmc::new(se.clone(), KernelMode::Isa);
+    let mut amc = GpuAmc::new(se.clone(), KernelMode::Isa);
+    amc.set_fusion(false);
     let chunking = amc.plan_chunking_for_budget(
         profile.video_memory_bytes(),
         dims.width,
@@ -216,6 +219,45 @@ mod tests {
         assert_eq!(pred.bytes_uploaded, out.stats.bytes_uploaded);
         assert_eq!(pred.bytes_downloaded, out.stats.bytes_downloaded);
         assert_eq!(pred.tiles, out.stats.tiles);
+    }
+
+    #[test]
+    fn prediction_plans_the_unfused_schedule_it_counts() {
+        // On a 1 MiB card the two schedules plan different chunks, so the
+        // model must plan the unfused one it counts: its totals equal those
+        // of an executed unfused run on that card.
+        let mut card = GpuProfile::fx5950_ultra();
+        card.video_memory_mib = 1;
+        let dims = CubeDims::new(64, 96, 16);
+        let se = StructuringElement::square(3).unwrap();
+        let mut amc = GpuAmc::new(se.clone(), KernelMode::Isa);
+        let lines = |amc: &GpuAmc| {
+            amc.plan_chunking_for_budget(card.video_memory_bytes(), 64, 96, 16)
+                .unwrap()
+                .lines_per_chunk
+        };
+        assert_eq!(lines(&amc), 59, "fused");
+        amc.set_fusion(false);
+        assert_eq!(lines(&amc), 47, "unfused");
+        let cube = Cube::from_fn(dims, Interleave::Bip, |x, y, b| {
+            1.0 + ((x * 31 + y * 17 + b * 7) % 23) as f32
+        })
+        .unwrap();
+        let out = amc.run(&mut Gpu::new(card.clone()), &cube).unwrap();
+        let (_, pred) = predict_gpu_time(dims, &se, &card, &PredictConfig::default()).unwrap();
+        let work = |s: &PassStats| {
+            [
+                s.passes,
+                s.fragments,
+                s.instructions,
+                s.texel_fetches,
+                s.bytes_written,
+                s.bytes_uploaded,
+                s.bytes_downloaded,
+                s.tiles,
+            ]
+        };
+        assert_eq!(work(&pred), work(&out.stats));
     }
 
     #[test]

@@ -233,11 +233,15 @@ impl StageWall {
 }
 
 /// Host-side readback buffers reused across chunks (stage 6 lands here
-/// instead of allocating fresh vectors per chunk).
+/// instead of allocating fresh vectors per chunk), and the textures the
+/// current chunk holds.
 #[derive(Debug, Default)]
 pub(crate) struct ChunkScratch {
     mei_flat: Vec<f32>,
     state_flat: Vec<f32>,
+    /// Band planes, offset LUT and graph outputs the chunk drew from the
+    /// device pool, all released when the chunk ends.
+    held: Vec<TextureId>,
 }
 
 /// Output of one pipeline run over a full image.
@@ -279,8 +283,8 @@ pub struct HybridOutput {
 /// runs under, in pipeline order (band sum, normalize, partial SID, min/max
 /// init, min/max update, MEI): the first pass of each program in the
 /// declared AMC graph, with [`graph::pass_bindings`]. These are the
-/// bindings [`graph::compile`] optimizes each program under and the device
-/// verifies it against.
+/// bindings [`graph::compile`] optimizes, verifies and lowers each program
+/// under.
 pub fn stage_cases() -> Vec<(Program, PassBindings)> {
     let se = StructuringElement::square(3).expect("3x3 is a valid SE");
     let (g, ..) = GpuAmc::new(se, KernelMode::Isa).declare_amc_graph(4, 4, 4);
@@ -675,9 +679,29 @@ impl GpuAmc {
     /// Run one chunk of pre-packed band groups (`w x h x bands`) through
     /// the compiled render graph: upload, execute the graph
     /// (normalize/distance/minmax/mei stages), download. Textures are drawn
-    /// from (and returned to) the device pool; readbacks land in `scratch`
-    /// so repeat chunks allocate nothing on the host either.
+    /// from (and returned to) the device pool, whether or not the chunk
+    /// shades, so a failed chunk leaves no texture live on `gpu`;
+    /// readbacks land in `scratch` so repeat chunks allocate nothing on
+    /// the host either.
     pub(crate) fn run_chunk_graph(
+        &self,
+        gpu: &mut Gpu,
+        w: usize,
+        h: usize,
+        bands: usize,
+        packed: &[Vec<f32>],
+        scratch: &mut ChunkScratch,
+    ) -> Result<PipelineOutput> {
+        let out = self.shade_chunk(gpu, w, h, bands, packed, scratch);
+        for id in scratch.held.drain(..) {
+            gpu.release_pooled(id)?;
+        }
+        out
+    }
+
+    /// [`GpuAmc::run_chunk_graph`]'s stages. Every texture it draws stays
+    /// on `scratch.held` for the caller to release.
+    fn shade_chunk(
         &self,
         gpu: &mut Gpu,
         w: usize,
@@ -697,13 +721,13 @@ impl GpuAmc {
         let stage_span = trace::span("pipeline.stage", "upload");
         let stage_start = Instant::now();
         let before_upload = gpu.stats();
-        let mut band_tex: Vec<TextureId> = Vec::with_capacity(groups);
         for plane in packed {
             let t = gpu.alloc_pooled(w, h)?;
+            scratch.held.push(t);
             gpu.upload(t, plane)?;
-            band_tex.push(t);
         }
         let lut = gpu.alloc_pooled(p_b, 1)?;
+        scratch.held.push(lut);
         gpu.upload(lut, &kernels::offset_lut(&offsets, w, h))?;
         stages.upload = gpu.stats();
         stages.upload.sub(&before_upload);
@@ -717,10 +741,13 @@ impl GpuAmc {
             .bands
             .iter()
             .copied()
-            .zip(band_tex.iter().copied())
+            .zip(scratch.held[..groups].iter().copied())
             .collect();
         imports.push((amc.lut, lut));
         let report = amc.compiled.execute(gpu, &imports)?;
+        scratch
+            .held
+            .extend(report.outputs.iter().map(|&(_, id)| id));
         for run in &report.stages {
             match run.name {
                 "normalize" => {
@@ -770,13 +797,6 @@ impl GpuAmc {
             min_index.push(texel[1].round() as u32);
             max_index.push(texel[3].round() as u32);
         }
-        for (_, id) in report.outputs {
-            gpu.release_pooled(id)?;
-        }
-        for t in band_tex {
-            gpu.release_pooled(t)?;
-        }
-        gpu.release_pooled(lut)?;
         wall.download_s = stage_start.elapsed().as_secs_f64();
         drop(stage_span);
 
@@ -1187,29 +1207,6 @@ mod tests {
             gpu_one.texture_allocs()
         );
         assert!(gpu_two.pool_hits() > 0, "second chunk must reuse the pool");
-    }
-
-    #[test]
-    fn isa_kernels_verify_once_across_chunks() {
-        let cube = test_cube(8, 10, 6, 31);
-        let se = StructuringElement::square(3).unwrap();
-        let mut gpu = Gpu::new(GpuProfile::fx5950_ultra());
-        // Unfused: the fused schedule runs distinct per-geometry programs,
-        // so only the oracle has exactly six unique kernels.
-        let mut amc = GpuAmc::new(se, KernelMode::Isa);
-        amc.set_fusion(false);
-        let out = amc
-            .run_with_chunking(&mut gpu, &cube, Chunking::new(4, 2))
-            .unwrap();
-        assert!(out.chunks > 1);
-        // Six kernels, each dataflow-verified exactly once per device; every
-        // further pass in every chunk hits the verification cache.
-        assert_eq!(gpu.verifications(), 6);
-        assert_eq!(
-            gpu.verify_cache_hits(),
-            out.stats.passes - 6,
-            "all remaining passes must be cache hits"
-        );
     }
 
     #[test]

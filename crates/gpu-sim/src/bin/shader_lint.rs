@@ -9,8 +9,8 @@
 //! By default programs are checked in *lint mode*: every sampler,
 //! texture-coordinate set and constant is assumed bound. Passing any of
 //! `--samplers`, `--texcoords`, `--consts` or `--outputs-read` switches
-//! to pass mode with the given bindings, mirroring what `Gpu::run_pass`
-//! enforces at draw time.
+//! to pass mode with the given bindings, mirroring what `interp::lower`
+//! enforces before a pass can be shaded.
 
 use std::io::Read;
 use std::process::ExitCode;
@@ -193,7 +193,7 @@ fn lint_source(name: &str, source: &str, opts: &Options) -> (usize, usize) {
         }
     }
     // The optimizer reports ride along without influencing the exit code;
-    // programs with errors are not optimized (run_pass would reject them).
+    // programs with errors are not optimized (lowering would reject them).
     if (opts.opt || opts.emit) && errors == 0 {
         let bindings = opts
             .bindings

@@ -3,9 +3,9 @@
 //! Owns textures under the profile's video-memory budget, executes render
 //! passes (fragment programs over full-screen quads) across parallel
 //! fragment pipes, and accumulates performance counters. A pass
-//! ([`Gpu::run_pass`]) executes an assembled fragment program through the
-//! interpreter — bit-faithful to what the modelled hardware would compute,
-//! with exact instruction/texel counts.
+//! ([`Gpu::run_pass`]) executes a verified, lowered fragment program through
+//! the interpreter — bit-faithful to what the modelled hardware would
+//! compute, with exact instruction/texel counts.
 //!
 //! Passes shade the render target as independent
 //! [`TILE_W`](crate::raster::TILE_W)`x`[`TILE_ROWS`](crate::raster::TILE_ROWS)
@@ -14,63 +14,36 @@
 //! merged in tile order, so aggregate statistics and output texels are
 //! bit-identical at every thread count. Programs execute through a
 //! [`LoweredProgram`] — the shaded program with its resolved constants, and
-//! its straight-line per-component specialization, built once per
-//! (program, constants) bind and cached on the device next to the
-//! verification cache. Tiles run the specialized form through
-//! [`interp::execute_tile`]; while tracing is on, each pass also records
-//! where its tiles' time went (a [`ShadeLedger`] in a `gpu.ledger` trace
-//! instant).
+//! its straight-line per-component specialization. Tiles run the
+//! specialized form through [`interp::execute_tile`]; while tracing is on,
+//! each pass also records where its tiles' time went (a [`ShadeLedger`] in
+//! a `gpu.ledger` trace instant).
 //!
-//! A pass shades exactly the program it is handed: the render-graph compiler
-//! optimizes each program once, before it reaches the device, so the device
-//! only verifies and lowers it. One switch selects the oracle form parity
-//! tests compare against: [`Gpu::set_batch_execution`] (`false` shades
-//! fragment by fragment through [`interp::execute`] on the cached lowering's
-//! program and constants instead of through the tile executor). It defaults
-//! to on.
+//! A pass shades exactly the lowering it is handed. [`interp::lower`]
+//! verifies a program for a profile and a pass's bindings before it lowers
+//! it, and the render-graph compiler lowers each pass once, so the device
+//! keeps no verification or lowering state: it checks only that the
+//! lowering was made for its profile and for the pass's samplers and
+//! coordinate sets. One switch selects the oracle form parity tests
+//! compare against: [`Gpu::set_batch_execution`] (`false` shades fragment
+//! by fragment through [`interp::execute`] on the lowering's program and
+//! constants instead of through the tile executor). It defaults to on.
 
 use crate::counters::{PassStats, ShadeLedger, TileCounts};
 use crate::device::GpuProfile;
 use crate::error::{GpuError, Result};
 use crate::interp::{self, LoweredProgram};
-use crate::isa::Program;
 use crate::raster::{self, fragment_input, Quad, TexCoordSet};
 use crate::texcache::TextureCache;
 use crate::texture::{Texel, Texture2D};
-use crate::verify;
 use rayon::prelude::*;
-use std::collections::{HashMap, HashSet};
-use std::sync::Arc;
+use std::collections::HashMap;
 use std::time::Instant;
 use trace::ArgValue;
 
 /// Handle to a texture resident in simulated video memory.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct TextureId(pub(crate) u32);
-
-/// Key of the device-level verification cache: one entry per distinct
-/// (program text, pass bindings) pair already proven clean on this device.
-/// The profile is not part of the key — each `Gpu` owns its own cache.
-#[derive(PartialEq, Eq, Hash)]
-struct VerifyKey {
-    /// Canonical program text (name, `DEF`s, instructions).
-    program: String,
-    /// The bindings the program was verified against.
-    bindings: verify::PassBindings,
-}
-
-/// Key of the device-level lowering cache, keyed like the verification
-/// cache on canonical program text, plus the pass-constant values the
-/// lowering folded into immediates (as exact bit patterns, so the key is
-/// hashable and two bindings differing only in a constant value get
-/// distinct lowerings).
-#[derive(PartialEq, Eq, Hash)]
-struct LowerKey {
-    /// Canonical program text (name, `DEF`s, instructions).
-    program: String,
-    /// Pass constants as `(index, value-bit-pattern)` in binding order.
-    constants: Vec<(u8, [u32; 4])>,
-}
 
 /// Shade `out` (the scratch buffer for `quad`, row-major over the target)
 /// as independent tiles on the worker pool. `shade_tile` is called once per
@@ -153,12 +126,6 @@ pub struct Gpu {
     pool_bytes: usize,
     texture_allocs: u64,
     pool_hits: u64,
-    verify_cache: HashSet<VerifyKey>,
-    verify_runs: u64,
-    verify_cache_hits: u64,
-    lowered_cache: HashMap<LowerKey, Arc<LoweredProgram>>,
-    lower_runs: u64,
-    lower_cache_hits: u64,
     /// Whether passes shade tiles through the tile executor (default;
     /// [`Gpu::set_batch_execution`] falls back to the per-fragment
     /// oracle).
@@ -178,12 +145,6 @@ impl Gpu {
             pool_bytes: 0,
             texture_allocs: 0,
             pool_hits: 0,
-            verify_cache: HashSet::new(),
-            verify_runs: 0,
-            verify_cache_hits: 0,
-            lowered_cache: HashMap::new(),
-            lower_runs: 0,
-            lower_cache_hits: 0,
             batch_enabled: true,
         }
     }
@@ -219,60 +180,10 @@ impl Gpu {
         self.pool_hits
     }
 
-    /// Number of full dataflow verifications executed on this device
-    /// (verification-cache misses).
-    pub fn verifications(&self) -> u64 {
-        self.verify_runs
-    }
-
-    /// Number of passes whose verification was satisfied from the cache.
-    pub fn verify_cache_hits(&self) -> u64 {
-        self.verify_cache_hits
-    }
-
-    /// Number of program lowerings executed on this device (lowering-cache
-    /// misses).
-    pub fn lowerings(&self) -> u64 {
-        self.lower_runs
-    }
-
-    /// Number of ISA passes whose lowering was satisfied from the cache.
-    pub fn lower_cache_hits(&self) -> u64 {
-        self.lower_cache_hits
-    }
-
-    /// Fetch or build the lowered form of `(program, constants)`. The
-    /// canonical program text is shared with the verification-cache key.
-    fn lowered_for(
-        &mut self,
-        asm: &str,
-        program: &Program,
-        constants: &[(u8, [f32; 4])],
-    ) -> Arc<LoweredProgram> {
-        let key = LowerKey {
-            program: asm.to_owned(),
-            constants: constants
-                .iter()
-                .map(|&(idx, v)| (idx, v.map(f32::to_bits)))
-                .collect(),
-        };
-        if let Some(lowered) = self.lowered_cache.get(&key) {
-            self.lower_cache_hits += 1;
-            trace::metrics::incr("gpu.lower.cache_hits", 1);
-            return Arc::clone(lowered);
-        }
-        self.lower_runs += 1;
-        trace::metrics::incr("gpu.lower.runs", 1);
-        let resolved = interp::resolve_constants(program, constants);
-        let lowered = Arc::new(interp::lower(program, &resolved));
-        self.lowered_cache.insert(key, Arc::clone(&lowered));
-        lowered
-    }
-
     /// Turn tile execution on or off for this device; off shades fragment
     /// by fragment, the oracle batch parity tests compare against. Takes
-    /// effect on the next pass: both executors run the same cached
-    /// lowering.
+    /// effect on the next pass: both executors run the lowering the pass
+    /// is handed.
     pub fn set_batch_execution(&mut self, enabled: bool) {
         self.batch_enabled = enabled;
     }
@@ -516,66 +427,33 @@ impl Gpu {
         inputs.iter().map(|&id| self.texture(id)).collect()
     }
 
-    /// Execute an assembled fragment program over the whole of `target`,
+    /// Execute a lowered fragment program over the whole of `target`,
     /// writing output `O0` to it.
     ///
     /// `inputs[i]` binds sampler `texI`; `texcoords[i]` defines coordinate
-    /// set `Ti`; `constants` override the program's `DEF`s.
+    /// set `Ti`; the pass constants are already folded into `lowered`.
     ///
-    /// The program is shaded exactly as given. It is statically verified
-    /// against this device's profile and the pass bindings before any
-    /// fragment is shaded; a program with verification errors is rejected
-    /// with [`GpuError::VerifyError`].
+    /// The lowering is shaded exactly as given. It must have been verified
+    /// ([`interp::lower`]) for this device's profile, for `inputs.len()`
+    /// samplers and for `texcoords.len()` coordinate sets; any other pass
+    /// is refused with [`GpuError::InvalidPass`] before a fragment is
+    /// shaded.
     pub fn run_pass(
         &mut self,
-        program: &Program,
+        lowered: &LoweredProgram,
         inputs: &[TextureId],
-        constants: &[(u8, [f32; 4])],
         texcoords: &[TexCoordSet],
         target: TextureId,
     ) -> Result<PassStats> {
-        let bindings = verify::PassBindings {
-            samplers: inputs.len(),
-            texcoord_sets: texcoords.len(),
-            constants: constants.iter().map(|&(idx, _)| idx).collect(),
-            // run_pass resolves only O0 to the target texture.
-            outputs_read: [true, false, false, false],
-        };
-        // Dataflow verification depends only on the program text and the
-        // bindings, so a (program, bindings) pair proven clean once on this
-        // device stays clean; repeat passes skip straight to shading.
-        // Failures are never cached — the error path re-verifies so the
-        // diagnostics stay fresh.
-        let asm = program.to_asm();
-        let key = VerifyKey {
-            program: asm.clone(),
-            bindings,
-        };
-        if self.verify_cache.contains(&key) {
-            self.verify_cache_hits += 1;
-            trace::metrics::incr("gpu.verify.cache_hits", 1);
-        } else {
-            self.verify_runs += 1;
-            trace::metrics::incr("gpu.verify.runs", 1);
-            let diagnostics = verify::verify(program, &self.profile, Some(&key.bindings));
-            if verify::has_errors(&diagnostics) {
-                return Err(GpuError::VerifyError {
-                    program: program.name.clone(),
-                    diagnostics,
-                });
-            }
-            self.verify_cache.insert(key);
-        }
-        // Lower once per (program, constants) bind; repeat passes shade
-        // straight from the cached lowering.
-        let lowered = self.lowered_for(&asm, program, constants);
+        lowered.check_pass(&self.profile, inputs.len(), texcoords.len())?;
         let input_refs = self.gather_inputs(inputs, target)?;
         let tgt = self.texture(target)?;
         let (tw, th) = (tgt.width(), tgt.height());
         let quad = Quad::full(tw, th);
+        let name = &lowered.program().name;
         let _pass_span = trace::span_with(
             "gpu.pass",
-            &program.name,
+            name,
             &[
                 ("fragments", ArgValue::U64(quad.fragments() as u64)),
                 ("tiles", ArgValue::U64(quad.tile_count() as u64)),
@@ -593,7 +471,7 @@ impl Gpu {
             shade_tiled(&mut out, &quad, |x0, y0, mut rows, cache, ledger| {
                 if batch {
                     return interp::execute_tile(
-                        &lowered,
+                        lowered,
                         texcoords,
                         x0,
                         y0,
@@ -647,7 +525,7 @@ impl Gpu {
         if batch {
             trace::instant(
                 "gpu.ledger",
-                &program.name,
+                name,
                 &[
                     ("sweep_ns", ArgValue::U64(ledger.sweep_ns)),
                     ("ops", ArgValue::U64(ledger.ops)),
@@ -671,6 +549,24 @@ mod tests {
 
     fn small_gpu() -> Gpu {
         Gpu::new(GpuProfile::fx5950_ultra())
+    }
+
+    /// Assemble `src` and lower it for `gpu`'s profile and a pass binding
+    /// `samplers` textures, `sets` coordinate sets and `constants`.
+    fn lower_for(
+        gpu: &Gpu,
+        src: &str,
+        samplers: usize,
+        sets: usize,
+        constants: &[(u8, [f32; 4])],
+    ) -> Result<LoweredProgram> {
+        let bindings = crate::verify::PassBindings {
+            samplers,
+            texcoord_sets: sets,
+            constants: constants.iter().map(|&(i, _)| i).collect(),
+            outputs_read: [true, false, false, false],
+        };
+        interp::lower(&assemble(src).unwrap(), constants, &bindings, gpu.profile())
     }
 
     #[test]
@@ -728,9 +624,9 @@ mod tests {
         let dst = gpu.alloc_texture(4, 4).unwrap();
         let data: Vec<f32> = (0..4 * 4 * 4).map(|i| i as f32).collect();
         gpu.upload(src, &data).unwrap();
-        let prog = assemble("!!copy\nTEX R0, T0, tex0\nMOV OC, R0").unwrap();
+        let prog = lower_for(&gpu, "!!copy\nTEX R0, T0, tex0\nMOV OC, R0", 1, 1, &[]).unwrap();
         let stats = gpu
-            .run_pass(&prog, &[src], &[], &[TexCoordSet::identity()], dst)
+            .run_pass(&prog, &[src], &[TexCoordSet::identity()], dst)
             .unwrap();
         assert_eq!(gpu.download(dst).unwrap(), data);
         assert_eq!(stats.fragments, 16);
@@ -740,7 +636,6 @@ mod tests {
         assert_eq!(stats.texel_fetches, 16);
         assert_eq!(stats.bytes_written, 256);
         assert_eq!(stats.passes, 1);
-        assert_eq!(gpu.lowerings(), 1);
     }
 
     #[test]
@@ -758,17 +653,20 @@ mod tests {
                 .map(|i| (i % 23) as f32 * 0.21 - 1.9)
                 .collect();
             gpu.upload(src, &data).unwrap();
-            let prog = assemble(
+            let prog = lower_for(
+                &gpu,
                 "!!mix\nDEF C1, 0.25, -3, 1.5, 2\nTEX R0, T0, tex0\nTEX R1, T1, tex0\n\
                  MAD R2, R0, C1.wzxy, -R1\nLRP R3, C0.x, R0, R2\nDP3 R3.w, R3, C1\n\
                  MOV_SAT OC, R3",
+                1,
+                2,
+                &[(0, [0.4, 0.0, 0.0, 0.0])],
             )
             .unwrap();
             let stats = gpu
                 .run_pass(
                     &prog,
                     &[src],
-                    &[(0, [0.4, 0.0, 0.0, 0.0])],
                     &[
                         TexCoordSet::identity(),
                         TexCoordSet::shifted_texels(1, -1, 70, 9),
@@ -788,53 +686,52 @@ mod tests {
     }
 
     #[test]
-    fn batch_toggle_reuses_the_one_lowering() {
-        // Both executors run the same cached lowering: toggling batching
-        // hits the cache, and the two passes shade identical texels and
-        // counters.
-        let mut gpu = small_gpu();
-        let src = gpu.alloc_texture(9, 5).unwrap();
-        let dst = gpu.alloc_texture(9, 5).unwrap();
-        let data: Vec<f32> = (0..9 * 5 * 4).map(|i| (i % 7) as f32 * 0.3).collect();
-        gpu.upload(src, &data).unwrap();
-        let prog = assemble("TEX R0, T0, tex0\nMUL R1, R0, R0.x\nADD OC, R1, -R0").unwrap();
-        let sets = [TexCoordSet::identity()];
-        let shade = |gpu: &mut Gpu| {
-            let stats = gpu.run_pass(&prog, &[src], &[], &sets, dst).unwrap();
-            let texels: Vec<u32> = gpu
-                .download(dst)
-                .unwrap()
-                .iter()
-                .map(|v| v.to_bits())
-                .collect();
-            (texels, stats)
-        };
-        let batched = shade(&mut gpu);
-        assert_eq!(gpu.lowerings(), 1);
-        gpu.set_batch_execution(false);
-        let scalar = shade(&mut gpu);
-        assert_eq!(gpu.lowerings(), 1, "toggling batching must not re-lower");
-        assert_eq!(gpu.lower_cache_hits(), 1);
-        assert_eq!(batched, scalar);
-    }
-
-    #[test]
     fn target_cannot_be_input() {
         let mut gpu = small_gpu();
         let t = gpu.alloc_texture(4, 4).unwrap();
-        let prog = assemble("TEX R0, T0, tex0\nMOV OC, R0").unwrap();
+        let prog = lower_for(&gpu, "TEX R0, T0, tex0\nMOV OC, R0", 1, 1, &[]).unwrap();
         let err = gpu
-            .run_pass(&prog, &[t], &[], &[TexCoordSet::identity()], t)
+            .run_pass(&prog, &[t], &[TexCoordSet::identity()], t)
             .unwrap_err();
         assert!(matches!(err, GpuError::InvalidPass { .. }));
     }
 
     #[test]
-    fn missing_binding_is_reported() {
+    fn run_pass_refuses_a_lowering_verified_for_another_pass() {
+        // Verified on an FX5950 for one sampler and one coordinate set:
+        // any other sampler or coordinate-set count, or another profile,
+        // is refused before a fragment is shaded, and nothing is counted.
         let mut gpu = small_gpu();
-        let dst = gpu.alloc_texture(2, 2).unwrap();
-        let prog = assemble("TEX R0, T0, tex0\nMOV OC, R0").unwrap();
-        let err = gpu.run_pass(&prog, &[], &[], &[], dst).unwrap_err();
+        let (a, b, dst) = (
+            gpu.alloc_texture(4, 4).unwrap(),
+            gpu.alloc_texture(4, 4).unwrap(),
+            gpu.alloc_texture(4, 4).unwrap(),
+        );
+        let copy = lower_for(&gpu, "TEX R0, T0, tex0\nMOV OC, R0", 1, 1, &[]).unwrap();
+        let set = [TexCoordSet::identity()];
+        let refused = |gpu: &mut Gpu, inputs: &[TextureId], sets: &[TexCoordSet], dst| {
+            let err = gpu.run_pass(&copy, inputs, sets, dst).unwrap_err();
+            assert!(matches!(err, GpuError::InvalidPass { .. }), "{err:?}");
+            assert_eq!(gpu.stats(), PassStats::default(), "a refused pass counted");
+        };
+        refused(&mut gpu, &[], &set, dst);
+        refused(&mut gpu, &[a, b], &set, dst);
+        refused(&mut gpu, &[a], &[], dst);
+        let mut g70 = Gpu::new(GpuProfile::geforce_7800gtx());
+        let (src70, dst70) = (
+            g70.alloc_texture(4, 4).unwrap(),
+            g70.alloc_texture(4, 4).unwrap(),
+        );
+        refused(&mut g70, &[src70], &set, dst70);
+        // The pass it was verified for shades.
+        gpu.run_pass(&copy, &[a], &set, dst).unwrap();
+        assert_eq!(gpu.stats().passes, 1);
+    }
+
+    #[test]
+    fn missing_binding_is_reported() {
+        let gpu = small_gpu();
+        let err = lower_for(&gpu, "TEX R0, T0, tex0\nMOV OC, R0", 0, 0, &[]).unwrap_err();
         match err {
             GpuError::VerifyError { diagnostics, .. } => {
                 let kinds: Vec<_> = diagnostics.iter().map(|d| d.kind).collect();
@@ -847,13 +744,10 @@ mod tests {
 
     #[test]
     fn verifier_rejects_uninitialized_reads_before_shading() {
-        let mut gpu = small_gpu();
-        let dst = gpu.alloc_texture(2, 2).unwrap();
-        // R3 is never written: rejected before any fragment executes.
-        let prog = assemble("MOV OC, R3").unwrap();
-        let err = gpu.run_pass(&prog, &[], &[], &[], dst).unwrap_err();
+        // R3 is never written: the lowering is refused, so there is
+        // nothing a device could shade.
+        let err = lower_for(&small_gpu(), "MOV OC, R3", 0, 0, &[]).unwrap_err();
         assert!(matches!(err, GpuError::VerifyError { .. }), "{err:?}");
-        assert_eq!(gpu.stats().passes, 0, "no pass may have run");
     }
 
     #[test]
@@ -864,11 +758,10 @@ mod tests {
         let data: Vec<f32> = [[1.0f32; 4], [2.0; 4], [3.0; 4]].concat();
         gpu.upload(src, &data).unwrap();
         // Shift left by one texel: dst[x] = src[x-1] with clamp.
-        let prog = assemble("TEX R0, T0, tex0\nMOV OC, R0").unwrap();
+        let prog = lower_for(&gpu, "TEX R0, T0, tex0\nMOV OC, R0", 1, 1, &[]).unwrap();
         gpu.run_pass(
             &prog,
             &[src],
-            &[],
             &[TexCoordSet::shifted_texels(-1, 0, 3, 1)],
             dst,
         )
@@ -884,9 +777,9 @@ mod tests {
         let mut gpu = small_gpu();
         let src = gpu.alloc_texture(16, 16).unwrap();
         let dst = gpu.alloc_texture(16, 16).unwrap();
-        let prog = assemble("TEX R0, T0, tex0\nMOV OC, R0").unwrap();
+        let prog = lower_for(&gpu, "TEX R0, T0, tex0\nMOV OC, R0", 1, 1, &[]).unwrap();
         let stats = gpu
-            .run_pass(&prog, &[src], &[], &[TexCoordSet::identity()], dst)
+            .run_pass(&prog, &[src], &[TexCoordSet::identity()], dst)
             .unwrap();
         assert_eq!(stats.cache_hits + stats.cache_misses, stats.texel_fetches);
         assert!(stats.cache_hit_rate() > 0.5, "{}", stats.cache_hit_rate());
@@ -938,65 +831,20 @@ mod tests {
     }
 
     #[test]
-    fn verification_cache_skips_repeat_verifications() {
-        let mut gpu = small_gpu();
-        let src = gpu.alloc_texture(4, 4).unwrap();
-        let dst = gpu.alloc_texture(4, 4).unwrap();
-        let prog = assemble("TEX R0, T0, tex0\nMOV OC, R0").unwrap();
-        for _ in 0..3 {
-            gpu.run_pass(&prog, &[src], &[], &[TexCoordSet::identity()], dst)
-                .unwrap();
-        }
-        assert_eq!(gpu.verifications(), 1, "one verification per program");
-        assert_eq!(gpu.verify_cache_hits(), 2);
-
-        // Different bindings are a different cache entry.
-        let prog2 = assemble("DEF C0, 1, 1, 1, 1\nMOV OC, C0").unwrap();
-        gpu.run_pass(&prog2, &[], &[], &[], dst).unwrap();
-        gpu.run_pass(&prog2, &[], &[], &[], dst).unwrap();
-        assert_eq!(gpu.verifications(), 2);
-        assert_eq!(gpu.verify_cache_hits(), 3);
-    }
-
-    #[test]
-    fn lowering_cache_reuses_programs_and_keys_on_constant_values() {
-        let mut gpu = small_gpu();
-        let dst = gpu.alloc_texture(4, 4).unwrap();
-        let prog = assemble("MOV OC, C0").unwrap();
-        for _ in 0..3 {
-            gpu.run_pass(&prog, &[], &[(0, [1.0; 4])], &[], dst)
-                .unwrap();
-        }
-        assert_eq!(gpu.lowerings(), 1, "one lowering per bind");
-        assert_eq!(gpu.lower_cache_hits(), 2);
-        // Same program text, different constant value: constants are folded
-        // into the lowered form, so this is a distinct cache entry …
-        gpu.run_pass(&prog, &[], &[(0, [2.0; 4])], &[], dst)
-            .unwrap();
-        assert_eq!(gpu.lowerings(), 2);
-        // … that is itself reused.
-        gpu.run_pass(&prog, &[], &[(0, [2.0; 4])], &[], dst)
-            .unwrap();
-        assert_eq!(gpu.lowerings(), 2);
-        assert_eq!(gpu.lower_cache_hits(), 3);
-        assert_eq!(gpu.texture(dst).unwrap().texel(0, 0), [2.0; 4]);
-    }
-
-    #[test]
     fn pass_stats_count_shading_tiles() {
         use crate::raster::{TILE_ROWS, TILE_W};
         let mut gpu = small_gpu();
         let small = gpu.alloc_texture(4, 4).unwrap();
-        let prog = assemble("DEF C0, 1, 1, 1, 1\nMOV OC, C0").unwrap();
-        let stats = gpu.run_pass(&prog, &[], &[], &[], small).unwrap();
+        let prog = lower_for(&gpu, "DEF C0, 1, 1, 1, 1\nMOV OC, C0", 0, 0, &[]).unwrap();
+        let stats = gpu.run_pass(&prog, &[], &[], small).unwrap();
         assert_eq!(stats.tiles, 1, "a 4x4 target is one tile");
 
         let (w, h) = (2 * TILE_W + 1, 2 * TILE_ROWS + 1);
         let wide = gpu.alloc_texture(w, h).unwrap();
         // Each fragment writes its own interpolated position.
         let sets = [TexCoordSet::identity()];
-        let position = assemble("MOV OC, T0").unwrap();
-        let stats = gpu.run_pass(&position, &[], &[], &sets, wide).unwrap();
+        let position = lower_for(&gpu, "MOV OC, T0", 0, 1, &[]).unwrap();
+        let stats = gpu.run_pass(&position, &[], &sets, wide).unwrap();
         assert_eq!(stats.tiles, 9, "3 tile columns x 3 tile bands");
         assert_eq!(gpu.stats().tiles, 10, "tiles accumulate across passes");
         // The tiled write pattern must still cover every fragment.
@@ -1005,19 +853,6 @@ mod tests {
             tex.texel(w - 1, h - 1),
             fragment_input(&sets, w - 1, h - 1, w, h).texcoords[0]
         );
-    }
-
-    #[test]
-    fn verification_failures_are_not_cached() {
-        let mut gpu = small_gpu();
-        let dst = gpu.alloc_texture(2, 2).unwrap();
-        let bad = assemble("MOV OC, R3").unwrap();
-        for _ in 0..2 {
-            let err = gpu.run_pass(&bad, &[], &[], &[], dst).unwrap_err();
-            assert!(matches!(err, GpuError::VerifyError { .. }));
-        }
-        assert_eq!(gpu.verifications(), 2, "errors re-verify every time");
-        assert_eq!(gpu.verify_cache_hits(), 0);
     }
 
     /// Runs `TEX R0, T0, tex0` over a 16x16 texture once through `far` and
@@ -1034,9 +869,9 @@ mod tests {
         let dst = gpu.alloc_texture(w, h).unwrap();
         let data: Vec<f32> = (0..w * h * 4).map(|i| i as f32).collect();
         gpu.upload(src, &data).unwrap();
-        let prog = assemble("TEX R0, T0, tex0\nMOV OC, R0").unwrap();
+        let prog = lower_for(&gpu, "TEX R0, T0, tex0\nMOV OC, R0", 1, 1, &[]).unwrap();
         let mut pass = |set: TexCoordSet| {
-            let stats = gpu.run_pass(&prog, &[src], &[], &[set], dst).unwrap();
+            let stats = gpu.run_pass(&prog, &[src], &[set], dst).unwrap();
             let colors = gpu.download(dst).unwrap();
             (
                 stats.texel_fetches,
@@ -1098,9 +933,9 @@ mod tests {
     fn stats_accumulate_and_reset() {
         let mut gpu = small_gpu();
         let dst = gpu.alloc_texture(2, 2).unwrap();
-        let prog = assemble("DEF C0, 1, 1, 1, 1\nMOV OC, C0").unwrap();
-        gpu.run_pass(&prog, &[], &[], &[], dst).unwrap();
-        gpu.run_pass(&prog, &[], &[], &[], dst).unwrap();
+        let prog = lower_for(&gpu, "DEF C0, 1, 1, 1, 1\nMOV OC, C0", 0, 0, &[]).unwrap();
+        gpu.run_pass(&prog, &[], &[], dst).unwrap();
+        gpu.run_pass(&prog, &[], &[], dst).unwrap();
         assert_eq!(gpu.stats().passes, 2);
         assert_eq!(gpu.stats().fragments, 8);
         gpu.reset_stats();

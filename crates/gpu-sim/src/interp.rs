@@ -19,11 +19,14 @@
 //!   DESIGN.md §14).
 
 use crate::counters::ShadeLedger;
+use crate::device::GpuProfile;
+use crate::error::GpuError;
 use crate::isa::{
     Opcode, Program, Reg, Src, Swizzle, NUM_CONSTS, NUM_OUTPUTS, NUM_TEMPS, NUM_TEXCOORDS,
 };
 use crate::texcache::TextureCache;
 use crate::texture::Texture2D;
+use crate::verify::{self, PassBindings};
 use std::collections::HashMap;
 use std::time::Instant;
 
@@ -329,16 +332,19 @@ pub(crate) fn swizzle_negate(sw: Swizzle, negate: bool, raw: [f32; 4]) -> [f32; 
 }
 
 /// A fragment program lowered for repeated execution, built by [`lower`]
-/// and cached per (program, constants) on `Gpu`: the program and resolved
+/// once per pass of a compiled render graph: the program and resolved
 /// constants it was built from, which [`execute`] runs one fragment at a
 /// time (the scalar oracle), next to their straight-line specialization,
 /// per-component ops over numbered [`LANES`]-wide slots, which
-/// [`execute_tile`] runs over whole tiles.
+/// [`execute_tile`] runs over whole tiles. It remembers the profile and the
+/// pass shape it was verified for, so a device refuses it anywhere else.
 #[derive(Debug, Clone)]
 pub struct LoweredProgram {
     program: Program,
     constants: [[f32; 4]; NUM_CONSTS],
     tile: TileProgram,
+    /// (profile name, samplers, coordinate sets) it was verified for.
+    verified_for: (&'static str, usize, usize),
 }
 
 impl LoweredProgram {
@@ -374,18 +380,60 @@ impl LoweredProgram {
     pub fn slot_count(&self) -> usize {
         self.tile.slots
     }
+
+    /// Refuse a pass on `profile` with `samplers` inputs and
+    /// `texcoord_sets` coordinate sets unless this lowering was verified
+    /// for exactly that.
+    pub(crate) fn check_pass(
+        &self,
+        profile: &GpuProfile,
+        samplers: usize,
+        texcoord_sets: usize,
+    ) -> Result<(), GpuError> {
+        let pass = (profile.name, samplers, texcoord_sets);
+        if pass == self.verified_for {
+            return Ok(());
+        }
+        Err(GpuError::InvalidPass {
+            message: format!(
+                "`{}` was verified for (profile, samplers, coordinate sets) {:?}, not {pass:?}",
+                self.program.name, self.verified_for
+            ),
+        })
+    }
 }
 
-/// Lower `program` against a resolved constant block (see
-/// [`resolve_constants`]) and specialize it for [`execute_tile`].
+/// Verify `program` for `profile` under `bindings`, then lower it: fold
+/// the `DEF`s and `pass_constants` into one constant block (see
+/// [`resolve_constants`]) and specialize the program for [`execute_tile`].
+/// A program with verification errors is refused with
+/// [`GpuError::VerifyError`]. The only place the registry counters
+/// `gpu.verify.runs` and `gpu.lower.runs` move.
+///
 /// Constant folding applies the same swizzle-then-negate float ops the
 /// interpreter would, so tile execution is bit-identical to [`execute`].
-pub fn lower(program: &Program, constants: &[[f32; 4]; NUM_CONSTS]) -> LoweredProgram {
-    LoweredProgram {
-        program: program.clone(),
-        constants: *constants,
-        tile: specialize(program, constants),
+pub fn lower(
+    program: &Program,
+    pass_constants: &[(u8, [f32; 4])],
+    bindings: &PassBindings,
+    profile: &GpuProfile,
+) -> Result<LoweredProgram, GpuError> {
+    trace::metrics::incr("gpu.verify.runs", 1);
+    let diagnostics = verify::verify(program, profile, Some(bindings));
+    if verify::has_errors(&diagnostics) {
+        return Err(GpuError::VerifyError {
+            program: program.name.clone(),
+            diagnostics,
+        });
     }
+    trace::metrics::incr("gpu.lower.runs", 1);
+    let constants = resolve_constants(program, pass_constants);
+    Ok(LoweredProgram {
+        tile: specialize(program, &constants),
+        program: program.clone(),
+        constants,
+        verified_for: (profile.name, bindings.samplers, bindings.texcoord_sets),
+    })
 }
 
 /// Fragments per lane vector of the tile executor ([`execute_tile`]): each
@@ -1331,6 +1379,23 @@ mod tests {
         execute(&p, input, &constants, textures, None)
     }
 
+    /// Verify and lower `p` on an FX5950 for a pass binding `samplers`
+    /// textures, `sets` coordinate sets and `pass_constants`.
+    fn lower_for(
+        p: &Program,
+        pass_constants: &[(u8, [f32; 4])],
+        samplers: usize,
+        sets: usize,
+    ) -> LoweredProgram {
+        let bindings = PassBindings {
+            samplers,
+            texcoord_sets: sets,
+            constants: pass_constants.iter().map(|&(i, _)| i).collect(),
+            outputs_read: [true, false, false, false],
+        };
+        lower(p, pass_constants, &bindings, &GpuProfile::fx5950_ultra()).unwrap()
+    }
+
     #[test]
     fn arithmetic_opcodes() {
         let out = run(
@@ -1550,12 +1615,11 @@ mod tests {
         }
         let p = assemble(
             "DEF C0, 1.5, -2, 0.25, 4\n\
-             TEX R0, T0, tex0\nMAD R1.xz, R0, C0.wzyx, -C0\nLRP R2, C0.x, R0, R1\n\
-             RSQ R3, C0.w\nDP4 R4, R1, C0\nADD_SAT OC, R2, R4.yxzw",
+             TEX R0, T0, tex0\nMOV R1.yw, R0\nMAD R1.xz, R0, C0.wzyx, -C0\n\
+             LRP R2, C0.x, R0, R1\nRSQ R3, C0.w\nDP4 R4, R1, C0\nADD_SAT OC, R2, R4.yxzw",
         )
         .unwrap();
-        let constants = resolve_constants(&p, &[(1, [0.5, 0.5, 0.0, 1.0])]);
-        let lowered = lower(&p, &constants);
+        let lowered = lower_for(&p, &[(1, [0.5, 0.5, 0.0, 1.0])], 1, 1);
         let sets = [crate::raster::TexCoordSet {
             scale: [0.9, -0.7],
             offset: [0.05, 1.0],
@@ -1580,8 +1644,7 @@ mod tests {
         let ta = Texture2D::new(4, 4);
         let tb = Texture2D::new(4, 4);
         let p = assemble("TEX R0, T0, tex0\nTEX R1, T0, tex1\nADD OC, R0, R1").unwrap();
-        let constants = resolve_constants(&p, &[]);
-        let lowered = lower(&p, &constants);
+        let lowered = lower_for(&p, &[], 2, 1);
         let (scalar_cache, _) = assert_tile_matches_row_loop(
             &lowered,
             &[crate::raster::TexCoordSet::identity()],
@@ -1617,12 +1680,11 @@ mod tests {
         ];
         let p = assemble(
             "DEF C0, 0.5, 2, -1, 1\n\
-             TEX R0, T0, tex0\nTEX R1, T1, tex0\nLG2 R2.xy, R0.x\n\
+             TEX R0, T0, tex0\nTEX R1, T1, tex0\nLG2 R2.xy, R0.x\nMOV R2.zw, R1\n\
              MAD R3, R1, C0.yyyy, R2\nMOV_SAT OC, R3\nADD O1, R0, -R1",
         )
         .unwrap();
-        let constants = resolve_constants(&p, &[]);
-        let lowered = lower(&p, &constants);
+        let lowered = lower_for(&p, &[], 1, 2);
         assert_tile_matches_row_loop(
             &lowered,
             &sets,
@@ -1660,7 +1722,7 @@ mod tests {
              ADD R1, R1, R5\nADD R1, R1, R6\nADD OC, R1, R7",
         )
         .unwrap();
-        let constants = resolve_constants(
+        let lowered = lower_for(
             &p,
             &[
                 (0, [f32::NAN, f32::INFINITY, f32::NEG_INFINITY, 3e9]),
@@ -1669,8 +1731,9 @@ mod tests {
                 (3, [3.0, 2.0, 0.0, 0.0]),
                 (4, [-1.0, -0.5, 0.0, 0.0]),
             ],
+            2,
+            1,
         );
-        let lowered = lower(&p, &constants);
         assert_tile_matches_row_loop(
             &lowered,
             &[crate::raster::TexCoordSet::identity()],
@@ -1692,7 +1755,7 @@ mod tests {
              MUL R3, R0, R2.xxxx\nMUL R4, R0.yxzw, R2.y\nADD O1, R3, R4\nMOV OC, R3",
         )
         .unwrap();
-        let lowered = lower(&p, &resolve_constants(&p, &[]));
+        let lowered = lower_for(&p, &[], 1, 1);
         // TEX + one RCP (x and y read the same broadcast component) + four
         // MULs for R3; R4's MULs and the ADD feed only O1.
         assert_eq!(lowered.op_count(), 1 + 1 + 4, "{:?}", lowered.tile.ops);

@@ -9,7 +9,8 @@
 //!   as GPGPU passes sample them (streams live in textures).
 //! * [`isa`]/[`asm`]/[`interp`] — an fp30-flavoured SIMD4 fragment ISA, a
 //!   textual assembler, and an interpreter (kernels are fragment programs)
-//!   whose tile executor runs each program's straight-line specialization.
+//!   whose tile executor runs each program's straight-line specialization,
+//!   which [`interp::lower`] builds only for a program that verifies.
 //! * [`opt`] — the exact-preserving shader optimizer and the producer
 //!   inliner pass fusion uses. Programs are optimized before they reach a
 //!   device (the render-graph compiler runs it once per pass), and the

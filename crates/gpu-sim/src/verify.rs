@@ -20,7 +20,7 @@
 //!   and `DEF`s shadowed by pass-bound constants.
 //!
 //! Call it with `Some(&PassBindings)` for the exact pass context (what
-//! [`crate::gpu::Gpu::run_pass`] does) or `None` for standalone lint mode,
+//! [`crate::interp::lower`] does) or `None` for standalone lint mode,
 //! which assumes the most permissive bindings so only intrinsic program
 //! defects are reported.
 
@@ -129,12 +129,9 @@ impl fmt::Display for Diagnostic {
 
 /// What a render pass supplies to the program.
 ///
-/// Hashable/comparable so the device can key its verification cache on
-/// (program, bindings): the same program bound differently must re-verify,
-/// while repeated identical passes (the chunked-pipeline common case) hit
-/// the cache. Note that bound constant *values* are deliberately absent —
-/// verification only depends on which registers are supplied.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+/// Bound constant *values* are deliberately absent: verification depends
+/// only on which registers are supplied.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PassBindings {
     /// Number of textures bound (`tex0..texN-1`).
     pub samplers: usize,

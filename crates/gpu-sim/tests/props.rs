@@ -335,10 +335,11 @@ proptest! {
         program.instrs.extend(body.iter().map(decode_tile_instr));
         program.instrs.extend(gpu_sim::asm::assemble(EPILOGUES[epilogue]).unwrap().instrs);
         let bindings = pass();
-        let diags = verify(&program, &GpuProfile::fx5950_ultra(), Some(&bindings));
-        prop_assert!(!has_errors(&diags), "{:?}\n{}", diags, program.to_asm());
-        let constants = resolve_constants(&program, &[(1, [0.75, -0.5, 0.25, 3.0])]);
-        let lowered = lower(&program, &constants);
+        let pass_consts = [(1, [0.75, -0.5, 0.25, 3.0])];
+        let lowered = lower(&program, &pass_consts, &bindings, &GpuProfile::fx5950_ultra());
+        prop_assert!(lowered.is_ok(), "{:?}\n{}", lowered, program.to_asm());
+        let lowered = lowered.unwrap();
+        let constants = lowered.constants();
         let tex_refs: Vec<&Texture2D> = textures.iter().collect();
         let sets: Vec<TexCoordSet> = sets
             .iter()
@@ -354,7 +355,7 @@ proptest! {
             let mut row = Vec::with_capacity(w);
             for ci in 0..w {
                 let fi = fragment_input(&sets, x0 + ci, y0 + ri, tw, th);
-                let r = execute(&program, &fi, &constants, &tex_refs, Some(&mut scalar_cache));
+                let r = execute(&program, &fi, constants, &tex_refs, Some(&mut scalar_cache));
                 scalar_instr += r.instructions;
                 scalar_fetches += r.texel_fetches;
                 row.push(r.colors[0]);

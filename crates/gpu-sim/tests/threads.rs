@@ -8,8 +8,9 @@
 use gpu_sim::asm::assemble;
 use gpu_sim::counters::PassStats;
 use gpu_sim::gpu::Gpu;
+use gpu_sim::interp::{lower, LoweredProgram};
 use gpu_sim::raster::{TexCoordSet, TILE_ROWS, TILE_W};
-use gpu_sim::GpuProfile;
+use gpu_sim::{GpuProfile, PassBindings};
 
 /// Ragged multi-tile target: 3 tile columns x 4 tile bands, both partial.
 const W: usize = 2 * TILE_W + 7;
@@ -21,13 +22,32 @@ fn source_data(w: usize, h: usize) -> Vec<f32> {
         .collect()
 }
 
+/// Assemble `src` and lower it for `gpu`'s profile and a pass binding
+/// `samplers` textures, `sets` coordinate sets and `constants`.
+fn lower_for(
+    gpu: &Gpu,
+    src: &str,
+    samplers: usize,
+    sets: usize,
+    constants: &[(u8, [f32; 4])],
+) -> LoweredProgram {
+    let bindings = PassBindings {
+        samplers,
+        texcoord_sets: sets,
+        constants: constants.iter().map(|&(i, _)| i).collect(),
+        outputs_read: [true, false, false, false],
+    };
+    lower(&assemble(src).unwrap(), constants, &bindings, gpu.profile()).unwrap()
+}
+
 fn isa_pass(threads: usize) -> (Vec<u32>, PassStats) {
     rayon::with_threads(threads, || {
         let mut gpu = Gpu::new(GpuProfile::geforce_7800gtx());
         let src = gpu.alloc_texture(W, H).unwrap();
         let dst = gpu.alloc_texture(W, H).unwrap();
         gpu.upload(src, &source_data(W, H)).unwrap();
-        let prog = assemble(
+        let prog = lower_for(
+            &gpu,
             "!!mix\n\
              DEF C0, 0.5, -1.5, 2.0, 0.25\n\
              TEX R0, T0, tex0\n\
@@ -36,21 +56,15 @@ fn isa_pass(threads: usize) -> (Vec<u32>, PassStats) {
              MAX R3, R2, C0.w\n\
              RSQ R4, R3.w\n\
              MUL OC, R3, R4.x",
-        )
-        .unwrap();
+            2,
+            2,
+            &[(1, [0.75, 0.5, 0.25, 1.0])],
+        );
         let sets = [
             TexCoordSet::identity(),
             TexCoordSet::shifted_texels(1, -1, W, H),
         ];
-        let stats = gpu
-            .run_pass(
-                &prog,
-                &[src, src],
-                &[(1, [0.75, 0.5, 0.25, 1.0])],
-                &sets,
-                dst,
-            )
-            .unwrap();
+        let stats = gpu.run_pass(&prog, &[src, src], &sets, dst).unwrap();
         let texels = gpu.download(dst).unwrap();
         (texels.iter().map(|v| v.to_bits()).collect(), stats)
     })
@@ -84,10 +98,10 @@ fn aggregate_gpu_stats_match_across_thread_counts() {
             let a = gpu.alloc_texture(W, H).unwrap();
             let b = gpu.alloc_texture(W, H).unwrap();
             gpu.upload(src, &source_data(W, H)).unwrap();
-            let prog = assemble("TEX R0, T0, tex0\nADD OC, R0, R0").unwrap();
-            gpu.run_pass(&prog, &[src], &[], &[TexCoordSet::identity()], a)
+            let prog = lower_for(&gpu, "TEX R0, T0, tex0\nADD OC, R0, R0", 1, 1, &[]);
+            gpu.run_pass(&prog, &[src], &[TexCoordSet::identity()], a)
                 .unwrap();
-            gpu.run_pass(&prog, &[a], &[], &[TexCoordSet::identity()], b)
+            gpu.run_pass(&prog, &[a], &[TexCoordSet::identity()], b)
                 .unwrap();
             gpu.download(b).unwrap();
             gpu.stats()

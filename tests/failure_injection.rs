@@ -1,7 +1,7 @@
 //! Failure-path coverage across crate boundaries: memory exhaustion,
 //! malformed kernels, degenerate inputs.
 
-use hyperspec::amc::pipeline::{AmcError, GpuAmc, KernelMode};
+use hyperspec::amc::pipeline::{AmcError, GpuAmc, KernelMode, PipelineOutput};
 use hyperspec::gpu::asm;
 use hyperspec::gpu::error::GpuError;
 use hyperspec::prelude::*;
@@ -53,6 +53,43 @@ fn chunk_planner_makes_the_same_cube_fit() {
         warm < cold,
         "repeat run allocated {warm} textures, first {cold}"
     );
+}
+
+#[test]
+fn a_failed_run_leaves_no_texture_on_the_card() {
+    // One whole-image chunk of this cube cannot fit a 2 MiB card: the run
+    // fails with band planes already uploaded. The planned run that follows
+    // on the same card budgets all of its memory, and must match a fresh
+    // card's run, so the failure must have handed every texture back.
+    let mut profile = GpuProfile::fx5950_ultra();
+    profile.video_memory_mib = 2;
+    let cube = Cube::from_fn(CubeDims::new(128, 128, 16), Interleave::Bip, |x, y, b| {
+        (x * 3 + y * 5 + b) as f32 + 1.0
+    })
+    .unwrap();
+    let amc = GpuAmc::new(StructuringElement::square(3).unwrap(), KernelMode::Isa);
+    let mut gpu = Gpu::new(profile.clone());
+    let err = amc
+        .run_with_chunking(&mut gpu, &cube, Chunking::new(128, 0))
+        .unwrap_err();
+    assert!(
+        matches!(err, AmcError::Gpu(GpuError::OutOfVideoMemory { .. })),
+        "{err}"
+    );
+    assert_eq!(
+        gpu.allocated_bytes(),
+        0,
+        "the failed run left textures live"
+    );
+    let out = amc
+        .run(&mut gpu, &cube)
+        .expect("planned run after a failure");
+    let fresh = amc.run(&mut Gpu::new(profile), &cube).unwrap();
+    let bits = |o: &PipelineOutput| o.mei.scores.iter().map(|s| s.to_bits()).collect::<Vec<_>>();
+    assert_eq!(bits(&out), bits(&fresh));
+    assert_eq!(out.min_index, fresh.min_index);
+    assert_eq!(out.max_index, fresh.max_index);
+    assert_eq!(out.stages, fresh.stages);
 }
 
 #[test]

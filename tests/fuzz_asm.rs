@@ -4,18 +4,18 @@
 //! multi-byte and replacement characters appear mid-token) and the AMC
 //! kernel sources with random edits. Every program that assembles then
 //! goes through the rest of the toolchain — verification in lint and pass
-//! mode on both paper GPUs, the optimizer, lowering with its straight-line
-//! specialization — and, when it verifies, through the tile executor and
-//! the scalar interpreter, which must agree bit for bit.
+//! mode on both paper GPUs, the optimizer, and lowering, which verifies
+//! before it specializes — and, when it lowers, through the tile executor
+//! and the scalar interpreter, which must agree bit for bit.
 
 use gpu_sim::asm::assemble;
-use gpu_sim::interp::{execute, execute_tile, lower, resolve_constants, LoweredProgram};
+use gpu_sim::interp::{execute, execute_tile, lower, LoweredProgram};
 use gpu_sim::isa::{Program, NUM_SAMPLERS};
 use gpu_sim::raster::{fragment_input, TexCoordSet};
 use gpu_sim::texcache::TextureCache;
 use gpu_sim::texture::Texture2D;
 use gpu_sim::verify::{has_errors, verify, PassBindings};
-use gpu_sim::{optimize, GpuProfile};
+use gpu_sim::{optimize, GpuError, GpuProfile};
 use hyperspec::amc::pipeline;
 use proptest::prelude::*;
 
@@ -110,22 +110,31 @@ fn executors_agree(lowered: &LoweredProgram, textures: &[&Texture2D]) {
 /// Everything downstream of the assembler, on one assembled program.
 fn exercise(program: &Program) {
     let permissive = PassBindings::permissive();
-    let mut verified = false;
     for profile in GpuProfile::paper_gpus() {
         let _ = verify(program, &profile, None);
-        verified |= !has_errors(&verify(program, &profile, Some(&permissive)));
+        let _ = verify(program, &profile, Some(&permissive));
     }
     let (optimized, _) = optimize(program, &permissive);
     let textures: Vec<Texture2D> = (0..NUM_SAMPLERS)
         .map(|i| Texture2D::from_flat(2, 2, &[i as f32 * 0.25 - 1.0; 16]))
         .collect();
     let refs: Vec<&Texture2D> = textures.iter().collect();
+    let g70 = GpuProfile::geforce_7800gtx();
     for p in [program, &optimized] {
-        let lowered = lower(p, &resolve_constants(p, &[]));
-        assert_eq!(lowered.instruction_count(), p.len() as u64);
-        assert!(lowered.op_count() >= lowered.tex_count() as usize);
-        if verified {
-            executors_agree(&lowered, &refs);
+        // Lowering verifies: it succeeds exactly when the verifier accepts
+        // the program.
+        let verified = !has_errors(&verify(p, &g70, Some(&permissive)));
+        match lower(p, &[], &permissive, &g70) {
+            Ok(lowered) => {
+                assert!(verified, "lowered a program the verifier rejects");
+                assert_eq!(lowered.instruction_count(), p.len() as u64);
+                assert!(lowered.op_count() >= lowered.tex_count() as usize);
+                executors_agree(&lowered, &refs);
+            }
+            Err(e) => {
+                assert!(!verified, "refused a verified program: {e}");
+                assert!(matches!(e, GpuError::VerifyError { .. }), "{e}");
+            }
         }
     }
 }

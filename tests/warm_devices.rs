@@ -1,7 +1,9 @@
-//! Warm devices: a second run through the same driver and devices compiles
-//! no graph, verifies and lowers no kernel and allocates no texture, on
-//! the single card and on every device of a fleet, and returns the first
-//! run's output bit for bit.
+//! Warm devices: a first run verifies and lowers each scheduled pass of
+//! each chunk geometry exactly once, in its graph compile, however many
+//! chunks or cards shade it; a second run through the same driver and
+//! devices compiles no graph, verifies and lowers no kernel and allocates
+//! no texture, on the single card and on every device of a fleet, and
+//! returns the first run's output bit for bit.
 //!
 //! Everything lives in one `#[test]` because the metrics registry and the
 //! trace switch are process-global.
@@ -32,20 +34,38 @@ fn graph_compiles() -> usize {
         .count()
 }
 
-/// Run `run` twice: the first run must do cold work, the second none, and
-/// both must return the same output.
-fn assert_second_run_is_warm(label: &str, mut run: impl FnMut() -> PipelineOutput) {
+/// Passes scheduled over the distinct chunk geometries of `chunking`:
+/// what a cold run must verify and lower, once each.
+fn scheduled_passes(amc: &GpuAmc, profile: &GpuProfile, cube: &Cube, chunking: Chunking) -> u64 {
+    let mut geometries: Vec<_> = cube
+        .chunks(chunking)
+        .map(|c| c.cube.dims())
+        .map(|d| (d.width, d.height, d.bands))
+        .collect();
+    geometries.sort_unstable();
+    geometries.dedup();
+    geometries
+        .into_iter()
+        .map(|(w, h, b)| amc.compile_graph(profile, w, h, b, amc.fusion()).unwrap())
+        .map(|g| g.passes.len() as u64)
+        .sum()
+}
+
+/// Run `run` twice: the first run must verify and lower exactly `passes`
+/// programs and allocate textures, the second do no cold work, and both
+/// must return the same output.
+fn assert_second_run_is_warm(label: &str, passes: u64, mut run: impl FnMut() -> PipelineOutput) {
     trace::drain_events();
     let before = cold_work();
     let first = run();
     let after_first = cold_work();
     assert!(graph_compiles() > 0, "{label}: first run compiled no graph");
-    for (i, name) in COLD_WORK.iter().enumerate() {
-        assert!(
-            after_first[i] > before[i],
-            "{label}: first run did not move {name}"
-        );
-    }
+    assert_eq!(after_first[0] - before[0], passes, "{label}: verifications");
+    assert_eq!(after_first[1] - before[1], passes, "{label}: lowerings");
+    assert!(
+        after_first[2] > before[2],
+        "{label}: first run allocated no texture"
+    );
     let second = run();
     assert_eq!(cold_work(), after_first, "{label}: {COLD_WORK:?} moved");
     assert_eq!(graph_compiles(), 0, "{label}: second run compiled a graph");
@@ -67,23 +87,25 @@ fn second_runs_are_warm_on_the_single_card_and_the_fleet() {
 
     // Single card: 8 chunks in two geometries (edge and middle chunks
     // carry one and two halos).
-    let mut gpu = Gpu::new(GpuProfile::geforce_7800gtx());
+    let g70 = GpuProfile::geforce_7800gtx();
+    let mut gpu = Gpu::new(g70.clone());
     let chunking = Chunking::new(5, 2);
-    assert_second_run_is_warm("single card", || {
+    let passes = scheduled_passes(&amc, &g70, &cube, chunking);
+    assert_second_run_is_warm("single card", passes, || {
         let out = amc.run_with_chunking(&mut gpu, &cube, chunking).unwrap();
         assert_eq!(out.chunks, 8);
         out
     });
 
-    // Fleet: every chunk has one geometry, so whichever chunks work
-    // stealing hands a device in the second run, it has shaded that shape
-    // in the first.
-    let fleet = DeviceFleet::new(vec![
-        GpuProfile::geforce_7800gtx(),
-        GpuProfile::geforce_7800gtx(),
-    ]);
+    // Fleet, on a fresh driver: every chunk has one geometry, so the two
+    // cards lower it once between them, and whichever chunks work stealing
+    // hands a device in the second run, it has shaded that shape in the
+    // first.
+    let amc = GpuAmc::new(StructuringElement::square(3).unwrap(), KernelMode::Isa);
+    let fleet = DeviceFleet::new(vec![g70.clone(), g70.clone()]);
     let chunking = Chunking::new(5, 0);
-    assert_second_run_is_warm("fleet", || {
+    let passes = scheduled_passes(&amc, &g70, &cube, chunking);
+    assert_second_run_is_warm("fleet", passes, || {
         let out = fleet.run_with_chunking(&amc, &cube, chunking).unwrap();
         assert_eq!(out.pipeline.chunks, 8);
         out.pipeline
