@@ -25,13 +25,18 @@
 //!   the current chunk shades — the single-card loop, run once per device,
 //!   with the bus model charging contention when devices share the host
 //!   link ([`gpu_sim::bus::BusModel::contended`]).
+//! * **Reporting** prices what each device ran: its modeled busy time sums
+//!   [`timing::gpu_time_shared`] over the counters of the chunks it
+//!   executed (fused or not, at the measured cache hit rate). The
+//!   analytic cost matrix only places chunks and picks steal victims.
 //!
 //! **Warm devices.** The devices live as long as the fleet, each behind
 //! its own mutex, and carry only their texture pools over from run to run.
 //! Compiled graphs, with every pass verified and lowered, live in the
 //! caller's [`GpuAmc`] (keyed per profile and chunk geometry), and every
-//! device thread shades through that one driver. A chunk that fails hands
-//! its textures back to its device's pool, so an error never leaves
+//! device thread shades through that one driver. Each chunk runs as one
+//! compiled-graph execution, which hands every texture back to its
+//! device's pool whether or not the chunk shades, so an error never leaves
 //! textures live to shrink a later plan.
 //!
 //! **Determinism.** Shading arithmetic is profile-independent in the
@@ -49,6 +54,7 @@ use crate::perf::{self, PredictConfig};
 use crate::pipeline::{ChunkScratch, GpuAmc, PipelineOutput, Result, StageStats, StageWall};
 use gpu_sim::device::GpuProfile;
 use gpu_sim::gpu::Gpu;
+use gpu_sim::timing::{self, TransferMode};
 use hsi::cube::{Chunk, Chunking, Cube, CubeDims};
 use hsi::morphology::MeiImage;
 use std::collections::VecDeque;
@@ -116,8 +122,8 @@ pub struct DeviceReport {
     pub executed: Vec<usize>,
     /// Chunks this device stole from other queues.
     pub steals: u64,
-    /// Modeled busy seconds for the executed chunks (contended bus,
-    /// overlapped transfers).
+    /// Modeled busy seconds for the executed chunks, priced from their
+    /// own counters (contended bus, overlapped transfers).
     pub modeled_s: f64,
     /// Measured host wall seconds of this device's dispatch loop.
     pub wall_s: f64,
@@ -368,11 +374,15 @@ impl DeviceFleet {
         for (me, run) in runs.into_iter().enumerate() {
             let run = run?;
             let executed: Vec<usize> = run.results.iter().map(|&(i, _)| i).collect();
+            let modeled = |out: &PipelineOutput| {
+                timing::gpu_time_shared(&out.stats, &self.profiles[me], n_dev)
+                    .total_s_mode(TransferMode::Overlapped)
+            };
             steals += run.steals;
             devices.push(DeviceReport {
                 profile: self.profiles[me].clone(),
                 planned: placement[me].clone(),
-                modeled_s: executed.iter().map(|&i| cost[me][i]).sum(),
+                modeled_s: run.results.iter().map(|(_, out)| modeled(out)).sum(),
                 executed,
                 steals: run.steals,
                 wall_s: run.wall_s,
@@ -759,6 +769,23 @@ mod tests {
             speedup >= 1.8,
             "modeled 2x7800GTX speedup {speedup:.3} < 1.8 (single {single:.6}s, makespan {makespan:.6}s)"
         );
+    }
+
+    #[test]
+    fn modeled_makespan_prices_the_executed_counters() {
+        // The placement model prices the unfused schedule at an assumed
+        // cache hit rate; the report prices what the devices shaded.
+        let cube = test_cube(24, 16, 8);
+        let amc = GpuAmc::new(StructuringElement::square(3).unwrap(), KernelMode::Isa);
+        let profile = GpuProfile::geforce_7800gtx();
+        let fleet = DeviceFleet::new(vec![profile.clone()]);
+        let out = fleet
+            .run_with_chunking(&amc, &cube, Chunking::new(16, 0))
+            .unwrap();
+        let executed = timing::gpu_time_shared(&out.pipeline.stats, &profile, 1)
+            .total_s_mode(TransferMode::Overlapped);
+        assert_eq!(out.modeled_makespan_s, executed);
+        assert_eq!(out.devices[0].modeled_s, executed);
     }
 
     #[test]

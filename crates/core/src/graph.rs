@@ -21,16 +21,18 @@
 //!    and lowers** it for the profile under the same bindings
 //!    ([`gpu_sim::interp::lower`]);
 //! 5. runs **texture lifetime analysis**: each texture's producer and last
-//!    reader, and the transients to release after each pass.
+//!    reader, and the imports and transients to release after each pass.
 //!
-//! [`CompiledGraph::execute`] walks the scheduled passes against a
-//! [`Gpu`], handing it each pass's lowering to shade exactly as compiled,
-//! materializing transient textures on first use (pass outputs skip the
-//! pool's zero-fill: every pass shades its whole target), releasing them
-//! after their last read into the device's LIFO texture pool, which is
-//! what aliases disjoint transients, and bucketing pass statistics and
-//! wall time per declared stage. A failed pass hands every texture the
-//! execution drew back to the pool.
+//! [`CompiledGraph::execute`] runs one whole chunk on a [`Gpu`]: it uploads
+//! the imported textures from host slices, shades the scheduled passes
+//! (handing the device each pass's lowering exactly as compiled), and
+//! downloads the requested outputs into the caller's buffers, reporting
+//! device counters and wall time per stage (`upload`, each declared stage,
+//! `download`). It draws every texture from the device's LIFO texture pool
+//! and returns it under one rule: after its last reader (outputs after the
+//! download), which is what aliases disjoint lifetimes. Uploads and pass
+//! outputs skip the pool's zero fill, since both write every texel. When
+//! any step fails, every texture still drawn goes back to the pool.
 //!
 //! # Fusion soundness
 //!
@@ -85,8 +87,8 @@ pub struct TexHandle(pub usize);
 /// What a logical texture is to the graph.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TexKind {
-    /// Supplied by the caller at execute time (e.g. uploaded band planes).
-    /// Never allocated or released by the executor.
+    /// Uploaded from a host slice at the start of each execution (e.g. the
+    /// band planes); pooled after its last read.
     Imported,
     /// Produced and consumed inside one execution; pooled after its last
     /// read. `zeroed` textures have no producer pass — they materialize
@@ -95,7 +97,8 @@ pub enum TexKind {
         /// Reads observe all-zero texels until (never) written.
         zeroed: bool,
     },
-    /// Survives the execution; returned to the caller for download.
+    /// Downloaded into a caller's buffer at the end of each execution,
+    /// then pooled.
     Output,
 }
 
@@ -320,6 +323,25 @@ pub struct TextureMeta {
     pub last_use: Option<usize>,
 }
 
+/// One pass of a compiled schedule: a declared pass (or a fused survivor,
+/// which keeps the consumer's name) whose program is optimized, verified
+/// and lowered for the compile's profile, pass constants folded in.
+#[derive(Debug, Clone)]
+pub struct ScheduledPass {
+    /// Debug name (unique per pass instance).
+    pub name: String,
+    /// Pipeline stage tag (see [`PassDecl::stage`]).
+    pub stage: &'static str,
+    /// The lowering the device shades.
+    pub program: LoweredProgram,
+    /// Sampler bindings in order.
+    pub inputs: Vec<TexHandle>,
+    /// Interpolated coordinate sets, in `T` register order.
+    pub texcoords: Vec<TexCoordSet>,
+    /// The texture rendered into.
+    pub output: TexHandle,
+}
+
 /// A compiled, executable render graph.
 #[derive(Debug, Clone)]
 pub struct CompiledGraph {
@@ -327,41 +349,29 @@ pub struct CompiledGraph {
     pub textures: Vec<TextureDecl>,
     /// Per-texture compile results, parallel to `textures`.
     pub meta: Vec<TextureMeta>,
-    /// Scheduled passes, each with the optimized program the device shades
-    /// (a fused pass carries the rebuilt program and the consumer's name).
-    pub passes: Vec<PassDecl>,
-    /// Each scheduled pass's program, verified and lowered for the
-    /// compile's profile; parallel to `passes`.
-    lowered: Vec<LoweredProgram>,
+    /// Scheduled passes, in execution order.
+    pub passes: Vec<ScheduledPass>,
     /// Committed fusions, in commit order.
     pub fusions: Vec<FusionRecord>,
     /// Names of dead passes removed by dead-pass elimination.
     pub eliminated: Vec<String>,
     /// Whether fusion ran.
     pub fused: bool,
-    /// Transient handles to release after each pass (last-use lists).
+    /// Import and transient handles to release after each pass (last-use
+    /// lists).
     release_after: Vec<Vec<TexHandle>>,
 }
 
-/// Per-stage execution results from [`CompiledGraph::execute`].
+/// One stage of a [`CompiledGraph::execute`]: `upload`, a run of
+/// consecutive passes with the same stage tag, or `download`.
 #[derive(Debug, Clone)]
 pub struct StageRun {
     /// Stage tag.
     pub name: &'static str,
-    /// Device counters summed over the stage's passes.
+    /// Device counters the stage added.
     pub stats: PassStats,
     /// Host wall time of the stage.
     pub wall_s: f64,
-}
-
-/// What [`CompiledGraph::execute`] hands back.
-#[derive(Debug, Clone)]
-pub struct ExecReport {
-    /// One entry per run of consecutive same-stage passes, in order.
-    pub stages: Vec<StageRun>,
-    /// `(handle, texture)` for every [`TexKind::Output`] texture; the
-    /// caller downloads and releases them.
-    pub outputs: Vec<(TexHandle, TextureId)>,
 }
 
 // ---------------------------------------------------------------------------
@@ -394,23 +404,34 @@ pub fn compile(
         eliminate_dead(&graph.textures, &mut passes, &mut eliminated);
         phase_b(&graph.textures, &mut passes, profile, &mut fusions);
     }
-    let mut lowered = Vec::with_capacity(passes.len());
-    for p in &mut passes {
-        let bindings = pass_bindings(p.inputs.len(), p.texcoords.len(), &p.constants);
-        p.program = opt::optimize(&p.program, &bindings).0;
-        // Validation and fusion verified every program already, so only an
-        // optimizer bug can fail here.
-        let lowering = interp::lower(&p.program, &p.constants, &bindings, profile);
-        lowered.push(lowering.map_err(|e| CompileError {
-            errors: vec![format!("pass `{}`: {e}", p.name)],
-        })?);
-    }
+    let passes = passes
+        .into_iter()
+        .map(|p| {
+            let bindings = pass_bindings(p.inputs.len(), p.texcoords.len(), &p.constants);
+            let optimized = opt::optimize(&p.program, &bindings).0;
+            // Validation and fusion verified every program already, so only
+            // an optimizer bug can fail here.
+            let program =
+                interp::lower(&optimized, &p.constants, &bindings, profile).map_err(|e| {
+                    CompileError {
+                        errors: vec![format!("pass `{}`: {e}", p.name)],
+                    }
+                })?;
+            Ok(ScheduledPass {
+                name: p.name,
+                stage: p.stage,
+                program,
+                inputs: p.inputs,
+                texcoords: p.texcoords,
+                output: p.output,
+            })
+        })
+        .collect::<Result<Vec<_>, CompileError>>()?;
     let (meta, release_after) = lifetimes(&graph.textures, &passes);
     Ok(CompiledGraph {
         textures: graph.textures.clone(),
         meta,
         passes,
-        lowered,
         fusions,
         eliminated,
         fused: fuse,
@@ -740,10 +761,11 @@ fn drop_sampler(program: &mut Program, inputs: &mut Vec<TexHandle>, slot: usize)
 }
 
 /// Lifetime analysis: each texture's producer and last reading pass, and
-/// per pass the transients whose last reader it is, to release after it.
+/// per pass the imports and transients whose last reader it is, to release
+/// after it. Outputs outlive the passes: they go back after the download.
 fn lifetimes(
     textures: &[TextureDecl],
-    passes: &[PassDecl],
+    passes: &[ScheduledPass],
 ) -> (Vec<TextureMeta>, Vec<Vec<TexHandle>>) {
     let mut meta = vec![TextureMeta::default(); textures.len()];
     for (i, p) in passes.iter().enumerate() {
@@ -754,8 +776,9 @@ fn lifetimes(
     }
     let mut release_after = vec![Vec::new(); passes.len()];
     for (i, (t, m)) in textures.iter().zip(&meta).enumerate() {
-        if let (TexKind::Transient { .. }, Some(l)) = (t.kind, m.last_use) {
-            release_after[l].push(TexHandle(i));
+        match (t.kind, m.last_use) {
+            (TexKind::Output, _) | (_, None) => {}
+            (_, Some(l)) => release_after[l].push(TexHandle(i)),
         }
     }
     (meta, release_after)
@@ -765,102 +788,139 @@ fn lifetimes(
 // Execution
 // ---------------------------------------------------------------------------
 
+/// Run `body` as one stage of an execution: a `pipeline.stage` span, and
+/// the device counters and host wall time it adds.
+fn stage(
+    gpu: &mut Gpu,
+    name: &'static str,
+    body: impl FnOnce(&mut Gpu) -> Result<(), GpuError>,
+) -> Result<StageRun, GpuError> {
+    let _span = trace::span("pipeline.stage", name);
+    let start = Instant::now();
+    let before = gpu.stats();
+    body(gpu)?;
+    let mut stats = gpu.stats();
+    stats.sub(&before);
+    Ok(StageRun {
+        name,
+        stats,
+        wall_s: start.elapsed().as_secs_f64(),
+    })
+}
+
 impl CompiledGraph {
-    /// Run the compiled graph on `gpu`. `imports` supplies one device
-    /// texture per [`TexKind::Imported`] handle (the caller keeps
-    /// ownership). Transients are drawn from / returned to the texture
-    /// pool around their live range; [`TexKind::Output`] textures are
-    /// returned for the caller to download and release. When a pass fails,
-    /// every transient and output drawn so far goes back to the pool.
+    /// Run one chunk on `gpu`: upload each of `uploads` (host texels, 4
+    /// floats each) into its [`TexKind::Imported`] texture, shade the
+    /// scheduled passes, and download each of `downloads`'
+    /// [`TexKind::Output`] textures into its buffer. Returns one
+    /// [`StageRun`] per stage: `upload`, each run of same-stage passes,
+    /// then `download`.
+    ///
+    /// Every handle is checked before the device is touched: in range, of
+    /// the right kind, and every import a pass reads uploaded once. Each
+    /// texture is drawn from the device's pool when it is first written
+    /// and goes back after its last reader, outputs after the download.
+    /// When a step fails, every texture still drawn goes back too, so the
+    /// graph holds no texture on `gpu` once this returns.
     pub fn execute(
         &self,
         gpu: &mut Gpu,
-        imports: &[(TexHandle, TextureId)],
-    ) -> Result<ExecReport, GpuError> {
+        uploads: &[(TexHandle, &[f32])],
+        downloads: &mut [(TexHandle, &mut Vec<f32>)],
+    ) -> Result<Vec<StageRun>, GpuError> {
+        self.check_transfers(uploads, downloads)
+            .map_err(|message| GpuError::InvalidPass { message })?;
         let mut ids: Vec<Option<TextureId>> = vec![None; self.textures.len()];
-        for &(h, id) in imports {
-            if !matches!(self.textures[h.0].kind, TexKind::Imported) {
-                return Err(GpuError::InvalidPass {
-                    message: format!(
-                        "graph texture `{}` is not imported",
-                        self.textures[h.0].name
-                    ),
-                });
-            }
-            ids[h.0] = Some(id);
+        let stages = self.run_stages(gpu, &mut ids, uploads, downloads);
+        for id in ids.into_iter().flatten() {
+            gpu.release_pooled(id)?;
         }
-        for (i, t) in self.textures.iter().enumerate() {
-            if matches!(t.kind, TexKind::Imported)
-                && ids[i].is_none()
-                && self.meta[i].last_use.is_some()
-            {
-                return Err(GpuError::InvalidPass {
-                    message: format!("imported texture `{}` was not supplied", t.name),
-                });
-            }
-        }
-        let report = self.run_stages(gpu, &mut ids);
-        if report.is_err() {
-            let drawn = self.textures.iter().zip(ids);
-            let drawn = drawn.filter(|(t, _)| !matches!(t.kind, TexKind::Imported));
-            for id in drawn.filter_map(|(_, id)| id) {
-                gpu.release_pooled(id)?;
-            }
-        }
-        report
+        stages
     }
 
-    /// The scheduled passes in stage runs, then the rendered outputs.
+    /// The reason `execute` refuses these transfer lists, if it does.
+    fn check_transfers(
+        &self,
+        uploads: &[(TexHandle, &[f32])],
+        downloads: &[(TexHandle, &mut Vec<f32>)],
+    ) -> Result<(), String> {
+        let texture = |h: TexHandle, kind: TexKind| match self.textures.get(h.0) {
+            Some(t) if t.kind == kind => Ok(t),
+            Some(t) => Err(format!(
+                "graph texture `{}` is {:?}, not {kind:?}",
+                t.name, t.kind
+            )),
+            None => Err(format!("graph texture handle {} is out of range", h.0)),
+        };
+        let mut uploaded = vec![false; self.textures.len()];
+        for &(h, _) in uploads {
+            let t = texture(h, TexKind::Imported)?;
+            if std::mem::replace(&mut uploaded[h.0], true) {
+                return Err(format!("imported texture `{}` is uploaded twice", t.name));
+            }
+        }
+        for &(h, _) in downloads {
+            texture(h, TexKind::Output)?;
+        }
+        let textures = self.textures.iter().zip(&self.meta).zip(uploaded);
+        for ((t, m), uploaded) in textures {
+            if t.kind == TexKind::Imported && m.last_use.is_some() && !uploaded {
+                return Err(format!(
+                    "imported texture `{}` is read but not uploaded",
+                    t.name
+                ));
+            }
+        }
+        Ok(())
+    }
+
+    /// The upload, the scheduled passes in stage runs, and the download.
+    /// Every texture drawn is in `ids` until it is released.
     fn run_stages(
         &self,
         gpu: &mut Gpu,
         ids: &mut [Option<TextureId>],
-    ) -> Result<ExecReport, GpuError> {
-        let mut stages: Vec<StageRun> = Vec::new();
-        let mut p = 0;
-        while p < self.passes.len() {
-            let stage = self.passes[p].stage;
-            let end = self.passes[p..]
-                .iter()
-                .position(|x| x.stage != stage)
-                .map_or(self.passes.len(), |off| p + off);
-            let _span = trace::span("pipeline.stage", stage);
-            let start = Instant::now();
-            let mut stats = PassStats::new();
-            for i in p..end {
-                stats.add(&self.run_pass(gpu, i, ids)?);
+        uploads: &[(TexHandle, &[f32])],
+        downloads: &mut [(TexHandle, &mut Vec<f32>)],
+    ) -> Result<Vec<StageRun>, GpuError> {
+        let mut stages = vec![stage(gpu, "upload", |gpu| {
+            for &(h, data) in uploads {
+                // The upload checks the length and writes every texel, so a
+                // pooled reuse skips the zero fill.
+                let t = &self.textures[h.0];
+                let id = gpu.alloc_pooled_uninit(t.width, t.height)?;
+                ids[h.0] = Some(id);
+                gpu.upload(id, data)?;
             }
-            stages.push(StageRun {
-                name: stage,
-                stats,
-                wall_s: start.elapsed().as_secs_f64(),
-            });
-            p = end;
+            Ok(())
+        })?];
+        let mut next = 0;
+        for run in self.passes.chunk_by(|a, b| a.stage == b.stage) {
+            let first = next;
+            next += run.len();
+            stages.push(stage(gpu, run[0].stage, |gpu| {
+                (first..next).try_for_each(|i| self.run_pass(gpu, i, ids))
+            })?);
         }
-        let outputs = self
-            .textures
-            .iter()
-            .enumerate()
-            .filter(|(_, t)| matches!(t.kind, TexKind::Output))
-            .map(|(i, t)| {
-                ids[i]
-                    .map(|id| (TexHandle(i), id))
-                    .ok_or_else(|| GpuError::InvalidPass {
-                        message: format!("output texture `{}` was never rendered", t.name),
-                    })
-            })
-            .collect::<Result<Vec<_>, _>>()?;
-        Ok(ExecReport { stages, outputs })
+        stages.push(stage(gpu, "download", |gpu| {
+            for (h, out) in downloads.iter_mut() {
+                let id = ids[h.0].expect("validation: every output is produced");
+                gpu.download_into(id, out)?;
+            }
+            Ok(())
+        })?);
+        Ok(stages)
     }
 
+    /// Shade pass `i`, drawing its zero seeds (cleared) and its target,
+    /// then release the textures it reads last.
     fn run_pass(
         &self,
         gpu: &mut Gpu,
         i: usize,
         ids: &mut [Option<TextureId>],
-    ) -> Result<PassStats, GpuError> {
+    ) -> Result<(), GpuError> {
         let pass = &self.passes[i];
-        // Zero-seeded accumulators materialize (zero-filled) at first read.
         for &h in &pass.inputs {
             if ids[h.0].is_none() {
                 let t = &self.textures[h.0];
@@ -873,14 +933,18 @@ impl CompiledGraph {
         let t = &self.textures[pass.output.0];
         let out = gpu.alloc_pooled_uninit(t.width, t.height)?;
         ids[pass.output.0] = Some(out);
-        let inputs: Vec<TextureId> = pass.inputs.iter().map(|&h| ids[h.0].unwrap()).collect();
-        let stats = gpu.run_pass(&self.lowered[i], &inputs, &pass.texcoords, out)?;
+        let inputs: Vec<TextureId> = pass
+            .inputs
+            .iter()
+            .map(|&h| ids[h.0].expect("every input is drawn above"))
+            .collect();
+        gpu.run_pass(&pass.program, &inputs, &pass.texcoords, out)?;
         for &h in &self.release_after[i] {
             if let Some(id) = ids[h.0].take() {
                 gpu.release_pooled(id)?;
             }
         }
-        Ok(stats)
+        Ok(())
     }
 
     /// Per-fragment texel fetches summed over the passes of `stage`.
@@ -888,7 +952,7 @@ impl CompiledGraph {
         self.passes
             .iter()
             .filter(|p| p.stage == stage)
-            .map(|p| p.program.tex_count())
+            .map(|p| p.program.program().tex_count())
             .sum()
     }
 
@@ -917,7 +981,7 @@ impl CompiledGraph {
                 "  p{i} [shape=box{bold}, label=\"{}\\n{} · {} instr · {} fetch\"];",
                 p.name,
                 p.stage,
-                p.program.len(),
+                p.program.instruction_count(),
                 p.program.tex_count()
             );
         }
@@ -949,8 +1013,8 @@ impl CompiledGraph {
             json_object! {
                 "name": p.name.as_str(),
                 "stage": p.stage,
-                "kernel": p.program.name.as_str(),
-                "instructions": p.program.len(),
+                "kernel": p.program.program().name.as_str(),
+                "instructions": p.program.instruction_count(),
                 "fetches": p.program.tex_count(),
                 "inputs": p.inputs.iter().map(|&h| tex_name(h)).collect::<Value>(),
                 "output": tex_name(p.output),
@@ -1039,26 +1103,24 @@ mod tests {
         (g, src)
     }
 
-    /// Execute `c` on a fresh device with each import's data uploaded at
-    /// its declared size; returns the device and every output's texels.
+    /// Execute `c` on a fresh device, uploading each import's data and
+    /// downloading every output; returns the device and each output's
+    /// texels, in handle order.
     fn run_graph(
         c: &CompiledGraph,
         imports: &[(TexHandle, Vec<f32>)],
     ) -> (Gpu, Vec<(TexHandle, Vec<f32>)>) {
         let mut gpu = Gpu::new(GpuProfile::fx5950_ultra());
-        let mut ids = Vec::new();
-        for (h, data) in imports {
-            let t = &c.textures[h.0];
-            let id = gpu.alloc_pooled(t.width, t.height).unwrap();
-            gpu.upload(id, data).unwrap();
-            ids.push((*h, id));
-        }
-        let report = c.execute(&mut gpu, &ids).unwrap();
-        let mut outputs = Vec::new();
-        for &(h, id) in &report.outputs {
-            outputs.push((h, gpu.download(id).unwrap()));
-            gpu.release_pooled(id).unwrap();
-        }
+        let uploads: Vec<(TexHandle, &[f32])> =
+            imports.iter().map(|(h, d)| (*h, d.as_slice())).collect();
+        let mut outputs: Vec<(TexHandle, Vec<f32>)> = (0..c.textures.len())
+            .filter(|&i| c.textures[i].kind == TexKind::Output)
+            .map(|i| (TexHandle(i), Vec::new()))
+            .collect();
+        let mut downloads: Vec<(TexHandle, &mut Vec<f32>)> =
+            outputs.iter_mut().map(|(h, v)| (*h, v)).collect();
+        c.execute(&mut gpu, &uploads, &mut downloads).unwrap();
+        assert_eq!(gpu.allocated_bytes(), 0, "every texture goes back");
         (gpu, outputs)
     }
 
@@ -1179,6 +1241,124 @@ mod tests {
         assert_eq!(gpu.pool_hits(), 3);
         let want: Vec<f32> = data.iter().map(|x| 5.0 * x).collect();
         assert_eq!(outputs[0].1, want);
+    }
+
+    #[test]
+    fn execute_runs_the_upload_the_stages_then_the_download() {
+        // Three unfused passes in one stage: the runs are the upload, the
+        // stage and the download, each with its own counters.
+        let (g, src) = chain_graph(3);
+        let c = compile(&g, &GpuProfile::fx5950_ultra(), false).unwrap();
+        let data: Vec<f32> = (0..64).map(|i| (i % 5) as f32).collect();
+        let out = TexHandle(c.textures.len() - 1);
+        let mut gpu = Gpu::new(GpuProfile::fx5950_ultra());
+        let mut texels = Vec::new();
+        let runs = c
+            .execute(&mut gpu, &[(src, &data)], &mut [(out, &mut texels)])
+            .unwrap();
+        let names: Vec<&str> = runs.iter().map(|r| r.name).collect();
+        assert_eq!(names, ["upload", "chain", "download"]);
+        assert_eq!(runs[0].stats.bytes_uploaded, 4 * 4 * 16);
+        assert_eq!(runs[1].stats.passes, 3);
+        assert_eq!(runs[2].stats.bytes_downloaded, 4 * 4 * 16);
+        let want: Vec<f32> = data.iter().map(|x| 3.0 * x).collect();
+        assert_eq!(texels, want);
+        assert_eq!(gpu.allocated_bytes(), 0);
+    }
+
+    #[test]
+    fn imports_go_back_to_the_pool_after_their_last_reader() {
+        // src → a → b → out, copies only: `src` is last read by the first
+        // pass, so the second pass's target takes its slot. The device
+        // allocates two textures and takes two pool hits.
+        let mut g = RenderGraph::new();
+        let src = g.texture("src", 4, 4, TexKind::Imported);
+        let a = g.texture("a", 4, 4, TexKind::Transient { zeroed: false });
+        let b = g.texture("b", 4, 4, TexKind::Transient { zeroed: false });
+        let out = g.texture("out", 4, 4, TexKind::Output);
+        g.add_pass(pass("p0", copy_program(), vec![src], a));
+        g.add_pass(pass("p1", copy_program(), vec![a], b));
+        g.add_pass(pass("p2", copy_program(), vec![b], out));
+        let c = compile(&g, &GpuProfile::fx5950_ultra(), false).unwrap();
+        let data: Vec<f32> = (0..64).map(|i| i as f32).collect();
+        let (gpu, outputs) = run_graph(&c, &[(src, data.clone())]);
+        assert_eq!((gpu.texture_allocs(), gpu.pool_hits()), (2, 2));
+        assert_eq!(outputs, [(out, data)]);
+    }
+
+    /// A 1 MiB card, which holds one 256×160 texture (640 KiB) but not two.
+    fn one_plane_gpu() -> Gpu {
+        let mut profile = GpuProfile::fx5950_ultra();
+        profile.video_memory_mib = 1;
+        Gpu::new(profile)
+    }
+
+    #[test]
+    fn an_upload_out_of_memory_returns_every_texture() {
+        let mut g = RenderGraph::new();
+        let a = g.texture("a", 256, 160, TexKind::Imported);
+        let b = g.texture("b", 256, 160, TexKind::Imported);
+        let out = g.texture("out", 256, 160, TexKind::Output);
+        g.add_pass(pass("p", acc_program(), vec![a, b], out));
+        let c = compile(&g, &GpuProfile::fx5950_ultra(), false).unwrap();
+        let plane = vec![1.0f32; 256 * 160 * 4];
+        let mut gpu = one_plane_gpu();
+        let err = c
+            .execute(&mut gpu, &[(a, &plane), (b, &plane)], &mut [])
+            .unwrap_err();
+        assert!(matches!(err, GpuError::OutOfVideoMemory { .. }), "{err}");
+        assert_eq!(gpu.texture_allocs(), 1, "the first upload landed");
+        assert_eq!(gpu.allocated_bytes(), 0);
+    }
+
+    #[test]
+    fn a_pass_out_of_memory_returns_every_texture() {
+        let mut g = RenderGraph::new();
+        let a = g.texture("a", 256, 160, TexKind::Imported);
+        let out = g.texture("out", 256, 160, TexKind::Output);
+        g.add_pass(pass("p", copy_program(), vec![a], out));
+        let c = compile(&g, &GpuProfile::fx5950_ultra(), false).unwrap();
+        let plane = vec![1.0f32; 256 * 160 * 4];
+        let mut gpu = one_plane_gpu();
+        let mut texels = Vec::new();
+        let err = c
+            .execute(&mut gpu, &[(a, &plane)], &mut [(out, &mut texels)])
+            .unwrap_err();
+        assert!(matches!(err, GpuError::OutOfVideoMemory { .. }), "{err}");
+        assert_eq!(gpu.allocated_bytes(), 0);
+    }
+
+    #[test]
+    fn execute_refuses_bad_transfers_and_keeps_no_texture() {
+        let (g, src) = chain_graph(2);
+        let c = compile(&g, &GpuProfile::fx5950_ultra(), false).unwrap();
+        let (mid, out) = (TexHandle(1), TexHandle(2));
+        let data = vec![1.0f32; 64];
+        // Run with `uploads` and one download of `download`; the error and
+        // whether the device allocated anything.
+        let run = |uploads: &[(TexHandle, &[f32])], download: TexHandle| {
+            let mut gpu = Gpu::new(GpuProfile::fx5950_ultra());
+            let mut texels = Vec::new();
+            let err = c
+                .execute(&mut gpu, uploads, &mut [(download, &mut texels)])
+                .unwrap_err();
+            assert_eq!(gpu.allocated_bytes(), 0, "{err}");
+            (err, gpu.texture_allocs() > 0)
+        };
+        let refused = |uploads: &[(TexHandle, &[f32])], download: TexHandle| {
+            let (err, touched) = run(uploads, download);
+            assert!(matches!(err, GpuError::InvalidPass { .. }), "{err}");
+            assert!(!touched, "{err}: refused after allocating");
+        };
+        refused(&[(src, &data), (TexHandle(99), &data)], out);
+        refused(&[(src, &data)], TexHandle(99));
+        refused(&[(src, &data), (out, &data)], out);
+        refused(&[(src, &data)], mid);
+        refused(&[], out);
+        refused(&[(src, &data), (src, &data)], out);
+        // The upload checks the length once the texture is drawn.
+        let (err, _) = run(&[(src, &data[..60])], out);
+        assert!(matches!(err, GpuError::SizeMismatch { .. }), "{err}");
     }
 
     #[test]

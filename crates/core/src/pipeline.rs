@@ -17,6 +17,12 @@
 //! 6. **Stream downloading** — the MEI stream (and the min/max index
 //!    stream) return to the host.
 //!
+//! All six run as one execution of the chunk's compiled render graph
+//! ([`CompiledGraph::execute`]), which uploads, shades, downloads and hands
+//! every texture it drew back to the device pool. The driver packs the
+//! band groups, folds the six stage runs into [`StageStats`] and
+//! [`StageWall`], and reads the scores and indices off the texels.
+//!
 //! Chunking follows the paper: when the working set exceeds video memory
 //! the image is split into runs of entire lines ("chunks made up of entire
 //! pixel vectors"), with enough halo lines (2× the SE radius — the field at
@@ -29,7 +35,7 @@ use crate::kernels;
 use crate::layout;
 use gpu_sim::counters::PassStats;
 use gpu_sim::device::GpuProfile;
-use gpu_sim::gpu::{Gpu, TextureId};
+use gpu_sim::gpu::Gpu;
 use gpu_sim::isa::Program;
 use gpu_sim::raster::TexCoordSet;
 use gpu_sim::verify::PassBindings;
@@ -38,7 +44,6 @@ use hsi::morphology::{MeiImage, StructuringElement};
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::{Arc, Mutex};
-use std::time::Instant;
 use trace::ArgValue;
 
 /// Which kernel form executes the pipeline. The assembled fp30 programs
@@ -233,15 +238,11 @@ impl StageWall {
 }
 
 /// Host-side readback buffers reused across chunks (stage 6 lands here
-/// instead of allocating fresh vectors per chunk), and the textures the
-/// current chunk holds.
+/// instead of allocating fresh vectors per chunk).
 #[derive(Debug, Default)]
 pub(crate) struct ChunkScratch {
     mei_flat: Vec<f32>,
     state_flat: Vec<f32>,
-    /// Band planes, offset LUT and graph outputs the chunk drew from the
-    /// device pool, all released when the chunk ends.
-    held: Vec<TextureId>,
 }
 
 /// Output of one pipeline run over a full image.
@@ -378,9 +379,11 @@ impl GpuAmc {
     /// Fused, the G band planes stay resident through the distance and MEI
     /// stages (their fetches are inlined there) alongside the surviving
     /// sum/field/state/MEI planes: `G + 12` planes. Unfused, all G
-    /// normalized planes also stay live from normalization to the MEI
-    /// stage, next to the band planes and the sum, field, state and MEI
-    /// ping-pong planes: `2G + 12` planes. Either adds the offset LUT.
+    /// normalized planes stay live from normalization to the MEI stage,
+    /// next to the sum, field, state and MEI ping-pong planes; the budget
+    /// also counts the G band planes, `2G + 12` planes, although the
+    /// executor frees each band plane after its normalize pass, so it
+    /// bounds the unfused peak from above. Either adds the offset LUT.
     pub fn chunk_bytes(&self, width: usize, lines: usize, bands: usize) -> usize {
         let plane = layout::plane_bytes(width, lines);
         let groups = layout::band_groups(bands);
@@ -677,12 +680,13 @@ impl GpuAmc {
     }
 
     /// Run one chunk of pre-packed band groups (`w x h x bands`) through
-    /// the compiled render graph: upload, execute the graph
-    /// (normalize/distance/minmax/mei stages), download. Textures are drawn
-    /// from (and returned to) the device pool, whether or not the chunk
-    /// shades, so a failed chunk leaves no texture live on `gpu`;
-    /// readbacks land in `scratch` so repeat chunks allocate nothing on
-    /// the host either.
+    /// its compiled render graph, which uploads the band planes and the
+    /// offset LUT, shades, downloads the MEI and state streams into
+    /// `scratch` (so repeat chunks allocate nothing on the host) and hands
+    /// every texture back to the device pool, whether or not the chunk
+    /// shades. Folds the graph's six stage runs into the chunk's
+    /// [`StageStats`] and [`StageWall`], and reads the MEI scores and the
+    /// min/max indices off the downloaded texels.
     pub(crate) fn run_chunk_graph(
         &self,
         gpu: &mut Gpu,
@@ -692,114 +696,44 @@ impl GpuAmc {
         packed: &[Vec<f32>],
         scratch: &mut ChunkScratch,
     ) -> Result<PipelineOutput> {
-        let out = self.shade_chunk(gpu, w, h, bands, packed, scratch);
-        for id in scratch.held.drain(..) {
-            gpu.release_pooled(id)?;
-        }
-        out
-    }
-
-    /// [`GpuAmc::run_chunk_graph`]'s stages. Every texture it draws stays
-    /// on `scratch.held` for the caller to release.
-    fn shade_chunk(
-        &self,
-        gpu: &mut Gpu,
-        w: usize,
-        h: usize,
-        bands: usize,
-        packed: &[Vec<f32>],
-        scratch: &mut ChunkScratch,
-    ) -> Result<PipelineOutput> {
-        let groups = layout::band_groups(bands);
-        debug_assert_eq!(packed.len(), groups, "pre-packed group count");
-        let offsets = self.se.offsets();
-        let p_b = offsets.len();
-        let mut stages = StageStats::default();
-        let mut wall = StageWall::default();
-
-        // -- Stage 1: stream uploading ------------------------------------
-        let stage_span = trace::span("pipeline.stage", "upload");
-        let stage_start = Instant::now();
-        let before_upload = gpu.stats();
-        for plane in packed {
-            let t = gpu.alloc_pooled(w, h)?;
-            scratch.held.push(t);
-            gpu.upload(t, plane)?;
-        }
-        let lut = gpu.alloc_pooled(p_b, 1)?;
-        scratch.held.push(lut);
-        gpu.upload(lut, &kernels::offset_lut(&offsets, w, h))?;
-        stages.upload = gpu.stats();
-        stages.upload.sub(&before_upload);
-        wall.upload_s = stage_start.elapsed().as_secs_f64();
-        drop(stage_span);
-
-        // -- Stages 2-5: the compiled graph --------------------------------
-        let profile = gpu.profile().clone();
-        let amc = self.compiled_graph_for(&profile, w, h, bands)?;
-        let mut imports: Vec<(TexHandle, TextureId)> = amc
+        let amc = self.compiled_graph_for(gpu.profile(), w, h, bands)?;
+        let lut = kernels::offset_lut(&self.se.offsets(), w, h);
+        let mut uploads: Vec<(TexHandle, &[f32])> = amc
             .bands
             .iter()
             .copied()
-            .zip(scratch.held[..groups].iter().copied())
+            .zip(packed.iter().map(Vec::as_slice))
             .collect();
-        imports.push((amc.lut, lut));
-        let report = amc.compiled.execute(gpu, &imports)?;
-        scratch
-            .held
-            .extend(report.outputs.iter().map(|&(_, id)| id));
-        for run in &report.stages {
-            match run.name {
-                "normalize" => {
-                    stages.normalize.add(&run.stats);
-                    wall.normalize_s += run.wall_s;
-                }
-                "distance" => {
-                    stages.distance.add(&run.stats);
-                    wall.distance_s += run.wall_s;
-                }
-                "minmax" => {
-                    stages.minmax.add(&run.stats);
-                    wall.minmax_s += run.wall_s;
-                }
-                "mei" => {
-                    stages.mei.add(&run.stats);
-                    wall.mei_s += run.wall_s;
-                }
-                other => debug_assert!(false, "unknown graph stage `{other}`"),
-            }
+        uploads.push((amc.lut, &lut));
+        let runs = amc.compiled.execute(
+            gpu,
+            &uploads,
+            &mut [
+                (amc.mei, &mut scratch.mei_flat),
+                (amc.state, &mut scratch.state_flat),
+            ],
+        )?;
+        let mut stages = StageStats::default();
+        let mut wall = StageWall::default();
+        for run in &runs {
+            let (stats, wall_s) = match run.name {
+                "upload" => (&mut stages.upload, &mut wall.upload_s),
+                "normalize" => (&mut stages.normalize, &mut wall.normalize_s),
+                "distance" => (&mut stages.distance, &mut wall.distance_s),
+                "minmax" => (&mut stages.minmax, &mut wall.minmax_s),
+                "mei" => (&mut stages.mei, &mut wall.mei_s),
+                "download" => (&mut stages.download, &mut wall.download_s),
+                other => unreachable!("unknown graph stage `{other}`"),
+            };
+            stats.add(&run.stats);
+            *wall_s += run.wall_s;
         }
-
-        // -- Stage 6: stream downloading ------------------------------------
-        let stage_span = trace::span("pipeline.stage", "download");
-        let stage_start = Instant::now();
-        let before_download = gpu.stats();
-        let output_id = |h: TexHandle| {
-            report
-                .outputs
-                .iter()
-                .find(|&&(oh, _)| oh == h)
-                .map(|&(_, id)| id)
-                .expect("graph output rendered")
-        };
-        let (mei_id, state_id) = (output_id(amc.mei), output_id(amc.state));
-        gpu.download_into(mei_id, &mut scratch.mei_flat)?;
-        gpu.download_into(state_id, &mut scratch.state_flat)?;
-        stages.download = gpu.stats();
-        stages.download.sub(&before_download);
-        let mut scores = Vec::with_capacity(w * h);
-        let mut min_index = Vec::with_capacity(w * h);
-        let mut max_index = Vec::with_capacity(w * h);
-        for texel in scratch.mei_flat.chunks_exact(4) {
-            scores.push(texel[0]);
-        }
-        for texel in scratch.state_flat.chunks_exact(4) {
-            min_index.push(texel[1].round() as u32);
-            max_index.push(texel[3].round() as u32);
-        }
-        wall.download_s = stage_start.elapsed().as_secs_f64();
-        drop(stage_span);
-
+        let scores = scratch.mei_flat.chunks_exact(4).map(|t| t[0]).collect();
+        let (min_index, max_index) = scratch
+            .state_flat
+            .chunks_exact(4)
+            .map(|t| (t[1].round() as u32, t[3].round() as u32))
+            .unzip();
         Ok(PipelineOutput {
             mei: MeiImage {
                 width: w,
@@ -1067,7 +1001,11 @@ mod tests {
             assert_eq!(out.chunks, 1);
             let compiled = amc.compile_graph(&profile, w, h, bands, fuse).unwrap();
             let per_fragment = |f: fn(&Program) -> usize| -> u64 {
-                compiled.passes.iter().map(|p| f(&p.program) as u64).sum()
+                compiled
+                    .passes
+                    .iter()
+                    .map(|p| f(p.program.program()) as u64)
+                    .sum()
             };
             let frags = (w * h) as u64;
             assert_eq!(out.stats.instructions, per_fragment(Program::len) * frags);

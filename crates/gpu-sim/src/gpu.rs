@@ -372,28 +372,13 @@ impl Gpu {
 
     /// Download a texture's contents device → host as flat f32 data.
     pub fn download(&mut self, id: TextureId) -> Result<Vec<f32>> {
-        let tex = self
-            .textures
-            .get(&id.0)
-            .ok_or(GpuError::InvalidTexture { id: id.0 })?;
-        let _span = trace::span_with(
-            "gpu.xfer",
-            "download",
-            &[(
-                "bytes",
-                ArgValue::U64((tex.width() * tex.height() * 16) as u64),
-            )],
-        );
-        let start = Instant::now();
-        let data = tex.to_flat();
-        trace::metrics::observe("gpu.download_wall", start.elapsed());
-        self.stats.bytes_downloaded += (data.len() * 4) as u64;
+        let mut data = Vec::new();
+        self.download_into(id, &mut data)?;
         Ok(data)
     }
 
     /// Download into a caller-owned buffer (cleared and refilled), avoiding
-    /// a fresh allocation per readback. Counts the same bus bytes as
-    /// [`Gpu::download`].
+    /// a fresh allocation per readback. Counts bus bytes.
     pub fn download_into(&mut self, id: TextureId, out: &mut Vec<f32>) -> Result<()> {
         let tex = self
             .textures

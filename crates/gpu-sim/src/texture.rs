@@ -80,15 +80,6 @@ impl Texture2D {
         &mut self.texels
     }
 
-    /// Flatten to an f32 vector (4 per texel).
-    pub fn to_flat(&self) -> Vec<f32> {
-        let mut out = Vec::with_capacity(self.texels.len() * 4);
-        for t in &self.texels {
-            out.extend_from_slice(t);
-        }
-        out
-    }
-
     /// Direct texel read with integer coordinates (must be in range).
     #[inline(always)]
     pub fn texel(&self, x: usize, y: usize) -> Texel {
@@ -154,7 +145,7 @@ mod tests {
         let flat: Vec<f32> = (0..2 * 2 * 4).map(|i| i as f32).collect();
         let t = Texture2D::from_flat(2, 2, &flat);
         assert_eq!(t.texel(1, 1), [12.0, 13.0, 14.0, 15.0]);
-        assert_eq!(t.to_flat(), flat);
+        assert_eq!(t.texels().concat(), flat);
     }
 
     #[test]
